@@ -94,6 +94,23 @@ void BM_LabelCounterRound(benchmark::State& state) {
 }
 BENCHMARK(BM_LabelCounterRound);
 
+void BM_LabelCounterRoundAfterHub(benchmark::State& state) {
+  // The same round on a counter that first grew to a 2^14-label hub, as
+  // one LP kernel counter does after its rank's largest vertex: the round
+  // must cost what the 32 labels cost, not what the table's capacity does.
+  Rng rng(11);
+  std::vector<std::uint64_t> labels(32);
+  for (auto& l : labels) l = rng.below(8);
+  LabelCounter lmap;
+  for (std::uint64_t l = 0; l < (1 << 14); ++l) lmap.add(l);
+  for (auto _ : state) {
+    lmap.clear();
+    for (const auto l : labels) lmap.add(l);
+    benchmark::DoNotOptimize(lmap.argmax(1, 0));
+  }
+}
+BENCHMARK(BM_LabelCounterRoundAfterHub);
+
 void BM_StdMapCounterRound(benchmark::State& state) {
   Rng rng(11);
   std::vector<std::uint64_t> labels(32);

@@ -4,11 +4,16 @@
 /// line 32): for one vertex, count occurrences of each neighbour label and
 /// return the most frequent one.
 ///
-/// The map is rebuilt for every vertex, so clearing must be O(entries used),
-/// not O(capacity).  We use open addressing plus an epoch counter: bumping
-/// the epoch invalidates all slots in O(1).  Ties are broken by a caller-
-/// supplied hash so results are deterministic yet unbiased ("ties are broken
-/// randomly" in the paper).
+/// The map is rebuilt for every vertex, and one counter serves many vertices
+/// in turn.  Its capacity only grows, so it ends up sized to the largest hub
+/// it has seen.  Invariant: `clear()` and `argmax()` cost O(entries added
+/// since the last clear), never O(capacity), so a low-degree vertex after a
+/// hub pays for its own neighbourhood only.  We use open addressing plus an
+/// epoch counter (bumping the epoch invalidates all slots in O(1)) and a list
+/// of the slots filled since the last clear, which `argmax()` walks instead
+/// of the table.  Ties are broken by a caller-supplied hash so results are
+/// deterministic yet unbiased ("ties are broken randomly" in the paper), and
+/// independent of the order in which slots are visited.
 
 #include <cstddef>
 #include <cstdint>
@@ -25,6 +30,7 @@ class LabelCounter {
     std::size_t cap = 16;
     while (cap < capacity_hint * 2) cap <<= 1;
     slots_.assign(cap, Slot{});
+    live_.reserve(cap / 2);  // the load-factor cap: no regrowth before grow()
     mask_ = cap - 1;
   }
 
@@ -35,12 +41,12 @@ class LabelCounter {
       for (auto& s : slots_) s.epoch = 0;
       epoch_ = 1;
     }
-    used_ = 0;
+    live_.clear();
   }
 
   /// Increment the count for `label` by `w`; returns the new count.
   std::uint64_t add(std::uint64_t label, std::uint64_t w = 1) {
-    if ((used_ + 1) * 2 > slots_.size()) grow();
+    if ((live_.size() + 1) * 2 > slots_.size()) grow();
     std::size_t i = splitmix64(label) & mask_;
     for (;;) {
       Slot& s = slots_[i];
@@ -48,7 +54,7 @@ class LabelCounter {
         s.epoch = epoch_;
         s.label = label;
         s.count = w;
-        ++used_;
+        live_.push_back(i);
         return w;
       }
       if (s.label == label) {
@@ -71,8 +77,8 @@ class LabelCounter {
     std::uint64_t best_count = 0;
     std::uint64_t best_tie = 0;
     bool fallback_is_max = false;
-    for (const auto& s : slots_) {
-      if (s.epoch != epoch_) continue;
+    for (const std::size_t i : live_) {
+      const Slot& s = slots_[i];
       if (s.count > best_count) fallback_is_max = false;
       if (s.label == fallback && s.count >= best_count) fallback_is_max = true;
       const std::uint64_t tie = splitmix64(s.label ^ tie_seed);
@@ -86,7 +92,7 @@ class LabelCounter {
     return fallback_is_max ? fallback : best_label;
   }
 
-  std::size_t distinct() const { return used_; }
+  std::size_t distinct() const { return live_.size(); }
 
  private:
   struct Slot {
@@ -99,22 +105,20 @@ class LabelCounter {
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(old.size() * 2, Slot{});
     mask_ = slots_.size() - 1;
-    const std::uint32_t live = epoch_;
     epoch_ = 1;
-    used_ = 0;
-    for (const auto& s : old)
-      if (s.epoch == live) {
-        // re-insert preserving counts
-        std::size_t i = splitmix64(s.label) & mask_;
-        while (slots_[i].epoch == epoch_) i = (i + 1) & mask_;
-        slots_[i] = Slot{s.label, s.count, epoch_};
-        ++used_;
-      }
+    for (std::size_t& li : live_) {
+      // re-insert preserving counts; the list keeps its insertion order
+      const Slot& s = old[li];
+      std::size_t i = splitmix64(s.label) & mask_;
+      while (slots_[i].epoch == epoch_) i = (i + 1) & mask_;
+      slots_[i] = Slot{s.label, s.count, epoch_};
+      li = i;
+    }
   }
 
   std::vector<Slot> slots_;
+  std::vector<std::size_t> live_;  // slots filled since the last clear
   std::size_t mask_ = 0;
-  std::size_t used_ = 0;
   std::uint32_t epoch_ = 1;
 };
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <unordered_map>
 #include <vector>
@@ -173,19 +175,60 @@ TEST(LabelCounter, GrowsPastInitialCapacity) {
 }
 
 TEST(LabelCounter, MatchesStdMapOracle) {
+  // One counter serves many vertices in turn, as in the LP kernel: small
+  // neighbourhoods interleaved with ever larger hubs, so grow() fires in the
+  // middle of a hub and every later small vertex runs on the grown table.
   LabelCounter c;
-  std::map<std::uint64_t, std::uint64_t> oracle;
   Rng rng(7);
-  for (int i = 0; i < 5000; ++i) {
-    const std::uint64_t label = rng.below(100);
-    c.add(label);
-    ++oracle[label];
+  int fallback_ties = 0;  // fallback among several maxima: it wins
+  int hash_ties = 0;      // several maxima, fallback not one: the hash decides
+  int hubs = 0;
+  for (int cycle = 0; cycle < 2000; ++cycle) {
+    c.clear();
+    std::map<std::uint64_t, std::uint64_t> oracle;
+    const bool hub = cycle % 100 == 50;
+    const std::uint64_t range = hub ? 100 + 300 * hubs++ : 1 + rng.below(12);
+    const std::uint64_t n_adds = hub ? 3 * range : rng.below(40);
+    const std::uint64_t base = rng();
+    for (std::uint64_t i = 0; i < n_adds; ++i) {
+      const std::uint64_t label = base + rng.below(range);
+      const std::uint64_t w = rng.below(4) == 0 ? 2 : 1;
+      ASSERT_EQ(c.add(label, w), oracle[label] += w);
+    }
+    ASSERT_EQ(c.distinct(), oracle.size());
+
+    std::uint64_t max_count = 0;
+    std::vector<std::uint64_t> maxima;
+    for (const auto& [l, n] : oracle) {
+      if (n > max_count) maxima.clear();
+      if (n >= max_count) maxima.push_back(l);
+      max_count = std::max(max_count, n);
+    }
+    // Fallback: one of the maxima, any present label, or an absent one.
+    const std::uint64_t tie_seed = rng();
+    std::uint64_t fallback = base + range;
+    const std::uint64_t pick = rng.below(3);
+    if (!oracle.empty() && pick == 0)
+      fallback = maxima[rng.below(maxima.size())];
+    if (!oracle.empty() && pick == 1)
+      fallback = std::next(oracle.begin(), rng.below(oracle.size()))->first;
+
+    std::uint64_t expected = fallback;
+    const auto f = oracle.find(fallback);
+    if (f != oracle.end() && f->second == max_count) {
+      fallback_ties += maxima.size() > 1;
+    } else if (!maxima.empty()) {
+      hash_ties += maxima.size() > 1;
+      expected = maxima[0];
+      for (const std::uint64_t l : maxima)
+        if (splitmix64(l ^ tie_seed) > splitmix64(expected ^ tie_seed))
+          expected = l;
+    }
+    ASSERT_EQ(c.argmax(tie_seed, fallback), expected) << "cycle " << cycle;
   }
-  // The counter's argmax must be *an* oracle max (ties possible).
-  std::uint64_t max_count = 0;
-  for (const auto& [l, n] : oracle) max_count = std::max(max_count, n);
-  const std::uint64_t picked = c.argmax(0, 0);
-  EXPECT_EQ(oracle[picked], max_count);
+  EXPECT_EQ(hubs, 20);
+  EXPECT_GT(fallback_ties, 50);
+  EXPECT_GT(hash_ties, 50);
 }
 
 }  // namespace
