@@ -18,10 +18,6 @@
 //      (trace off / trace on) vs the pre-engine hand-rolled BSP loop,
 //      frozen here verbatim since the bespoke loops were deleted from
 //      src/analytics.  Pass --trace-json FILE to dump the traced run.
-//   H. overlapped ghost exchange: the blocking superstep schedule vs the
-//      interior/boundary split with the split-phase exchange in flight
-//      during the interior sweep, across rank counts and wire formats,
-//      with a checksum proving the schedules produce identical results.
 //   I. intra-rank sweep schedule (DESIGN.md §10): static vs dynamic vs
 //      edge-balanced PageRank sweeps at 1/2/4/8 pool threads on a skewed
 //      R-MAT, with per-thread busy time and max/mean edges-per-thread
@@ -33,9 +29,11 @@
 //      the web crawl and R-MAT, with per-mode round telemetry (bitmap/pull
 //      rounds, crossovers) and a checksum proving the representations
 //      compute identical results.
+//   K. runtime tracing overhead: the same PageRank region with the obs
+//      tracer off and on.
 //
-// `--sections LETTERS` restricts the run (e.g. --sections EH); `--json FILE`
-// writes section H, I and J measurements as machine-readable
+// `--sections LETTERS` restricts the run (e.g. --sections EI); `--json FILE`
+// writes section I, J and K measurements as machine-readable
 // hpcgraph-bench-v1.
 
 #include <atomic>
@@ -64,7 +62,7 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const unsigned scale = static_cast<unsigned>(cli.get_int("scale", 16));
   const int nranks = static_cast<int>(cli.get_int("ranks", 8));
-  std::string sections = cli.get("sections", "ABCDEFGHIJK");
+  std::string sections = cli.get("sections", "ABCDEFGIJK");
   for (char& c : sections) c = static_cast<char>(std::toupper(c));
   const auto want = [&](char s) {
     return sections.find(s) != std::string::npos;
@@ -466,103 +464,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- H. Overlapped ghost exchange (blocking vs split-phase). ----
-  if (want('H')) {
-    gen::RmatParams rp;
-    rp.scale = scale >= 2 ? scale - 2 : scale;  // LP runs many rounds;
-    rp.avg_degree = 8;                          // keep H quick
-    const gen::EdgeList rmat = gen::rmat(rp);
-
-    const std::vector<int> hranks =
-        hb::parse_ranks(cli, "overlap-ranks", {1, nranks});
-    const int reps = static_cast<int>(cli.get_int("reps", 3));
-
-    TablePrinter t({"Analytic", "Mode", "Ranks", "Schedule", "Tpar med(s)",
-                    "stddev", "Exch(ms)", "Ovl(ms)", "Hidden", "Checksum"});
-    const auto run_one = [&](const std::string& analytic, bool lp,
-                             dgraph::GhostMode mode, int p, bool overlap) {
-      std::vector<double> tpars;
-      double wall = 0;
-      std::uint64_t exch_us = 0, ovl_us = 0, checksum = 0;
-      for (int rep = 0; rep < reps; ++rep) {
-        engine::SuperstepTrace trace;
-        std::atomic<std::uint64_t> sum{0};
-        const hb::RegionReport r = hb::run_region(
-            rmat, p, dgraph::PartitionKind::kRandom,
-            [&](const dgraph::DistGraph& g, parcomm::Communicator& comm) {
-              std::uint64_t local = 0;
-              if (lp) {
-                analytics::LabelPropOptions o;
-                o.iterations = 10;
-                o.common.ghost_mode = mode;
-                o.common.overlap = overlap;
-                o.common.trace = &trace;
-                const auto res = analytics::label_propagation(g, comm, o);
-                for (const auto lab : res.labels) local += lab;
-              } else {
-                analytics::PageRankOptions o;
-                o.max_iterations = 10;
-                o.common.overlap = overlap;
-                o.common.trace = &trace;
-                const auto res = analytics::pagerank(g, comm, o);
-                // Bit-pattern sum: overlap must be bit-identical, not just
-                // close, so the checksum hashes the exact double bits.
-                for (const double s : res.scores)
-                  local += std::bit_cast<std::uint64_t>(s);
-              }
-              const std::uint64_t total = comm.allreduce_sum(local);
-              if (comm.rank() == 0) sum = total;
-            });
-        tpars.push_back(r.tpar);
-        wall = r.wall;
-        checksum = sum.load();
-        exch_us = ovl_us = 0;  // keep the last rep's per-superstep telemetry
-        for (const engine::SuperstepRecord& sr : trace.records()) {
-          exch_us += sr.exchange_us;
-          ovl_us += sr.overlap_us;
-        }
-      }
-      const double hidden =
-          exch_us + ovl_us > 0
-              ? static_cast<double>(ovl_us) /
-                    static_cast<double>(exch_us + ovl_us)
-              : 0.0;
-      const double med = hb::median_of(tpars);
-      const double sd = hb::stddev_of(tpars);
-      t.add_row({analytic, dgraph::ghost_mode_label(mode),
-                 TablePrinter::fmt_int(p), overlap ? "overlapped" : "blocking",
-                 TablePrinter::fmt(med, 3), TablePrinter::fmt(sd, 3),
-                 TablePrinter::fmt(static_cast<double>(exch_us) / 1e3, 2),
-                 TablePrinter::fmt(static_cast<double>(ovl_us) / 1e3, 2),
-                 TablePrinter::fmt(hidden, 2), std::to_string(checksum)});
-      hb::BenchRecord br;
-      br.name = std::string("H.") + (lp ? "label_prop" : "pagerank") + "." +
-                dgraph::ghost_mode_label(mode) + "." +
-                (overlap ? "overlapped" : "blocking");
-      br.ranks = p;
-      br.threads = 1;
-      br.median_s = med;
-      br.stddev_s = sd;
-      br.extra = {{"wall_s", wall},
-                  {"exchange_us", static_cast<double>(exch_us)},
-                  {"overlap_us", static_cast<double>(ovl_us)},
-                  {"comm_hidden", hidden},
-                  {"checksum", static_cast<double>(checksum)}};
-      bench_json.add(std::move(br));
-    };
-
-    for (const int p : hranks)
-      for (const bool overlap : {false, true}) {
-        run_one("PageRank x10", false, dgraph::GhostMode::kDense, p, overlap);
-        run_one("LP x10", true, dgraph::GhostMode::kDense, p, overlap);
-        run_one("LP x10", true, dgraph::GhostMode::kSparse, p, overlap);
-        run_one("LP x10", true, dgraph::GhostMode::kAdaptive, p, overlap);
-      }
-    std::cout << "\nH. Overlapped ghost exchange (boundary sweep, exchange\n"
-                 "in flight during the interior sweep; DESIGN.md §9):\n";
-    t.print(std::cout);
-  }
-
   // ---- I. Intra-rank sweep schedule: static vs dynamic vs edge-balanced.
   // ---- (DESIGN.md §10) ----
   if (want('I')) {
@@ -800,7 +701,6 @@ int main(int argc, char** argv) {
                             parcomm::Communicator& comm) {
       analytics::PageRankOptions o;
       o.max_iterations = 10;
-      o.common.overlap = true;
       (void)analytics::pagerank(g, comm, o);
     };
     const auto measure = [&](bool traced) {
@@ -829,7 +729,7 @@ int main(int argc, char** argv) {
     t.add_row({"on", TablePrinter::fmt(on_med, 3),
                TablePrinter::fmt(hb::stddev_of(on), 3),
                TablePrinter::fmt(overhead, 1) + "%"});
-    std::cout << "\nK. Runtime tracing overhead (PageRank, overlap, "
+    std::cout << "\nK. Runtime tracing overhead (PageRank, "
               << nranks << " ranks; obs spans + counters, DESIGN.md §13):\n";
     t.print(std::cout);
 
@@ -868,13 +768,8 @@ int main(int argc, char** argv) {
          "serve all 64 roots) and win on wall/Tpar; the top-1 score must\n"
          "agree between engines up to FP summation order.  (G) the engine\n"
          "reproduces the hand-rolled schedule, so all three rows should\n"
-         "land within run-to-run noise of each other.  (H) checksums must\n"
-         "match exactly between schedules (the overlapped rounds are\n"
-         "bit-identical); at 1 rank overlapped is parity within noise, and\n"
-         "at >= 4 ranks the time spent inside exchange calls (Exch) drops\n"
-         "because the wait for the slowest rank is hidden behind each\n"
-         "rank's own interior sweep (Ovl / Hidden columns).  (I) checksums\n"
-         "must match across all schedules and thread counts; on the\n"
+         "land within run-to-run noise of each other.  (I) checksums must\n"
+         "match across all schedules and thread counts; on the\n"
          "unscrambled R-MAT (hubs at low ids) the static spans exceed 2x\n"
          "max/mean edges-per-thread at >= 4 threads while the dynamic and\n"
          "edge-balanced grids stay near 1 (Edge imbal, the deterministic\n"

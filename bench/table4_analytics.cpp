@@ -44,7 +44,6 @@ int main(int argc, char** argv) {
   const double d_avg = cli.get_double("avg-degree", 16);
   const unsigned kcore_max_i = static_cast<unsigned>(cli.get_int("kcore-i", 16));
   const std::string trace_json = cli.get("trace-json", "");
-  const bool overlap = cli.get_bool("overlap", false);
   Schedule sched = Schedule::kStatic;
   if (!parse_schedule(cli.get("schedule", "static"), &sched)) {
     std::cerr << "unknown --schedule (static|dynamic|edge)\n";
@@ -53,6 +52,10 @@ int main(int argc, char** argv) {
   engine::FrontierMode fmode = engine::FrontierMode::kHybrid;
   if (!engine::parse_frontier_mode(cli.get("frontier", "hybrid"), &fmode)) {
     std::cerr << "unknown --frontier (queue|bitmap|hybrid)\n";
+    return 2;
+  }
+  if (const auto unknown = cli.unknown_flags(); !unknown.empty()) {
+    std::cerr << "unknown flag --" << unknown[0] << "\n";
     return 2;
   }
 
@@ -95,31 +98,28 @@ int main(int argc, char** argv) {
 
   const std::vector<AnalyticRow> rows = {
       {"PageRank (10 it)",
-       [trace_ptr, overlap, sched](const dgraph::DistGraph& g,
-                                   parcomm::Communicator& comm) {
+       [trace_ptr, sched](const dgraph::DistGraph& g,
+                          parcomm::Communicator& comm) {
          analytics::PageRankOptions o;
          o.max_iterations = 10;
          o.common.trace = trace_ptr;
-         o.common.overlap = overlap;
          o.common.schedule = sched;
          (void)analytics::pagerank(g, comm, o);
        }},
       {"Label Prop (10 it)",
-       [trace_ptr, overlap, sched](const dgraph::DistGraph& g,
-                                   parcomm::Communicator& comm) {
+       [trace_ptr, sched](const dgraph::DistGraph& g,
+                          parcomm::Communicator& comm) {
          analytics::LabelPropOptions o;
          o.iterations = 10;
          o.common.trace = trace_ptr;
-         o.common.overlap = overlap;
          o.common.schedule = sched;
          (void)analytics::label_propagation(g, comm, o);
        }},
       {"WCC (Multistep)",
-       [trace_ptr, overlap, sched](const dgraph::DistGraph& g,
-                                   parcomm::Communicator& comm) {
+       [trace_ptr, sched](const dgraph::DistGraph& g,
+                          parcomm::Communicator& comm) {
          analytics::WccOptions o;
          o.common.trace = trace_ptr;
-         o.common.overlap = overlap;
          o.common.schedule = sched;
          (void)analytics::wcc(g, comm, o);
        }},

@@ -47,12 +47,6 @@ struct CommonOptions {
   /// analytics emit one SuperstepRecord per round; BFS emits one per level
   /// through the same sink.
   engine::SuperstepTrace* trace = nullptr;
-  /// Run overlap-safe engine kernels (PageRank, Label Propagation, WCC
-  /// coloring) on the overlapped round schedule: boundary sweep, launch the
-  /// split-phase ghost exchange, interior sweep while the payload is in
-  /// flight, then finish.  Results are identical to the blocking schedule;
-  /// must be set the same on every rank.
-  bool overlap = false;
   /// Intra-rank loop schedule for schedule-aware sweeps (see Schedule and
   /// DESIGN.md §10): kStatic keeps the legacy equal-count split, kDynamic
   /// work-steals over a uniform chunk grid, kEdgeBalanced places chunk
@@ -80,7 +74,6 @@ inline engine::EngineConfig engine_config(
   cfg.max_supersteps = max_supersteps;
   cfg.trace = o.trace;
   cfg.name = name;
-  cfg.overlap = o.overlap;
   cfg.schedule = o.schedule;
   cfg.frontier = o.frontier;
   return cfg;
@@ -95,17 +88,6 @@ inline std::vector<std::uint64_t> both_degree_prefix(
   const auto in = g.in_index();
   std::vector<std::uint64_t> p(out.size());
   for (std::size_t i = 0; i < out.size(); ++i) p[i] = out[i] + in[i];
-  return p;
-}
-
-/// Degree prefix (size verts.size()+1) over an explicit vertex list: weight
-/// i is the combined out+in degree of verts[i].  Builds edge-balanced grids
-/// for boundary/interior list sweeps under the overlapped schedule.
-inline std::vector<std::uint64_t> list_both_degree_prefix(
-    const dgraph::DistGraph& g, std::span<const lvid_t> verts) {
-  std::vector<std::uint64_t> p(verts.size() + 1, 0);
-  for (std::size_t i = 0; i < verts.size(); ++i)
-    p[i + 1] = p[i] + g.out_degree(verts[i]) + g.in_degree(verts[i]);
   return p;
 }
 

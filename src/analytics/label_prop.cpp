@@ -21,19 +21,13 @@ struct LabelPropKernel {
   const LabelPropOptions& opts;
   std::vector<std::uint64_t> labels;  // locals + ghosts (exchanged)
   std::vector<std::uint64_t> prev;    // pre-round snapshot (Jacobi reads it)
-  ChunkGrid full_grid, bnd_grid, int_grid;  // degree-weighted (built lazily)
+  ChunkGrid grid;                     // degree-weighted (built lazily)
 
   using Value = std::uint64_t;
-  // Overlap-safe in the default Jacobi mode: every vertex's new label is a
-  // pure function of the pre-round snapshot, so the boundary and interior
-  // sweeps commute.  The in-place Gauss-Seidel sweep is order-dependent
-  // (later vertices read earlier updates), so it vetoes at runtime.
-  static constexpr bool kOverlapSafe = true;
-  bool overlap_ok() const { return !opts.in_place; }
-  // Schedule-aware in Jacobi mode for the same reason: the sweep is a pure
-  // per-vertex function of the snapshot, so labels are bit-identical under
-  // any chunk grid.  In-place Gauss-Seidel depends on sweep order and vetoes
-  // (it keeps the legacy static split).
+  // Schedule-aware in the default Jacobi mode: every vertex's new label is a
+  // pure function of the pre-round snapshot, so labels are bit-identical
+  // under any chunk grid.  The in-place Gauss-Seidel sweep is
+  // order-dependent (later vertices read earlier updates), so it vetoes.
   static constexpr bool kScheduleAware = true;
   bool schedule_ok() const { return !opts.in_place; }
 
@@ -52,66 +46,44 @@ struct LabelPropKernel {
     const std::uint64_t round_seed = opts.tie_seed + ctx.superstep;
 
     // Jacobi reads the pre-round snapshot (locals + ghosts) and writes
-    // labels[] directly — equivalent to the classic next-buffer + copy, and
-    // it keeps the freshly-written boundary labels visible to the engine's
-    // exchange pack while the interior sweep still reads old values.  The
-    // snapshot is taken once per round: in the full sweep, or the boundary
-    // phase (which the overlapped schedule runs first).
+    // labels[] directly — equivalent to the classic next-buffer + copy.
     const bool jacobi = !opts.in_place;
-    if (jacobi && ctx.sweep != engine::SweepPhase::kInterior)
-      prev.assign(labels.begin(), labels.end());
+    if (jacobi) prev.assign(labels.begin(), labels.end());
     const std::vector<std::uint64_t>& read = jacobi ? prev : labels;
 
     RelaxedCounter changed;
-    const auto sweep_one = [&](lvid_t v, LabelCounter& lmap,
-                               std::uint64_t& changed_chunk) {
-      lmap.clear();
-      for (const lvid_t u : g.out_neighbors(v)) lmap.add(read[u]);
-      for (const lvid_t u : g.in_neighbors(v)) lmap.add(read[u]);
-      const std::uint64_t picked = lmap.argmax(round_seed, read[v]);
-      if (picked != read[v]) {
-        ++changed_chunk;
-        ctx.gx->mark_changed(v);  // feeds the sparse/adaptive wire format
+    const auto sweep = [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+      LabelCounter lmap;
+      std::uint64_t changed_chunk = 0;
+      for (std::uint64_t vi = lo; vi < hi; ++vi) {
+        const lvid_t v = static_cast<lvid_t>(vi);
+        lmap.clear();
+        for (const lvid_t u : g.out_neighbors(v)) lmap.add(read[u]);
+        for (const lvid_t u : g.in_neighbors(v)) lmap.add(read[u]);
+        const std::uint64_t picked = lmap.argmax(round_seed, read[v]);
+        if (picked != read[v]) {
+          ++changed_chunk;
+          ctx.gx->mark_changed(v);  // feeds the sparse/adaptive wire format
+        }
+        labels[v] = picked;  // Gauss-Seidel when read aliases labels
       }
-      labels[v] = picked;  // Gauss-Seidel when read aliases labels
+      if (changed_chunk) changed.add(changed_chunk);
     };
-    // Per-vertex sweep cost is out+in degree, so the grids are weighted by
-    // the combined-degree prefix; one grid per sweep slice, built lazily
-    // (the boundary/interior lists are fixed for the run).
-    if (ctx.sweep == engine::SweepPhase::kFull) {
-      if (full_grid.empty() && g.n_loc() > 0)
-        full_grid = make_grid(ctx.schedule, g.n_loc(), both_degree_prefix(g),
-                              ctx.pool.num_threads());
-      ctx.pool.for_ranges(full_grid, ctx.schedule,
-                          [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
-                            LabelCounter lmap;
-                            std::uint64_t changed_chunk = 0;
-                            for (std::uint64_t vi = lo; vi < hi; ++vi)
-                              sweep_one(static_cast<lvid_t>(vi), lmap,
-                                        changed_chunk);
-                            if (changed_chunk) changed.add(changed_chunk);
-                          });
-      ctx.touched_local += g.n_loc();
-    } else {
-      const std::span<const lvid_t> verts = ctx.sweep_vertices;
-      ChunkGrid& grid =
-          ctx.sweep == engine::SweepPhase::kBoundary ? bnd_grid : int_grid;
-      if (grid.empty() && !verts.empty())
-        grid = make_grid(ctx.schedule, verts.size(),
-                         list_both_degree_prefix(g, verts),
+    if (jacobi) {
+      // Per-vertex sweep cost is out+in degree, so the grid is weighted by
+      // the combined-degree prefix.
+      if (grid.empty() && g.n_loc() > 0)
+        grid = make_grid(ctx.schedule, g.n_loc(), both_degree_prefix(g),
                          ctx.pool.num_threads());
-      ctx.pool.for_ranges(grid, ctx.schedule,
-                          [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
-                            LabelCounter lmap;
-                            std::uint64_t changed_chunk = 0;
-                            for (std::uint64_t i = lo; i < hi; ++i)
-                              sweep_one(verts[i], lmap, changed_chunk);
-                            if (changed_chunk) changed.add(changed_chunk);
-                          });
-      ctx.touched_local += verts.size();
+      ctx.pool.for_ranges(grid, ctx.schedule, sweep);
+    } else {
+      // Gauss-Seidel reads labels this same sweep writes, so pool threads
+      // would race on them: it runs serially on the rank thread.
+      sweep(0, 0, g.n_loc());
     }
 
-    ctx.active_local += changed.load();
+    ctx.active_local = changed.load();
+    ctx.touched_local = g.n_loc();
   }
 
   bool converged(std::uint64_t active_global, double) const {

@@ -20,10 +20,6 @@ namespace {
 /// global residual.
 struct PageRankKernel {
   using Value = double;
-  // Overlap-safe: contrib[v] is a pure per-vertex function of rank[v], so
-  // sweeping boundary and interior in separate calls fills the same bits,
-  // and apply() reads ghosts only after the engine's exchange completes.
-  static constexpr bool kOverlapSafe = true;
   // Schedule-aware: every sweep writes pure per-vertex values (bit-identical
   // under any chunking) and the L1 residual reduces per-chunk partials in
   // chunk order, so scores match across schedules and thread counts.
@@ -54,38 +50,20 @@ struct PageRankKernel {
   std::span<double> values() { return contrib; }
 
   void compute(StepContext& ctx) {
-    // Dangling mass (vertices with no out-edges leak rank otherwise).  One
-    // allreduce per round: it runs in the full sweep or the *boundary*
-    // phase (which the overlapped schedule executes first, before any
-    // exchange is in flight), never in the interior phase.  The scan stays
-    // a full serial loop over all locals in either case, so the FP addition
-    // order — and hence `base` — is bit-identical to the blocking schedule.
-    if (ctx.sweep != engine::SweepPhase::kInterior) {
-      double dangling_local = 0;
-      for (lvid_t v = 0; v < g.n_loc(); ++v)
-        if (g.out_degree(v) == 0) dangling_local += rank[v];
-      const double dangling = ctx.comm.allreduce_sum(dangling_local);
-      base = (1.0 - opts.damping) / n + opts.damping * dangling / n;
-    }
+    // Dangling mass (vertices with no out-edges leak rank otherwise).
+    double dangling_local = 0;
+    for (lvid_t v = 0; v < g.n_loc(); ++v)
+      if (g.out_degree(v) == 0) dangling_local += rank[v];
+    const double dangling = ctx.comm.allreduce_sum(dangling_local);
+    base = (1.0 - opts.damping) / n + opts.damping * dangling / n;
 
-    const auto fill = [&](lvid_t v) {
-      const std::uint64_t d = g.out_degree(v);
-      contrib[v] = d ? opts.damping * rank[v] / static_cast<double>(d) : 0.0;
-    };
-    if (ctx.sweep == engine::SweepPhase::kFull) {
-      ctx.pool.for_range(0, g.n_loc(), ctx.schedule,
-                         [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
-                           for (std::uint64_t v = lo; v < hi; ++v)
-                             fill(static_cast<lvid_t>(v));
-                         });
-    } else {
-      const std::span<const lvid_t> verts = ctx.sweep_vertices;
-      ctx.pool.for_range(0, verts.size(), ctx.schedule,
-                         [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
-                           for (std::uint64_t i = lo; i < hi; ++i)
-                             fill(verts[i]);
-                         });
-    }
+    ctx.pool.for_range(0, g.n_loc(), ctx.schedule,
+                       [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+      for (std::uint64_t v = lo; v < hi; ++v) {
+        const std::uint64_t d = g.out_degree(static_cast<lvid_t>(v));
+        contrib[v] = d ? opts.damping * rank[v] / static_cast<double>(d) : 0.0;
+      }
+    });
   }
 
   void apply(StepContext& ctx) {

@@ -34,13 +34,9 @@ struct DegVertex {
 struct WccColorKernel {
   using Value = gvid_t;
   static constexpr bool kSeedExchange = true;
-  // Overlap-safe: HashMin converges to the unique per-component minimum
-  // regardless of sweep order, so splitting the sweep into boundary and
-  // interior phases changes (at most) the iteration count the equivalence
-  // tests don't pin, never the fixpoint comp[] values.
-  static constexpr bool kOverlapSafe = true;
-  // Schedule-aware by the same argument: the non-static schedules switch to
-  // a chunk-parallel Jacobi min-sweep over a snapshot — possibly different
+  // Schedule-aware: HashMin converges to the unique per-component minimum
+  // regardless of sweep order, so the non-static schedules switch to a
+  // chunk-parallel Jacobi min-sweep over a snapshot — possibly different
   // iteration counts than the serial in-place sweep, same fixpoint.
   static constexpr bool kScheduleAware = true;
 
@@ -50,7 +46,7 @@ struct WccColorKernel {
   gvid_t giant_min;
   std::vector<gvid_t> color;
   std::vector<gvid_t> prev;  // pre-round snapshot (Jacobi variant reads it)
-  ChunkGrid full_grid, bnd_grid, int_grid;  // degree-weighted (built lazily)
+  ChunkGrid grid;            // degree-weighted (built lazily)
 
   WccColorKernel(const DistGraph& g_, const WccOptions& o,
                  std::span<const std::int64_t> lvl, gvid_t gmin)
@@ -71,13 +67,14 @@ struct WccColorKernel {
   }
 
   void compute(engine::StepContext& ctx) {
+    ctx.touched_local = g.n_loc();
     if (ctx.schedule == Schedule::kStatic) {
       // Serial min-sweep: the in-place updates are what make HashMin
       // converge fast; rank-level parallelism is the primary axis (see
       // CommonOptions).
       std::uint64_t changed = 0;
-      const auto sweep_one = [&](lvid_t v) {
-        if (level[v] >= 0) return;  // giant members are settled
+      for (lvid_t v = 0; v < g.n_loc(); ++v) {
+        if (level[v] >= 0) continue;  // giant members are settled
         gvid_t m = color[v];
         for (const lvid_t u : g.out_neighbors(v)) m = std::min(m, color[u]);
         for (const lvid_t u : g.in_neighbors(v)) m = std::min(m, color[u]);
@@ -86,67 +83,38 @@ struct WccColorKernel {
           ctx.gx->mark_changed(v);
           ++changed;
         }
-      };
-      if (ctx.sweep == engine::SweepPhase::kFull) {
-        for (lvid_t v = 0; v < g.n_loc(); ++v) sweep_one(v);
-        ctx.touched_local += g.n_loc();
-      } else {
-        for (const lvid_t v : ctx.sweep_vertices) sweep_one(v);
-        ctx.touched_local += ctx.sweep_vertices.size();
       }
-      ctx.active_local += changed;
+      ctx.active_local = changed;
       return;
     }
 
     // Non-static schedules: deterministic chunk-parallel Jacobi min-sweep.
     // Every vertex reads the pre-round snapshot, so chunks are independent
     // (no Gauss-Seidel propagation within a round — possibly more rounds to
-    // the same fixpoint).  The snapshot is taken in the full sweep or the
-    // boundary phase, never mid-round in the interior phase.
-    if (ctx.sweep != engine::SweepPhase::kInterior)
-      prev.assign(color.begin(), color.end());
+    // the same fixpoint).
+    prev.assign(color.begin(), color.end());
+    if (grid.empty() && g.n_loc() > 0)
+      grid = make_grid(ctx.schedule, g.n_loc(), both_degree_prefix(g),
+                       ctx.pool.num_threads());
     RelaxedCounter changed;
-    const auto sweep_one = [&](lvid_t v, std::uint64_t& chg) {
-      if (level[v] >= 0) return;  // giant members are settled
-      gvid_t m = prev[v];
-      for (const lvid_t u : g.out_neighbors(v)) m = std::min(m, prev[u]);
-      for (const lvid_t u : g.in_neighbors(v)) m = std::min(m, prev[u]);
-      if (m < color[v]) {
-        color[v] = m;
-        ctx.gx->mark_changed(v);
-        ++chg;
+    ctx.pool.for_ranges(grid, ctx.schedule,
+                        [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+      std::uint64_t chg = 0;
+      for (std::uint64_t vi = lo; vi < hi; ++vi) {
+        const lvid_t v = static_cast<lvid_t>(vi);
+        if (level[v] >= 0) continue;  // giant members are settled
+        gvid_t m = prev[v];
+        for (const lvid_t u : g.out_neighbors(v)) m = std::min(m, prev[u]);
+        for (const lvid_t u : g.in_neighbors(v)) m = std::min(m, prev[u]);
+        if (m < color[v]) {
+          color[v] = m;
+          ctx.gx->mark_changed(v);
+          ++chg;
+        }
       }
-    };
-    if (ctx.sweep == engine::SweepPhase::kFull) {
-      if (full_grid.empty() && g.n_loc() > 0)
-        full_grid = make_grid(ctx.schedule, g.n_loc(), both_degree_prefix(g),
-                              ctx.pool.num_threads());
-      ctx.pool.for_ranges(full_grid, ctx.schedule,
-                          [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
-                            std::uint64_t chg = 0;
-                            for (std::uint64_t v = lo; v < hi; ++v)
-                              sweep_one(static_cast<lvid_t>(v), chg);
-                            if (chg) changed.add(chg);
-                          });
-      ctx.touched_local += g.n_loc();
-    } else {
-      const std::span<const lvid_t> verts = ctx.sweep_vertices;
-      ChunkGrid& grid =
-          ctx.sweep == engine::SweepPhase::kBoundary ? bnd_grid : int_grid;
-      if (grid.empty() && !verts.empty())
-        grid = make_grid(ctx.schedule, verts.size(),
-                         list_both_degree_prefix(g, verts),
-                         ctx.pool.num_threads());
-      ctx.pool.for_ranges(grid, ctx.schedule,
-                          [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
-                            std::uint64_t chg = 0;
-                            for (std::uint64_t i = lo; i < hi; ++i)
-                              sweep_one(verts[i], chg);
-                            if (chg) changed.add(chg);
-                          });
-      ctx.touched_local += verts.size();
-    }
-    ctx.active_local += changed.load();
+      if (chg) changed.add(chg);
+    });
+    ctx.active_local = changed.load();
   }
 
   bool converged(std::uint64_t active_global, double) const {

@@ -151,7 +151,7 @@ DistGraph Builder::from_chunk(Communicator& comm, gvid_t n_global,
     }
   }
 
-  g.build_vertex_classes();
+  g.build_boundary_locals();
 
   comm.barrier();
   const double t_lconv = stage.restart();

@@ -110,22 +110,10 @@ class DistGraph {
     return {unmap_.data() + n_loc_, n_gst_};
   }
 
-  // ---- Boundary / interior vertex classes (overlap schedules). ----
-  //
-  // A local vertex is *boundary* when any of its out- or in-neighbors is a
-  // ghost: some other rank holds it as a ghost replica, so it appears in a
-  // retained send queue of every adjacency sense that touches the shared
-  // edge.  The kBoth sense used here is a superset of any single-direction
-  // plan's queue membership, so "compute boundary first, then ship" is safe
-  // for every GhostExchange plan.  Interior vertices are everyone else —
-  // their values never go on the wire, so an overlapped schedule computes
-  // them while the boundary payload is in flight.  Both lists are ascending
-  // local ids and partition [0, n_loc).
-
-  /// Local ids whose value some other rank ghosts (ascending).
+  /// Local ids with at least one ghost out- or in-neighbor (ascending): the
+  /// vertices some other rank holds as a ghost replica.  Computed once by
+  /// the builder and the snapshot loader.
   std::span<const lvid_t> boundary_locals() const { return boundary_; }
-  /// Local ids no other rank ever reads (ascending).
-  std::span<const lvid_t> interior_locals() const { return interior_; }
 
   // ---- Raw CSR views (compression, serialization, custom kernels). ----
   std::span<const ecnt_t> out_index() const { return out_index_; }
@@ -152,18 +140,16 @@ class DistGraph {
 
   DistGraph(const Partition& part, int rank) : part_(part), rank_(rank) {}
 
-  /// Classify local vertices into boundary_/interior_ from the finished
-  /// CSR.  Called once by the builder and the snapshot loader.
-  void build_vertex_classes() {
+  /// Fill boundary_ from the finished CSR.
+  void build_boundary_locals() {
     boundary_.clear();
-    interior_.clear();
     for (lvid_t v = 0; v < n_loc_; ++v) {
       bool bnd = false;
       for (ecnt_t e = out_index_[v]; e < out_index_[v + 1] && !bnd; ++e)
         bnd = out_edges_[e] >= n_loc_;
       for (ecnt_t e = in_index_[v]; e < in_index_[v + 1] && !bnd; ++e)
         bnd = in_edges_[e] >= n_loc_;
-      (bnd ? boundary_ : interior_).push_back(v);
+      if (bnd) boundary_.push_back(v);
     }
   }
 
@@ -183,7 +169,6 @@ class DistGraph {
   std::vector<gvid_t> unmap_;           // local -> global, n_loc + n_gst
   std::vector<std::int32_t> ghost_task_;  // owner of each ghost, n_gst
   std::vector<lvid_t> boundary_;        // locals with a ghost neighbor
-  std::vector<lvid_t> interior_;        // locals with none
 };
 
 }  // namespace hpcgraph::dgraph

@@ -213,154 +213,6 @@ class GhostExchange {
     exchange_impl(vals, comm, mode, nullptr, std::forward<F>(combine));
   }
 
-  // ---- Split-phase exchange (overlapped schedules). ----
-  //
-  // exchange_start() packs and launches the wire round (same formats and
-  // the same adaptive byte-cost allreduce as exchange()), then returns with
-  // the payload in flight; exchange_finish() completes the round and
-  // scatters into the ghost slots.  Between the two the caller may run any
-  // *local* computation — the superstep engine computes interior vertices
-  // there — but no collectives (enforced by the communicator).
-  //
-  // Double-buffer contract: the split-phase pack stages into its own buffer
-  // (`async_bytes_`, distinct from the blocking path's `payload_bytes_`)
-  // and the dirty set is cleared at *start*, immediately after the pack
-  // consumed it.  `mark_changed` calls made between start and finish are
-  // therefore recorded for the *next* round and cannot race the in-flight
-  // payload; writes to `vals` between start and finish are likewise
-  // invisible to the current round (the pack already copied them out).
-
-  /// Collective.  Pack current boundary values and launch the wire round.
-  /// `mode` resolves exactly as in exchange() (adaptive runs its allreduce
-  /// here).  The round stays in flight until exchange_finish(); starting a
-  /// second round or issuing any collective before that is a hard error.
-  template <typename T>
-  void exchange_start(std::span<const T> vals, parcomm::Communicator& comm,
-                      GhostMode mode = GhostMode::kDense) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    using Pair = SlotVal<T>;
-    HG_CHECK_MSG(vals.size() >= n_total_,
-                 "value array must cover locals + ghosts");
-    HG_CHECK_MSG(!async_.valid(),
-                 "exchange_start with a split-phase round already in flight");
-    ThreadPool& tp = pf_.get();
-
-    bool sparse = false;
-    std::uint64_t changed_local = 0;
-    if (mode != GhostMode::kDense) {
-      changed_local = count_changed(tp);
-      if (mode == GhostMode::kSparse) {
-        sparse = true;
-      } else {
-        const std::uint64_t changed_global = comm.allreduce_sum(changed_local);
-        sparse = static_cast<double>(changed_global * sizeof(Pair)) <
-                 sparse_crossover_ *
-                     static_cast<double>(entries_global_ * sizeof(T));
-      }
-    }
-
-    // The wire round ships bytes (counts scaled by the record size) so the
-    // in-flight handle is type-erased; receivers reassemble whole records.
-    const std::size_t p = send_counts_.size();
-    std::vector<std::uint64_t> bcounts(p);
-    if (sparse) {
-      async_bytes_.resize(changed_local * sizeof(Pair));
-      Pair* pairs = reinterpret_cast<Pair*>(async_bytes_.data());
-      {
-        obs::Span sp(obs::span_name::kGhostPack);
-        pack_sparse(vals.data(), pairs, tp);
-        comm.phase_timer().add_pack(sp.close());
-      }
-      for (std::size_t d = 0; d < p; ++d)
-        bcounts[d] = chg_counts_[d] * sizeof(Pair);
-    } else {
-      async_bytes_.resize(send_local_.size() * sizeof(T));
-      T* send = reinterpret_cast<T*>(async_bytes_.data());
-      {
-        obs::Span sp(obs::span_name::kGhostPack);
-        tp.for_range(0, send_local_.size(), sched_,
-                     [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
-                       for (std::uint64_t i = lo; i < hi; ++i)
-                         send[i] = vals[send_local_[i]];
-                     });
-        comm.phase_timer().add_pack(sp.close());
-      }
-      for (std::size_t d = 0; d < p; ++d)
-        bcounts[d] = send_counts_[d] * sizeof(T);
-    }
-
-    obs::counter(obs::counter_name::kWireBytes,
-                 static_cast<double>(async_bytes_.size()));
-    async_ = comm.ialltoallv<std::uint8_t>(
-        {async_bytes_.data(), async_bytes_.size()}, bcounts, pool_);
-    async_wire_ = sparse ? GhostMode::kSparse : GhostMode::kDense;
-    async_elem_ = sizeof(T);
-    async_changed_ = changed_local;
-    last_round_mode_ = async_wire_;
-    // Clear at start: the pack above consumed the dirty set, so marks made
-    // from here on belong to the next round (double-buffer contract).
-    clear_dirty(tp);
-  }
-
-  /// Collective.  Complete the in-flight round: wait for the payload and
-  /// scatter into ghost slots (overwrite semantics, like exchange()).  The
-  /// optional `changed_ghosts` matches exchange()'s contract.  T must be
-  /// the same type the round was started with.
-  template <typename T>
-  void exchange_finish(std::span<T> vals, parcomm::Communicator& comm,
-                       std::vector<lvid_t>* changed_ghosts = nullptr) {
-    exchange_finish_combining(vals, comm, OverwriteCombine{}, changed_ghosts);
-  }
-
-  /// Collective.  As exchange_finish(), with a combine hook (the split-phase
-  /// analogue of exchange_combining).
-  template <typename T, typename F>
-  void exchange_finish_combining(std::span<T> vals,
-                                 parcomm::Communicator& comm, F&& combine,
-                                 std::vector<lvid_t>* changed_ghosts =
-                                     nullptr) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    using Pair = SlotVal<T>;
-    HG_CHECK_MSG(async_.valid(),
-                 "exchange_finish without a round in flight");
-    HG_CHECK_MSG(async_elem_ == sizeof(T),
-                 "exchange_finish element type differs from exchange_start");
-    ThreadPool& tp = pf_.get();
-    if (changed_ghosts) changed_ghosts->clear();
-
-    std::vector<std::uint64_t> rbytes;
-    const std::vector<std::uint8_t> recv = async_.wait(&rbytes);
-
-    auto& st = comm.stats();
-    if (async_wire_ == GhostMode::kSparse) {
-      std::vector<std::uint64_t> rcounts(rbytes.size());
-      for (std::size_t s = 0; s < rbytes.size(); ++s) {
-        HG_DCHECK(rbytes[s] % sizeof(Pair) == 0);
-        rcounts[s] = rbytes[s] / sizeof(Pair);
-      }
-      obs::Span sp(obs::span_name::kGhostScatter);
-      scatter_sparse(vals, reinterpret_cast<const Pair*>(recv.data()),
-                     recv.size() / sizeof(Pair), rcounts, tp, changed_ghosts,
-                     combine);
-      comm.phase_timer().add_pack(sp.close());
-      ++st.ghost_rounds_sparse;
-      st.ghost_bytes_saved +=
-          static_cast<std::int64_t>(send_local_.size() * sizeof(T)) -
-          static_cast<std::int64_t>(async_changed_ * sizeof(Pair));
-    } else {
-      HG_DCHECK(recv.size() == recv_local_.size() * sizeof(T));
-      obs::Span sp(obs::span_name::kGhostScatter);
-      scatter_dense(vals, reinterpret_cast<const T*>(recv.data()),
-                    recv.size() / sizeof(T), tp, changed_ghosts, combine);
-      comm.phase_timer().add_pack(sp.close());
-      ++st.ghost_rounds_dense;
-    }
-    ++st.ghost_rounds_async;
-  }
-
-  /// True while a split-phase round is in flight (between start and finish).
-  bool exchange_pending() const { return async_.valid(); }
-
   /// Collective.  Reverse flow: every rank sends the current value of each
   /// of its *ghost* slots back to the vertex's owner; the owner folds all
   /// incoming replica values into its own slot,
@@ -488,74 +340,38 @@ class GhostExchange {
         {send, send_local_.size()}, send_counts_, nullptr, pool_);
     {
       obs::Span sp(obs::span_name::kGhostScatter);
-      scatter_dense(vals, recv.data(), recv.size(), tp, changed_ghosts,
-                    combine);
+      // Race-free under combine: each ghost slot has exactly one owner, so
+      // it appears at most once in recv_local_.
+      if (!changed_ghosts) {
+        tp.for_range(0, recv.size(), sched_,
+                     [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+                       for (std::uint64_t i = lo; i < hi; ++i) {
+                         T& dst = vals[recv_local_[i]];
+                         dst = combine(dst, recv[i]);
+                       }
+                     });
+      } else {
+        // Per-chunk changed lists concatenated in chunk order: the reported
+        // list is deterministic under every schedule and thread count.
+        const ChunkGrid grid =
+            make_grid(sched_, recv.size(), {}, tp.num_threads());
+        std::vector<std::vector<lvid_t>> cchg(grid.size());
+        tp.for_chunks(grid, sched_,
+                      [&](unsigned, std::uint64_t c, const Chunk& ck) {
+                        auto& out = cchg[c];
+                        for (std::uint64_t i = ck.begin; i < ck.end; ++i) {
+                          const lvid_t l = recv_local_[i];
+                          const T nv = combine(vals[l], recv[i]);
+                          if (vals[l] != nv) out.push_back(l);
+                          vals[l] = nv;
+                        }
+                      });
+        for (const auto& c : cchg)
+          changed_ghosts->insert(changed_ghosts->end(), c.begin(), c.end());
+      }
       comm.phase_timer().add_pack(sp.close());
     }
     ++comm.stats().ghost_rounds_dense;
-  }
-
-  // Dense scatter back-half, shared by the blocking and split-phase paths.
-  // Race-free under combine: each ghost slot has exactly one owner, so it
-  // appears at most once in recv_local_.
-  template <typename T, typename F>
-  void scatter_dense(std::span<T> vals, const T* recv, std::uint64_t n,
-                     ThreadPool& tp, std::vector<lvid_t>* changed_ghosts,
-                     F&& combine) {
-    if (!changed_ghosts) {
-      tp.for_range(0, n, sched_,
-                   [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
-                     for (std::uint64_t i = lo; i < hi; ++i) {
-                       T& dst = vals[recv_local_[i]];
-                       dst = combine(dst, recv[i]);
-                     }
-                   });
-    } else {
-      // Per-chunk changed lists concatenated in chunk order: the reported
-      // list is deterministic under every schedule and thread count.
-      const ChunkGrid grid = make_grid(sched_, n, {}, tp.num_threads());
-      std::vector<std::vector<lvid_t>> cchg(grid.size());
-      tp.for_chunks(grid, sched_,
-                    [&](unsigned, std::uint64_t c, const Chunk& ck) {
-                      auto& out = cchg[c];
-                      for (std::uint64_t i = ck.begin; i < ck.end; ++i) {
-                        const lvid_t l = recv_local_[i];
-                        const T nv = combine(vals[l], recv[i]);
-                        if (vals[l] != nv) out.push_back(l);
-                        vals[l] = nv;
-                      }
-                    });
-      for (const auto& c : cchg)
-        changed_ghosts->insert(changed_ghosts->end(), c.begin(), c.end());
-    }
-  }
-
-  // Sparse pack: pass 2 of the count/fill scheme over the fixed slot grid.
-  // Chunk c's write cursor in destination d starts at chg_chunk_base_[c*p+d]
-  // (sdispl[d] plus every lower chunk's count, precomputed serially by
-  // count_changed), so pairs land slot-ordered per destination regardless
-  // of which thread runs which chunk — the wire payload is bit-identical
-  // under every schedule and thread count.
-  template <typename T>
-  void pack_sparse(const T* vals, SlotVal<T>* pairs, ThreadPool& tp) {
-    const std::size_t p = send_counts_.size();
-    tp.for_chunks(slot_grid_, sched_,
-                  [&](unsigned, std::uint64_t c, const Chunk& ck) {
-                    std::vector<std::uint64_t> cur(
-                        chg_chunk_base_.begin() +
-                            static_cast<std::ptrdiff_t>(c * p),
-                        chg_chunk_base_.begin() +
-                            static_cast<std::ptrdiff_t>((c + 1) * p));
-                    std::size_t d = dest_of_slot(ck.begin);
-                    for (std::uint64_t i = ck.begin; i < ck.end; ++i) {
-                      while (i >= send_displs_[d + 1]) ++d;
-                      const lvid_t v = send_local_[i];
-                      if (!dirty_[v]) continue;
-                      pairs[cur[d]++] = SlotVal<T>{
-                          static_cast<std::uint32_t>(i - send_displs_[d]),
-                          vals[v]};
-                    }
-                  });
   }
 
   // Sparse round: ship (slot, value) pairs for the `changed_local` marked
@@ -567,11 +383,35 @@ class GhostExchange {
                        std::vector<lvid_t>* changed_ghosts, F&& combine) {
     using Pair = SlotVal<T>;
     static_assert(std::is_trivially_copyable_v<Pair>);
+    const std::size_t p = send_counts_.size();
     payload_bytes_.resize(changed_local * sizeof(Pair));
     Pair* pairs = reinterpret_cast<Pair*>(payload_bytes_.data());
+
+    // Pack: pass 2 of the count/fill scheme over the fixed slot grid.  Chunk
+    // c's write cursor in destination d starts at chg_chunk_base_[c*p+d]
+    // (sdispl[d] plus every lower chunk's count, precomputed serially by
+    // count_changed), so pairs land slot-ordered per destination regardless
+    // of which thread runs which chunk — the wire payload is bit-identical
+    // under every schedule and thread count.
     {
       obs::Span sp(obs::span_name::kGhostPack);
-      pack_sparse(vals.data(), pairs, tp);
+      tp.for_chunks(slot_grid_, sched_,
+                    [&](unsigned, std::uint64_t c, const Chunk& ck) {
+                      std::vector<std::uint64_t> cur(
+                          chg_chunk_base_.begin() +
+                              static_cast<std::ptrdiff_t>(c * p),
+                          chg_chunk_base_.begin() +
+                              static_cast<std::ptrdiff_t>((c + 1) * p));
+                      std::size_t d = dest_of_slot(ck.begin);
+                      for (std::uint64_t i = ck.begin; i < ck.end; ++i) {
+                        while (i >= send_displs_[d + 1]) ++d;
+                        const lvid_t v = send_local_[i];
+                        if (!dirty_[v]) continue;
+                        pairs[cur[d]++] = Pair{
+                            static_cast<std::uint32_t>(i - send_displs_[d]),
+                            vals[v]};
+                      }
+                    });
       comm.phase_timer().add_pack(sp.close());
     }
 
@@ -581,10 +421,37 @@ class GhostExchange {
     const std::vector<Pair> recv = comm.alltoallv<Pair>(
         {pairs, changed_local}, chg_counts_, &rcounts, pool_);
 
+    // Scatter against the retained receive map: the pair from source s
+    // updates recv_local_[recv_displs_[s] + slot].
     {
       obs::Span sp(obs::span_name::kGhostScatter);
-      scatter_sparse(vals, recv.data(), recv.size(), rcounts, tp,
-                     changed_ghosts, combine);
+      const std::vector<std::uint64_t> rdispl =
+          csr_offsets(std::span<const std::uint64_t>(rcounts));
+      const ChunkGrid grid =
+          make_grid(sched_, recv.size(), {}, tp.num_threads());
+      std::vector<std::vector<lvid_t>> cchg(changed_ghosts ? grid.size() : 0);
+      tp.for_chunks(grid, sched_,
+                    [&](unsigned, std::uint64_t c, const Chunk& ck) {
+        std::size_t s =
+            static_cast<std::size_t>(
+                std::upper_bound(rdispl.begin(), rdispl.end(), ck.begin) -
+                rdispl.begin()) -
+            1;
+        for (std::uint64_t j = ck.begin; j < ck.end; ++j) {
+          while (j >= rdispl[s + 1]) ++s;
+          const Pair& pr = recv[j];
+          const std::uint64_t pos = recv_displs_[s] + pr.slot;
+          HG_DCHECK(pos < recv_displs_[s + 1]);
+          const lvid_t l = recv_local_[pos];
+          const T nv = combine(vals[l], pr.value);
+          if (changed_ghosts && vals[l] != nv) cchg[c].push_back(l);
+          vals[l] = nv;
+        }
+      });
+      // Chunk-order concatenation keeps the reported list deterministic.
+      if (changed_ghosts)
+        for (const auto& c : cchg)
+          changed_ghosts->insert(changed_ghosts->end(), c.begin(), c.end());
       comm.phase_timer().add_pack(sp.close());
     }
 
@@ -593,41 +460,6 @@ class GhostExchange {
     st.ghost_bytes_saved +=
         static_cast<std::int64_t>(send_local_.size() * sizeof(T)) -
         static_cast<std::int64_t>(changed_local * sizeof(Pair));
-  }
-
-  // Sparse scatter back-half, shared by the blocking and split-phase paths:
-  // the pair from source s updates recv_local_[recv_displs_[s] + slot].
-  template <typename T, typename F>
-  void scatter_sparse(std::span<T> vals, const SlotVal<T>* recv,
-                      std::uint64_t n, std::span<const std::uint64_t> rcounts,
-                      ThreadPool& tp, std::vector<lvid_t>* changed_ghosts,
-                      F&& combine) {
-    using Pair = SlotVal<T>;
-    const std::vector<std::uint64_t> rdispl = csr_offsets(rcounts);
-    const ChunkGrid grid = make_grid(sched_, n, {}, tp.num_threads());
-    std::vector<std::vector<lvid_t>> cchg(changed_ghosts ? grid.size() : 0);
-    tp.for_chunks(grid, sched_,
-                  [&](unsigned, std::uint64_t c, const Chunk& ck) {
-      std::size_t s =
-          static_cast<std::size_t>(
-              std::upper_bound(rdispl.begin(), rdispl.end(), ck.begin) -
-              rdispl.begin()) -
-          1;
-      for (std::uint64_t j = ck.begin; j < ck.end; ++j) {
-        while (j >= rdispl[s + 1]) ++s;
-        const Pair& pr = recv[j];
-        const std::uint64_t pos = recv_displs_[s] + pr.slot;
-        HG_DCHECK(pos < recv_displs_[s + 1]);
-        const lvid_t l = recv_local_[pos];
-        const T nv = combine(vals[l], pr.value);
-        if (changed_ghosts && vals[l] != nv) cchg[c].push_back(l);
-        vals[l] = nv;
-      }
-    });
-    // Chunk-order concatenation keeps the reported list deterministic.
-    if (changed_ghosts)
-      for (const auto& c : cchg)
-        changed_ghosts->insert(changed_ghosts->end(), c.begin(), c.end());
   }
 
   /// Destination task owning retained slot i (segments are contiguous).
@@ -652,13 +484,6 @@ class GhostExchange {
   std::vector<std::uint64_t> recv_displs_;  // CSR offsets per source task
   std::vector<std::uint64_t> recv_counts_;  // per-source counts (reduce path)
   std::vector<std::uint8_t> payload_bytes_; // reused per-iteration buffer
-  std::vector<std::uint8_t> async_bytes_;   // split-phase pack staging
-                                            // (double buffer: must outlive
-                                            // the in-flight round)
-  parcomm::PendingExchange<std::uint8_t> async_;  // in-flight wire round
-  GhostMode async_wire_ = GhostMode::kDense;  // resolved wire of the round
-  std::uint32_t async_elem_ = 0;            // sizeof(T) of the round
-  std::uint64_t async_changed_ = 0;         // changed slots shipped (sparse)
   std::vector<std::uint8_t> dirty_;         // per local vertex changed flag
   ChunkGrid slot_grid_;                     // fixed grid over retained slots
   std::vector<std::uint64_t> chg_chunk_counts_;  // [chunk*p + dest] changed

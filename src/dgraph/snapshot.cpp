@@ -124,7 +124,7 @@ DistGraph load_snapshot(parcomm::Communicator& comm,
   g.map_.reserve(g.unmap_.size() * 2);
   for (lvid_t l = 0; l < g.n_total(); ++l) g.map_.insert(g.unmap_[l], l);
 
-  g.build_vertex_classes();
+  g.build_boundary_locals();
 
   comm.barrier();
   return g;

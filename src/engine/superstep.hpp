@@ -12,10 +12,7 @@
 /// the loop: pool fallback, GhostExchange lifecycle, the `retain_queues`
 /// ablation fallback, the fused convergence allreduce, the iteration cutoff
 /// and per-superstep telemetry.  Any loop-level optimization lands here
-/// once and every analytic inherits it — the overlapped (split-phase)
-/// exchange schedule below is the first: boundary sweep → exchange_start →
-/// interior sweep → exchange_finish, opt-in per kernel via `kOverlapSafe`
-/// (DESIGN.md §9).
+/// once and every analytic inherits it.
 ///
 /// ## ValueKernel (PageRank-like)
 ///
@@ -116,18 +113,6 @@
 
 namespace hpcgraph::engine {
 
-/// Which slice of the local vertex set a compute() call covers.  Blocking
-/// rounds sweep everything in one kFull call; overlapped rounds split the
-/// sweep into kBoundary (before the exchange launches) and kInterior (while
-/// the payload is in flight), with `StepContext::sweep_vertices` carrying
-/// the exact id list for the partial phases.
-enum class SweepPhase : std::uint8_t {
-  kFull,      ///< one call covering all of [0, n_loc)
-  kBoundary,  ///< boundary vertices only (their values go on the wire)
-  kInterior,  ///< interior vertices only (exchange already in flight —
-              ///< compute() must not issue collectives in this phase)
-};
-
 /// Per-round view the engine hands to kernel hooks.
 struct StepContext {
   const dgraph::DistGraph& g;
@@ -137,20 +122,13 @@ struct StepContext {
                                        ///< kernels that route their own)
   std::uint64_t superstep = 0;         ///< 0-based round within this run
 
-  /// Sweep slice of this compute() call.  kFull unless the engine runs the
-  /// overlapped schedule; then `sweep_vertices` lists the local ids to
-  /// process (ascending; the two phases partition [0, n_loc)).
-  SweepPhase sweep = SweepPhase::kFull;
-  std::span<const lvid_t> sweep_vertices = {};
-
   /// Loop-scheduling strategy resolved by the engine for this run (the
   /// config's schedule when the kernel declares `kScheduleAware`, else
   /// kStatic).  Kernels pass it to the pool's scheduled loops.
   Schedule schedule = Schedule::kStatic;
 
   // Kernel -> engine outputs, reset before each round and folded into the
-  // fused allreduce after it.  Overlap-safe kernels must *accumulate* (+=)
-  // so the two partial sweeps of an overlapped round add up.
+  // fused allreduce after it.
   std::uint64_t active_local = 0;   ///< changed / newly-frontier vertices
   std::uint64_t touched_local = 0;  ///< vertices this rank processed
   double residual_local = 0.0;      ///< kernel-defined residual contribution
@@ -183,19 +161,12 @@ struct EngineConfig {
   std::uint64_t max_supersteps = UINT64_MAX;  ///< iteration cutoff
   SuperstepTrace* trace = nullptr;  ///< telemetry sink (rank 0 pushes)
   const char* name = "";            ///< analytic label in trace records
-  /// Opt into the overlapped round schedule (compute boundary →
-  /// exchange_start → compute interior → exchange_finish).  Takes effect
-  /// only for kernels that declare `static constexpr bool kOverlapSafe =
-  /// true` (and whose optional runtime `overlap_ok()` agrees) with retained
-  /// queues; everything else keeps the blocking schedule.  Must be set
-  /// identically on every rank.
-  bool overlap = false;
   /// Loop schedule for the kernel's parallel sweeps and the exchange's
   /// pack/scatter loops.  Takes effect only for kernels that declare
   /// `static constexpr bool kScheduleAware = true`; everything else keeps
-  /// kStatic.  Must be set identically on every rank (like `overlap`): the
-  /// schedule can change which sweep variant a kernel runs, and mismatched
-  /// variants would diverge the collective sequence.
+  /// kStatic.  Must be set identically on every rank: the schedule can
+  /// change which sweep variant a kernel runs, and mismatched variants would
+  /// diverge the collective sequence.
   Schedule schedule = Schedule::kStatic;
   /// Frontier representation override for run_frontier kernels
   /// (`--frontier`): kQueue/kBitmap force one representation, kHybrid
@@ -272,23 +243,8 @@ class SuperstepEngine {
       }
     };
 
-    // Overlapped schedule eligibility.  Static opt-in (`kOverlapSafe`: the
-    // kernel's local sweep reads no ghost slot it also writes mid-round and
-    // tolerates the split boundary/interior call pair), optional runtime
-    // veto (`overlap_ok()`: e.g. LP's in-place Gauss-Seidel sweep is
-    // order-dependent), and retained queues (a fresh queue has no split
-    // path).  All three are rank-uniform, so the schedule is collective.
-    bool overlap = false;
-    if constexpr (requires { K::kOverlapSafe; }) {
-      if constexpr (K::kOverlapSafe) {
-        overlap = cfg_.overlap && retain;
-        if constexpr (requires { kernel.overlap_ok(); })
-          overlap = overlap && kernel.overlap_ok();
-      }
-    }
-
-    // Schedule opt-in mirrors kOverlapSafe: kernels whose sweeps are written
-    // against the deterministic chunk-grid contract declare kScheduleAware
+    // Schedule opt-in: kernels whose sweeps are written against the
+    // deterministic chunk-grid contract declare kScheduleAware
     // (with an optional runtime veto `schedule_ok()` — e.g. LP's in-place
     // Gauss-Seidel sweep is order-dependent); everything else keeps the
     // legacy static split.
@@ -321,51 +277,13 @@ class SuperstepEngine {
       ctx.residual_local = 0.0;
 
       obs::Span round_span(obs::span_name::kSuperstep);
-      double exchange_s = 0;  // wall inside this round's exchange calls
-      double overlap_s = 0;   // interior-compute wall hidden behind the wire
-      if (overlap) {
-        // compute(boundary) -> exchange_start -> compute(interior) ->
-        // exchange_finish.  Ordering invariant: boundary values are final
-        // before the pack reads them, and interior values never go on the
-        // wire, so the payload equals the blocking schedule's bit-for-bit.
-        ctx.sweep = SweepPhase::kBoundary;
-        ctx.sweep_vertices = g_.boundary_locals();
-        {
-          obs::Span sp(obs::span_name::kComputeBoundary);
-          kernel.compute(ctx);
-        }
-        {
-          obs::Span sp(obs::span_name::kExchangeStart);
-          gx->exchange_start<T>(kernel.values(), comm_, mode);
-          exchange_s += sp.close();
-        }
-        ctx.sweep = SweepPhase::kInterior;
-        ctx.sweep_vertices = g_.interior_locals();
-        {
-          obs::Span sp(obs::span_name::kComputeInterior);
-          // Interior-phase compute never issues collectives; kernels that
-          // allreduce (PageRank dangling mass) gate it on sweep !=
-          // kInterior, a phase correlation the flow analysis cannot see.
-          // lint:allow(flow-collective-in-overlap-window: interior compute is collective-free by kernel contract)
-          kernel.compute(ctx);
-          overlap_s = sp.close();
-        }
-        {
-          obs::Span sp(obs::span_name::kExchangeFinish);
-          gx->exchange_finish<T>(kernel.values(), comm_, changed_ghosts);
-          exchange_s += sp.close();
-        }
-        ctx.sweep = SweepPhase::kFull;
-        ctx.sweep_vertices = {};
-      } else {
-        {
-          obs::Span sp(obs::span_name::kCompute);
-          kernel.compute(ctx);
-        }
-        obs::Span sp(obs::span_name::kExchange);
-        do_exchange();
-        exchange_s = sp.close();
+      {
+        obs::Span sp(obs::span_name::kCompute);
+        kernel.compute(ctx);
       }
+      obs::Span exchange_span(obs::span_name::kExchange);
+      do_exchange();
+      const double exchange_s = exchange_span.close();
       if constexpr (requires { kernel.apply(ctx); }) kernel.apply(ctx);
 
       const Signal sig = fused_allreduce(
@@ -390,7 +308,7 @@ class SuperstepEngine {
       end_record(rec0, step, sig, res.converged,
                  retain ? dgraph::ghost_mode_label(gx->last_round_mode())
                         : "dense",
-                 exchange_s, overlap_s, sweep_d, tp.num_threads(), sched);
+                 exchange_s, sweep_d, tp.num_threads(), sched);
       if (res.converged) break;
     }
     return res;
@@ -496,8 +414,8 @@ class SuperstepEngine {
       finfo.degree = ctx.degree_global;
       finfo.crossover = ctx.crossover;
       end_record(rec0, res.supersteps - 1, sig, res.converged,
-                 dir == FrontierDir::kPull ? "dense" : "queue", 0, 0,
-                 sweep_d, tp.num_threads(), sched, finfo);
+                 dir == FrontierDir::kPull ? "dense" : "queue", 0, sweep_d,
+                 tp.num_threads(), sched, finfo);
 
       ctx.active_global = sig.active;
       ctx.degree_global = sig.degree;
@@ -531,9 +449,9 @@ class SuperstepEngine {
   }
   void end_record(const std::optional<StepRecorder>& rec0, std::uint64_t step,
                   const Signal& sig, bool converged, const char* wire,
-                  double exchange_s, double overlap_s,
-                  const SweepStats& sweep_d, unsigned nthreads,
-                  Schedule sched, const FrontierRoundInfo& finfo = {}) {
+                  double exchange_s, const SweepStats& sweep_d,
+                  unsigned nthreads, Schedule sched,
+                  const FrontierRoundInfo& finfo = {}) {
     if (!rec0) return;
     SuperstepRecord rec;
     rec.analytic = cfg_.name;
@@ -544,7 +462,6 @@ class SuperstepEngine {
     rec.converged = converged;
     rec.wire = wire;
     rec.exchange_us = static_cast<std::uint64_t>(exchange_s * 1e6);
-    rec.overlap_us = static_cast<std::uint64_t>(overlap_s * 1e6);
     rec.set_sweep(sweep_d, nthreads, sched);
     rec.set_frontier(finfo);
     rec0->finish(rec);

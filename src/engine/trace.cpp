@@ -23,8 +23,6 @@ std::string SuperstepTrace::to_json() const {
     w.kv("converged", r.converged);
     w.kv("wire", r.wire);
     w.kv("exchange_us", r.exchange_us);
-    w.kv("overlap_us", r.overlap_us);
-    w.kv("comm_hidden", r.comm_hidden());
     if (!r.frontier_rep.empty()) {
       w.key("frontier");
       w.begin_object();

@@ -51,11 +51,7 @@ struct SuperstepRecord {
   std::string wire;             ///< ghost wire format used ("dense"/"sparse"/
                                 ///< "queue" for alltoallv frontier kernels)
   std::uint64_t exchange_us = 0;  ///< rank-0 wall µs inside the round's
-                                  ///< exchange calls (blocking: the single
-                                  ///< call; overlapped: start + finish)
-  std::uint64_t overlap_us = 0;   ///< rank-0 wall µs of interior compute run
-                                  ///< while the exchange was in flight (0 on
-                                  ///< the blocking schedule)
+                                  ///< ghost exchange
   parcomm::CommStats comm;      ///< rank-0 counter delta over the round
   parcomm::PhaseBreakdown phase;  ///< rank-0 comp/comm/idle/pack delta
 
@@ -84,14 +80,6 @@ struct SuperstepRecord {
     const double mean = static_cast<double>(sweep_edges_total) /
                         static_cast<double>(sweep_threads);
     return static_cast<double>(sweep_edges_max) / mean;
-  }
-
-  /// Fraction of the round's communication window hidden behind interior
-  /// compute: overlap / (overlap + exchange).  0 for blocking rounds.
-  double comm_hidden() const {
-    const double denom =
-        static_cast<double>(overlap_us) + static_cast<double>(exchange_us);
-    return denom > 0 ? static_cast<double>(overlap_us) / denom : 0.0;
   }
 
   /// Copies a round's frontier-layer decision into the frontier_* fields.

@@ -34,7 +34,6 @@ inline void write_comm_stats(util::JsonWriter& w,
   w.kv(f::kGhostRoundsDense, s.ghost_rounds_dense);
   w.kv(f::kGhostRoundsSparse, s.ghost_rounds_sparse);
   w.kv(f::kGhostRoundsReduce, s.ghost_rounds_reduce);
-  w.kv(f::kGhostRoundsAsync, s.ghost_rounds_async);
   w.kv(f::kGhostBytesSaved, static_cast<std::int64_t>(s.ghost_bytes_saved));
 }
 
@@ -48,7 +47,6 @@ inline void write_phase(util::JsonWriter& w,
   w.kv(f::kIdle, p.idle);
   w.kv(f::kPack, p.pack);
   w.kv(f::kRoute, p.route);
-  w.kv(f::kCommWait, p.wait);
   w.kv(f::kSweepBusyMax, p.sweep_busy_max);
   w.kv(f::kSweepBusyTotal, p.sweep_busy_total);
   w.kv(f::kTotal, p.total);

@@ -83,7 +83,6 @@ void Registry::absorb(const parcomm::CommStats& s) {
   set_counter(dotted("comm", f::kGhostRoundsDense), s.ghost_rounds_dense);
   set_counter(dotted("comm", f::kGhostRoundsSparse), s.ghost_rounds_sparse);
   set_counter(dotted("comm", f::kGhostRoundsReduce), s.ghost_rounds_reduce);
-  set_counter(dotted("comm", f::kGhostRoundsAsync), s.ghost_rounds_async);
   // Signed (a forced-sparse round can cost more than dense): gauge, not
   // counter.
   set_gauge(dotted("comm", f::kGhostBytesSaved),
@@ -97,7 +96,6 @@ void Registry::absorb(const parcomm::PhaseBreakdown& p) {
   set_gauge(dotted("phase", f::kIdle), p.idle);
   set_gauge(dotted("phase", f::kPack), p.pack);
   set_gauge(dotted("phase", f::kRoute), p.route);
-  set_gauge(dotted("phase", f::kCommWait), p.wait);
   set_gauge(dotted("phase", f::kSweepBusyMax), p.sweep_busy_max);
   set_gauge(dotted("phase", f::kSweepBusyTotal), p.sweep_busy_total);
   set_gauge(dotted("phase", f::kTotal), p.total);

@@ -35,12 +35,13 @@ namespace hpcgraph::obs {
 namespace span_name {
 inline constexpr const char* kSuperstep = "engine.superstep";
 inline constexpr const char* kCompute = "engine.compute";
+inline constexpr const char* kExchange = "engine.exchange";
+inline constexpr const char* kFrontierStep = "engine.frontier_step";
+// Never emitted; kept because bench/e2e's span classifier reads them.
 inline constexpr const char* kComputeBoundary = "engine.compute_boundary";
 inline constexpr const char* kComputeInterior = "engine.compute_interior";
-inline constexpr const char* kExchange = "engine.exchange";
 inline constexpr const char* kExchangeStart = "engine.exchange_start";
 inline constexpr const char* kExchangeFinish = "engine.exchange_finish";
-inline constexpr const char* kFrontierStep = "engine.frontier_step";
 inline constexpr const char* kGhostPack = "ghost.pack";
 inline constexpr const char* kGhostScatter = "ghost.scatter";
 inline constexpr const char* kGhostReduce = "ghost.reduce";

@@ -58,44 +58,16 @@
   , std::source_location hg_call_site = std::source_location::current()
 #define HPCGRAPH_BARRIER_SITE \
   std::source_location hg_call_site = std::source_location::current()
-// Out-of-class definition counterpart: same parameter, no re-stated default.
-#define HPCGRAPH_COLLECTIVE_SITE_DEF , std::source_location hg_call_site
 #define HPCGRAPH_SITE_FWD , hg_call_site
 #else
 #define HPCGRAPH_COLLECTIVE_SITE
 #define HPCGRAPH_BARRIER_SITE
-#define HPCGRAPH_COLLECTIVE_SITE_DEF
 #define HPCGRAPH_SITE_FWD
 #endif
 
 namespace hpcgraph::parcomm {
 
 class Communicator;
-
-template <typename T>
-class PendingExchange;
-
-/// Type-erased in-flight state of one split-phase alltoallv (ialltoallv).
-///
-/// The counts/displs rows posted to the exchange board are *copies* held
-/// here — not the caller's buffers — so the caller may free or reuse its
-/// count arrays the moment initiation returns, even while a slower peer is
-/// still reading the board.  The per-source receive snapshot (peer payload
-/// pointer + the offset of this rank's segment) is taken between the
-/// initiation barriers; peers' send buffers stay valid until the completion
-/// barrier inside wait(), which every rank reaches.  States are pooled per
-/// Communicator so steady-state split-phase rounds allocate nothing.
-struct PendingState {
-  std::vector<std::uint64_t> sendcounts;  ///< board counts row (stable copy)
-  std::vector<std::uint64_t> displs;      ///< board displs row (stable copy)
-  std::vector<const void*> src;           ///< peer payload base pointers
-  std::vector<std::uint64_t> src_off;     ///< element offset of my segment
-  std::vector<std::uint64_t> rcounts;     ///< items inbound per source
-  std::vector<std::uint64_t> roffs;       ///< receive-buffer offsets
-  std::uint64_t rtotal = 0;               ///< total items inbound
-  std::uint32_t elem_size = 0;            ///< sizeof(T) of the live round
-  bool active = false;                    ///< pool slot in use
-};
 
 /// Owns the shared state for one group of ranks and runs SPMD regions.
 class CommWorld {
@@ -140,7 +112,6 @@ class Communicator {
 
   /// Synchronize all ranks. Wait time is accounted as idle.
   void barrier(HPCGRAPH_BARRIER_SITE) {
-    check_no_pending();
     ++stats_.barrier_calls;
 #if HPCGRAPH_VERIFY_ENABLED
     verify_rendezvous(verify::Op::kBarrier, 0, -1, 0, hg_call_site);
@@ -165,7 +136,6 @@ class Communicator {
                            ThreadPool* pool = nullptr HPCGRAPH_COLLECTIVE_SITE) {
     static_assert(std::is_trivially_copyable_v<T>);
     HG_CHECK(static_cast<int>(sendcounts.size()) == size());
-    check_no_pending();
     ++stats_.collective_calls;
 #if HPCGRAPH_VERIFY_ENABLED
     verify_rendezvous(verify::Op::kAlltoallv, sizeof(T), -1,
@@ -244,36 +214,11 @@ class Communicator {
     return alltoallv<T>(send, counts, nullptr, nullptr HPCGRAPH_SITE_FWD);
   }
 
-  /// Split-phase personalized all-to-all (MPI_Ialltoallv analogue).
-  ///
-  /// Initiation posts the payload and launches the wire round, then returns
-  /// a PendingExchange handle; the receive-side copy and the completion
-  /// barrier are deferred to `handle.wait()`.  Between initiation and wait
-  /// the rank may run arbitrary *local* computation — issuing any other
-  /// collective while an exchange is pending is a hard error (HG_CHECK), the
-  /// split-phase analogue of MPI's matched-request discipline.
-  ///
-  /// Lifetime contract: `sendcounts` may be reused immediately (initiation
-  /// copies it into pooled storage that backs the board row), but `send`
-  /// must stay valid and unmodified until wait() returns — identical to
-  /// MPI_Ialltoallv's send-buffer rule.
-  ///
-  /// Under PARCOMM_VERIFY the initiation fingerprints as `ialltoallv` and
-  /// the wait as `wait_exchange`, so a rank pairing ialltoallv with a
-  /// blocking collective — or skipping the wait — aborts with both call
-  /// sites instead of corrupting the board.
-  template <typename T>
-  PendingExchange<T> ialltoallv(std::span<const T> send,
-                                std::span<const std::uint64_t> sendcounts,
-                                ThreadPool* pool =
-                                    nullptr HPCGRAPH_COLLECTIVE_SITE);
-
   /// All-reduce with a caller-supplied combiner, applied in rank order
   /// (deterministic floating-point results).
   template <typename T, typename F>
   T allreduce(const T& value, F&& combine HPCGRAPH_COLLECTIVE_SITE) {
     static_assert(std::is_trivially_copyable_v<T>);
-    check_no_pending();
     ++stats_.collective_calls;
 #if HPCGRAPH_VERIFY_ENABLED
     verify_rendezvous(verify::Op::kAllreduce, sizeof(T), -1, 0, hg_call_site);
@@ -319,7 +264,6 @@ class Communicator {
   template <typename T>
   std::vector<T> allgather(const T& value HPCGRAPH_COLLECTIVE_SITE) {
     static_assert(std::is_trivially_copyable_v<T>);
-    check_no_pending();
     ++stats_.collective_calls;
 #if HPCGRAPH_VERIFY_ENABLED
     verify_rendezvous(verify::Op::kAllgather, sizeof(T), -1, 0, hg_call_site);
@@ -346,7 +290,6 @@ class Communicator {
                             std::vector<std::uint64_t>* counts =
                                 nullptr HPCGRAPH_COLLECTIVE_SITE) {
     static_assert(std::is_trivially_copyable_v<T>);
-    check_no_pending();
     ++stats_.collective_calls;
 #if HPCGRAPH_VERIFY_ENABLED
     verify_rendezvous(verify::Op::kAllgatherv, sizeof(T), -1, 0, hg_call_site);
@@ -384,7 +327,6 @@ class Communicator {
   template <typename T>
   T broadcast(const T& value, int root HPCGRAPH_COLLECTIVE_SITE) {
     static_assert(std::is_trivially_copyable_v<T>);
-    check_no_pending();
     ++stats_.collective_calls;
 #if HPCGRAPH_VERIFY_ENABLED
     verify_rendezvous(verify::Op::kBroadcast, sizeof(T), root, 0,
@@ -409,7 +351,6 @@ class Communicator {
   std::vector<T> broadcast_vec(std::span<const T> local,
                                int root HPCGRAPH_COLLECTIVE_SITE) {
     static_assert(std::is_trivially_copyable_v<T>);
-    check_no_pending();
     ++stats_.collective_calls;
 #if HPCGRAPH_VERIFY_ENABLED
     verify_rendezvous(verify::Op::kBroadcastVec, sizeof(T), root, 0,
@@ -442,7 +383,6 @@ class Communicator {
                          std::vector<std::uint64_t>* counts =
                              nullptr HPCGRAPH_COLLECTIVE_SITE) {
     static_assert(std::is_trivially_copyable_v<T>);
-    check_no_pending();
     ++stats_.collective_calls;
 #if HPCGRAPH_VERIFY_ENABLED
     verify_rendezvous(verify::Op::kGatherv, sizeof(T), root, 0, hg_call_site);
@@ -488,82 +428,12 @@ class Communicator {
 
  private:
   friend class CommWorld;
-  template <typename T>
-  friend class PendingExchange;
   Communicator(CommWorld& world, int rank) : world_(world), rank_(rank) {}
 
   void timed_barrier() {
     Timer t;
     world_.barrier_->wait();
     phase_.add_idle(t.elapsed());
-  }
-
-  /// Split-phase discipline: no collective may start while an exchange is
-  /// in flight (its board row is still live and peers have not passed the
-  /// completion barrier).  This also catches a PendingExchange that was
-  /// destroyed without wait() — the depth stays elevated, so the *next*
-  /// collective on this rank reports the skipped completion.
-  void check_no_pending() const {
-    HG_CHECK_MSG(pending_depth_ == 0,
-                 "collective issued while a split-phase exchange is pending "
-                 "(missing PendingExchange::wait()?)");
-  }
-
-  /// Pool a PendingState (request pooling): steady-state split-phase rounds
-  /// reuse the same storage and allocate nothing.
-  PendingState* acquire_pending() {
-    for (auto& st : pending_pool_)
-      if (!st->active) {
-        st->active = true;
-        return st.get();
-      }
-    pending_pool_.push_back(std::make_unique<PendingState>());
-    pending_pool_.back()->active = true;
-    return pending_pool_.back().get();
-  }
-
-  /// Completion half of ialltoallv, invoked by PendingExchange::wait().
-  /// Copies each source's segment from the snapshot taken at initiation,
-  /// then passes the completion barrier that releases every sender's
-  /// payload buffer.  The whole call is additionally accounted to the
-  /// `wait` phase overlay (distinct from pack; see PhaseTimer).
-  template <typename T>
-  std::vector<T> ialltoallv_wait(PendingState* st, ThreadPool* pool,
-                                 std::vector<std::uint64_t>* recvcounts
-                                     HPCGRAPH_COLLECTIVE_SITE) {
-    Timer wait_timer;
-    HG_CHECK(st->active && st->elem_size == sizeof(T));
-    ++stats_.collective_calls;
-#if HPCGRAPH_VERIFY_ENABLED
-    verify_rendezvous(verify::Op::kWaitExchange, sizeof(T), -1, 0,
-                      hg_call_site);
-#endif
-    std::vector<T> recv(st->rtotal);
-    {
-      Timer t;
-      const auto copy_from = [&](int s) {
-        if (st->rcounts[s] == 0) return;
-        const auto* src = static_cast<const T*>(st->src[s]);
-        std::memcpy(recv.data() + st->roffs[s], src + st->src_off[s],
-                    st->rcounts[s] * sizeof(T));
-      };
-      if (pool && pool->num_threads() > 1) {
-        pool->for_each(0, static_cast<std::uint64_t>(size()),
-                       [&](unsigned, std::uint64_t s) {
-                         copy_from(static_cast<int>(s));
-                       });
-      } else {
-        for (int s = 0; s < size(); ++s) copy_from(s);
-      }
-      phase_.add_comm(t.elapsed());
-    }
-    stats_.bytes_received += st->rtotal * sizeof(T);
-    if (recvcounts) *recvcounts = st->rcounts;
-    timed_barrier();  // senders may now reuse their payload buffers
-    --pending_depth_;
-    st->active = false;
-    phase_.add_wait(wait_timer.elapsed());
-    return recv;
   }
 
 #if HPCGRAPH_VERIFY_ENABLED
@@ -591,148 +461,9 @@ class Communicator {
   const int rank_;
   CommStats stats_;
   PhaseTimer phase_;
-  std::vector<std::unique_ptr<PendingState>> pending_pool_;
-  int pending_depth_ = 0;  // outstanding split-phase exchanges (0 or 1)
 #if HPCGRAPH_VERIFY_ENABLED
   std::uint64_t verify_seq_ = 0;  // per-rank collective counter
 #endif
 };
-
-/// Move-only handle for one in-flight split-phase alltoallv.
-///
-/// wait() completes the exchange and returns the received items in
-/// source-rank order (plus optional per-source counts).  The destructor
-/// never barriers — it only releases the pooled state — so unwinding
-/// through an in-flight exchange (e.g. a thrown HG_CHECK) cannot deadlock;
-/// an exchange abandoned without wait() is reported at this rank's next
-/// collective via the pending-depth check.
-template <typename T>
-class PendingExchange {
- public:
-  PendingExchange() = default;
-  PendingExchange(const PendingExchange&) = delete;
-  PendingExchange& operator=(const PendingExchange&) = delete;
-  PendingExchange(PendingExchange&& o) noexcept
-      : comm_(o.comm_), st_(o.st_), pool_(o.pool_) {
-    o.comm_ = nullptr;
-    o.st_ = nullptr;
-  }
-  PendingExchange& operator=(PendingExchange&& o) noexcept {
-    if (this != &o) {
-      release();
-      comm_ = o.comm_;
-      st_ = o.st_;
-      pool_ = o.pool_;
-      o.comm_ = nullptr;
-      o.st_ = nullptr;
-    }
-    return *this;
-  }
-  ~PendingExchange() { release(); }
-
-  /// True while the exchange is in flight (wait() not yet called).
-  bool valid() const { return st_ != nullptr; }
-
-  /// Complete the exchange: copy every source's segment, publish the
-  /// completion barrier, and return the items received (concatenated in
-  /// source-rank order).  Must be called exactly once, by the initiating
-  /// rank, in the same collective order on all ranks.
-  std::vector<T> wait(std::vector<std::uint64_t>* recvcounts =
-                          nullptr HPCGRAPH_COLLECTIVE_SITE) {
-    HG_CHECK_MSG(st_ != nullptr, "PendingExchange::wait() called twice "
-                                 "(or on a moved-from/default handle)");
-    PendingState* st = st_;
-    st_ = nullptr;  // wait() releases the slot even if the copy throws
-    return comm_->ialltoallv_wait<T>(st, pool_, recvcounts HPCGRAPH_SITE_FWD);
-  }
-
- private:
-  friend class Communicator;
-  PendingExchange(Communicator* comm, PendingState* st, ThreadPool* pool)
-      : comm_(comm), st_(st), pool_(pool) {}
-
-  void release() {
-    if (st_) st_->active = false;  // depth stays: next collective reports it
-    st_ = nullptr;
-  }
-
-  Communicator* comm_ = nullptr;
-  PendingState* st_ = nullptr;
-  ThreadPool* pool_ = nullptr;
-};
-
-template <typename T>
-PendingExchange<T> Communicator::ialltoallv(
-    std::span<const T> send, std::span<const std::uint64_t> sendcounts,
-    ThreadPool* pool HPCGRAPH_COLLECTIVE_SITE_DEF) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  HG_CHECK(static_cast<int>(sendcounts.size()) == size());
-  check_no_pending();
-  ++stats_.collective_calls;
-#if HPCGRAPH_VERIFY_ENABLED
-  verify_rendezvous(verify::Op::kIalltoallv, sizeof(T), -1,
-                    verify::counts_checksum(sendcounts), hg_call_site);
-#endif
-
-  PendingState* st = acquire_pending();
-  st->elem_size = sizeof(T);
-  st->sendcounts.assign(sendcounts.begin(), sendcounts.end());
-  st->displs.resize(static_cast<std::size_t>(size()));
-  const std::uint64_t total = exclusive_prefix_sum(
-      std::span<const std::uint64_t>(st->sendcounts),
-      std::span<std::uint64_t>(st->displs));
-  HG_CHECK_MSG(total == send.size(),
-               "ialltoallv: counts sum " << total << " != payload "
-                                         << send.size());
-
-  stats_.bytes_sent += total * sizeof(T);
-  stats_.bytes_remote += (total - sendcounts[rank_]) * sizeof(T);
-  stats_.bytes_self += sendcounts[rank_] * sizeof(T);
-
-  // Post the board row from the pooled copies, not the caller's buffers:
-  // the caller may reuse its counts the moment we return, while a slower
-  // peer is still snapshot-reading this row.  PendingState outlives every
-  // peer's snapshot (all are gated by the completion barrier in wait()).
-  CommWorld::Board& b = world_.board_;
-  b.ptr[rank_] = send.data();
-  b.cnt[rank_] = st->sendcounts.data();
-  b.displ[rank_] = st->displs.data();
-  timed_barrier();
-
-  // Snapshot each source's payload pointer and this rank's segment offset
-  // now, so wait() touches no board state (peers may already be posting
-  // their *next* collective's fingerprints by then).
-  st->src.resize(static_cast<std::size_t>(size()));
-  st->src_off.resize(static_cast<std::size_t>(size()));
-  st->rcounts.resize(static_cast<std::size_t>(size()));
-  st->roffs.resize(static_cast<std::size_t>(size()));
-  std::uint64_t rtotal = 0;
-  for (int s = 0; s < size(); ++s) {
-    st->roffs[s] = rtotal;
-    rtotal += (st->rcounts[s] = b.cnt[s][rank_]);
-    st->src[s] = b.ptr[s];
-    st->src_off[s] = b.displ[s][rank_];
-  }
-  st->rtotal = rtotal;
-#if HPCGRAPH_VERIFY_ENABLED
-  // Same mid-collective counts-mutation check as the blocking path, run at
-  // initiation (the snapshot is what wait() will trust).
-  for (int s = 0; s < size(); ++s) {
-    const std::uint64_t h = verify::counts_checksum(
-        {b.cnt[s], static_cast<std::size_t>(size())});
-    if (h != b.fp[static_cast<std::size_t>(s)].aux)
-      throw verify::CollectiveMismatch(
-          verify::mutation_report(s, b.fp[static_cast<std::size_t>(s)]));
-  }
-  // Verify-only: hold every rank here until all aux checks are done.  A
-  // fast rank entering wait()'s rendezvous would overwrite its fingerprint
-  // slot while a slow peer is still reading it above.  (Without verify the
-  // board rows are only rewritten after wait()'s completion barrier, so no
-  // extra barrier is needed.)
-  timed_barrier();
-#endif
-  ++pending_depth_;
-  return PendingExchange<T>(this, st, pool);
-}
 
 }  // namespace hpcgraph::parcomm

@@ -45,7 +45,6 @@ inline constexpr const char* kBarrierCalls = "barrier_calls";
 inline constexpr const char* kGhostRoundsDense = "ghost_rounds_dense";
 inline constexpr const char* kGhostRoundsSparse = "ghost_rounds_sparse";
 inline constexpr const char* kGhostRoundsReduce = "ghost_rounds_reduce";
-inline constexpr const char* kGhostRoundsAsync = "ghost_rounds_async";
 inline constexpr const char* kGhostBytesSaved = "ghost_bytes_saved";
 }  // namespace comm_field
 
@@ -60,7 +59,6 @@ struct CommStats {
   std::uint64_t ghost_rounds_dense = 0;   ///< ghost exchanges on dense wire
   std::uint64_t ghost_rounds_sparse = 0;  ///< ghost exchanges on sparse wire
   std::uint64_t ghost_rounds_reduce = 0;  ///< reverse (ghost->owner) rounds
-  std::uint64_t ghost_rounds_async = 0;   ///< split-phase (start/finish) rounds
   std::int64_t ghost_bytes_saved = 0;     ///< dense-equivalent minus actual
 
   void reset() { *this = CommStats{}; }
@@ -75,7 +73,6 @@ struct CommStats {
     ghost_rounds_dense += o.ghost_rounds_dense;
     ghost_rounds_sparse += o.ghost_rounds_sparse;
     ghost_rounds_reduce += o.ghost_rounds_reduce;
-    ghost_rounds_async += o.ghost_rounds_async;
     ghost_bytes_saved += o.ghost_bytes_saved;
     return *this;
   }
@@ -97,7 +94,6 @@ struct CommStats {
     d.ghost_rounds_dense = ghost_rounds_dense - o.ghost_rounds_dense;
     d.ghost_rounds_sparse = ghost_rounds_sparse - o.ghost_rounds_sparse;
     d.ghost_rounds_reduce = ghost_rounds_reduce - o.ghost_rounds_reduce;
-    d.ghost_rounds_async = ghost_rounds_async - o.ghost_rounds_async;
     d.ghost_bytes_saved = ghost_bytes_saved - o.ghost_bytes_saved;
     return d;
   }

@@ -17,16 +17,12 @@ namespace hpcgraph::parcomm {
 
 /// Canonical serialized field names for PhaseBreakdown, shared by every
 /// emitter (SuperstepTrace JSON, the obs metrics registry, trace_report.py).
-/// These used to be ad-hoc string literals at each call site, which let the
-/// split-phase wait bucket ship as "wait_s" in one place while the docs and
-/// PhaseTimer API called it comm_wait.  One spelling, defined once:
 namespace phase_field {
 inline constexpr const char* kComp = "comp_s";
 inline constexpr const char* kComm = "comm_s";
 inline constexpr const char* kIdle = "idle_s";
 inline constexpr const char* kPack = "pack_s";
 inline constexpr const char* kRoute = "route_s";
-inline constexpr const char* kCommWait = "comm_wait_s";
 inline constexpr const char* kSweepBusyMax = "sweep_busy_max_s";
 inline constexpr const char* kSweepBusyTotal = "sweep_busy_total_s";
 inline constexpr const char* kTotal = "total_s";
@@ -40,7 +36,6 @@ struct PhaseBreakdown {
   double pack = 0;   ///< subset of comp: ghost-exchange pack/scatter staging
   double route = 0;  ///< subset of comp: frontier-layer send-queue builds
                      ///< (owner counts + Algorithm-3 sink pushes)
-  double wait = 0;   ///< overlay: seconds completing split-phase exchanges
   double sweep_busy_max = 0;    ///< overlay: Σ per-loop max thread busy time
   double sweep_busy_total = 0;  ///< overlay: Σ per-loop total thread busy time
   double total = 0;  ///< wall seconds of the region
@@ -60,7 +55,6 @@ struct PhaseBreakdown {
     d.idle = idle - o.idle;
     d.pack = pack - o.pack;
     d.route = route - o.route;
-    d.wait = wait - o.wait;
     d.sweep_busy_max = sweep_busy_max - o.sweep_busy_max;
     d.sweep_busy_total = sweep_busy_total - o.sweep_busy_total;
     d.total = total - o.total;
@@ -78,7 +72,6 @@ class PhaseTimer {
     idle_.reset();
     pack_.reset();
     route_.reset();
-    wait_.reset();
     sweep_busy_max_.reset();
     sweep_busy_total_.reset();
     region_ = Timer{};
@@ -94,12 +87,6 @@ class PhaseTimer {
   /// engine::route_to_owners).  Like pack: rank-local work attributed to
   /// comp, reported separately so traces show what the queue cycle costs.
   void add_route(double s) { route_.add(s); }
-  /// Time blocked completing a split-phase exchange (PendingExchange::wait).
-  /// An overlay like pack: the barrier/copy inside the wait still lands in
-  /// idle/comm as usual, this just attributes the same wall span to a
-  /// distinct `comm_wait` bucket so overlapped schedules can show how much
-  /// completion cost remains after hiding.
-  void add_wait(double s) { wait_.add(s); }
   /// Intra-rank sweep imbalance overlay from the thread pool's SweepStats:
   /// busy_max is the sum over scheduled loops of the slowest thread's busy
   /// time (the critical path), busy_total the aggregate across threads.
@@ -118,7 +105,6 @@ class PhaseTimer {
     b.idle = idle_.total();
     b.pack = pack_.total();
     b.route = route_.total();
-    b.wait = wait_.total();
     b.sweep_busy_max = sweep_busy_max_.total();
     b.sweep_busy_total = sweep_busy_total_.total();
     b.comp = b.total - b.comm - b.idle;
@@ -131,7 +117,6 @@ class PhaseTimer {
   AccumTimer idle_;
   AccumTimer pack_;
   AccumTimer route_;
-  AccumTimer wait_;
   AccumTimer sweep_busy_max_;
   AccumTimer sweep_busy_total_;
   Timer region_;

@@ -64,8 +64,6 @@ enum class Op : std::uint8_t {
   kBroadcast,
   kBroadcastVec,
   kGatherv,
-  kIalltoallv,    ///< split-phase alltoallv initiation
-  kWaitExchange,  ///< split-phase completion (PendingExchange::wait)
 };
 
 inline const char* op_name(Op op) {
@@ -78,8 +76,6 @@ inline const char* op_name(Op op) {
     case Op::kBroadcast: return "broadcast";
     case Op::kBroadcastVec: return "broadcast_vec";
     case Op::kGatherv: return "gatherv";
-    case Op::kIalltoallv: return "ialltoallv";
-    case Op::kWaitExchange: return "wait_exchange";
   }
   return "?";
 }

@@ -1,8 +1,7 @@
-// Fixture: raw MPI nonblocking primitives in algorithm code.  Split-phase
-// communication must go through parcomm::Communicator::ialltoallv and
-// PendingExchange::wait — a raw MPI_Ialltoallv/MPI_Wait bypasses the
-// request pool, the pending-depth discipline check, and the PARCOMM_VERIFY
-// fingerprint rendezvous.
+// Fixture: raw MPI nonblocking primitives in algorithm code.  No
+// nonblocking path is sanctioned: every exchange uses the blocking
+// parcomm::Communicator collectives, and a raw MPI_Ialltoallv/MPI_Wait
+// bypasses the PARCOMM_VERIFY fingerprint rendezvous and flowlint.
 // EXPECT-LINT: raw-nonblocking-mpi
 
 #include <cstdint>

@@ -21,6 +21,7 @@ namespace {
 using gen::Edge;
 using gen::EdgeList;
 using hpcgraph::testing::DistConfig;
+using hpcgraph::testing::small_configs;
 using hpcgraph::testing::standard_configs;
 using hpcgraph::testing::tiny_graph;
 using hpcgraph::testing::with_dist_graph;
@@ -256,6 +257,29 @@ TEST(Builder, MemoryFootprintReported) {
                   [&](const DistGraph& g, parcomm::Communicator&) {
                     EXPECT_GT(g.memory_bytes(), 0u);
                   });
+}
+
+// boundary_locals() lists exactly the local vertices with a ghost out- or
+// in-neighbour, in ascending order.
+TEST(BoundaryInterior, ClassesPartitionLocalsByGhostAdjacency) {
+  gen::RmatParams rp;
+  rp.scale = 8;
+  rp.avg_degree = 8;
+  const EdgeList el = gen::rmat(rp);
+  for (const DistConfig& cfg : small_configs()) {
+    SCOPED_TRACE(cfg.label());
+    with_dist_graph(el, cfg, [&](const DistGraph& g, parcomm::Communicator&) {
+      std::vector<lvid_t> want;
+      for (lvid_t v = 0; v < g.n_loc(); ++v) {
+        bool ghost = false;
+        for (const lvid_t u : g.out_neighbors(v)) ghost |= u >= g.n_loc();
+        for (const lvid_t u : g.in_neighbors(v)) ghost |= u >= g.n_loc();
+        if (ghost) want.push_back(v);
+      }
+      const std::span<const lvid_t> bnd = g.boundary_locals();
+      EXPECT_EQ(std::vector<lvid_t>(bnd.begin(), bnd.end()), want);
+    });
+  }
 }
 
 }  // namespace

@@ -140,6 +140,7 @@ TEST(SuperstepTrace, OneRecordPerRoundMonotoneAndWellFormed) {
   EXPECT_TRUE(util::JsonChecker::valid(json)) << json.substr(0, 200);
   EXPECT_NE(json.find("\"schema\":\"hpcgraph-superstep-trace-v1\""),
             std::string::npos);
+  EXPECT_NE(json.find("\"exchange_us\""), std::string::npos);
 }
 
 TEST(SuperstepTrace, IndicesStayMonotoneAcrossEngineRuns) {
@@ -161,13 +162,19 @@ TEST(SuperstepTrace, IndicesStayMonotoneAcrossEngineRuns) {
                   });
   ASSERT_GT(trace.size(), 5u);  // 5 PageRank rounds + >=1 SSSP round
   bool saw_pr = false, saw_sssp = false;
+  std::uint64_t pr_exchange_us = 0;
   for (std::size_t i = 0; i < trace.size(); ++i) {
     EXPECT_EQ(trace.records()[i].index, i);  // trace-global, monotone
     saw_pr |= trace.records()[i].analytic == "pagerank";
     saw_sssp |= trace.records()[i].analytic == "sssp";
+    if (trace.records()[i].analytic == "pagerank")
+      pr_exchange_us += trace.records()[i].exchange_us;
   }
   EXPECT_TRUE(saw_pr);
   EXPECT_TRUE(saw_sssp);
+  // Five ghost exchanges take well over a microsecond: the timer must be
+  // populated, not just present.
+  EXPECT_GT(pr_exchange_us, 0u);
   // Within each run the superstep counter restarts at 0 and increments.
   EXPECT_EQ(trace.records()[0].superstep, 0u);
   EXPECT_EQ(trace.records()[5].superstep, 0u);  // first SSSP round

@@ -437,132 +437,5 @@ TEST(GhostExchange, RejectsTooShortValueArray) {
                   });
 }
 
-// ---- Split-phase (overlapped) exchange. ----
-
-// exchange_start + exchange_finish must deliver exactly what the blocking
-// exchange delivers — same ghost values, same changed-ghost sets — on every
-// wire format, across repeated delta rounds.
-TEST_P(GhostExchangeParam, SplitPhaseMatchesBlockingOnEveryWire) {
-  gen::RmatParams rp;
-  rp.scale = 8;
-  rp.avg_degree = 6;
-  const gen::EdgeList el = gen::rmat(rp);
-  with_dist_graph(el, GetParam(), [&](const DistGraph& g,
-                                      parcomm::Communicator& comm) {
-    for (const auto mode :
-         {GhostMode::kDense, GhostMode::kSparse, GhostMode::kAdaptive}) {
-      GhostExchange gxb(g, comm, Adjacency::kBoth);
-      GhostExchange gxs(g, comm, Adjacency::kBoth);
-      std::vector<std::uint64_t> vb(g.n_total(), 0);
-      std::vector<std::uint64_t> vs(g.n_total(), 0);
-      const auto async_before = comm.stats().ghost_rounds_async;
-      for (std::uint64_t round = 0; round < 3; ++round) {
-        // Deterministic, owner-independent delta: every third vertex
-        // (rotating with the round) takes a new value.
-        for (lvid_t v = 0; v < g.n_loc(); ++v) {
-          if ((g.global_id(v) + round) % 3 == 0) {
-            const std::uint64_t nv = f(g.global_id(v)) + round * 1000;
-            vb[v] = vs[v] = nv;
-            gxb.mark_changed(v);
-            gxs.mark_changed(v);
-          }
-        }
-        std::vector<lvid_t> chg_b, chg_s;
-        gxb.exchange<std::uint64_t>(vb, comm, mode, &chg_b);
-
-        EXPECT_FALSE(gxs.exchange_pending());
-        gxs.exchange_start<std::uint64_t>(vs, comm, mode);
-        EXPECT_TRUE(gxs.exchange_pending());
-        gxs.exchange_finish<std::uint64_t>(vs, comm, &chg_s);
-        EXPECT_FALSE(gxs.exchange_pending());
-
-        for (lvid_t l = 0; l < g.n_total(); ++l)
-          ASSERT_EQ(vs[l], vb[l])
-              << "split-phase drifted at " << g.global_id(l) << " mode "
-              << ghost_mode_label(mode) << " round " << round;
-        std::sort(chg_b.begin(), chg_b.end());
-        std::sort(chg_s.begin(), chg_s.end());
-        EXPECT_EQ(chg_s, chg_b);
-        EXPECT_EQ(gxs.marked_count(), 0u);
-      }
-      EXPECT_EQ(comm.stats().ghost_rounds_async - async_before, 3u);
-    }
-  });
-}
-
-// The double-buffer contract: exchange_start snapshots the payload, so a
-// mark_changed (and value rewrite) landing between start and finish must
-// not leak into the in-flight round — it ships with the *next* exchange.
-TEST_P(GhostExchangeParam, MarksBetweenStartAndFinishAffectNextRoundOnly) {
-  gen::RmatParams rp;
-  rp.scale = 8;
-  rp.avg_degree = 6;
-  const gen::EdgeList el = gen::rmat(rp);
-  with_dist_graph(el, GetParam(), [&](const DistGraph& g,
-                                      parcomm::Communicator& comm) {
-    for (const auto mode : {GhostMode::kDense, GhostMode::kSparse}) {
-      GhostExchange gx(g, comm, Adjacency::kBoth);
-      std::vector<std::uint64_t> vals(g.n_total(), 0);
-      for (lvid_t v = 0; v < g.n_loc(); ++v) {
-        vals[v] = f(g.global_id(v));
-        gx.mark_changed(v);
-      }
-      gx.exchange_start<std::uint64_t>(vals, comm, mode);
-      // In-flight mutation: vertices with gid % 5 == 0 move again.  The
-      // round already packed f(gid), so ghosts must still receive that.
-      for (lvid_t v = 0; v < g.n_loc(); ++v) {
-        if (g.global_id(v) % 5 == 0) {
-          vals[v] = f(g.global_id(v)) + 999;
-          gx.mark_changed(v);
-        }
-      }
-      gx.exchange_finish<std::uint64_t>(vals, comm);
-      for (lvid_t l = g.n_loc(); l < g.n_total(); ++l)
-        ASSERT_EQ(vals[l], f(g.global_id(l)))
-            << "late mark leaked into the in-flight round at "
-            << g.global_id(l) << " mode " << ghost_mode_label(mode);
-
-      // The late marks survived the round and drive the next exchange;
-      // run it sparse so only marked vertices ship.
-      gx.exchange<std::uint64_t>(vals, comm, GhostMode::kSparse);
-      for (lvid_t l = g.n_loc(); l < g.n_total(); ++l) {
-        const std::uint64_t want = g.global_id(l) % 5 == 0
-                                       ? f(g.global_id(l)) + 999
-                                       : f(g.global_id(l));
-        ASSERT_EQ(vals[l], want) << "next round lost/duplicated the late "
-                                 << "mark at " << g.global_id(l);
-      }
-    }
-  });
-}
-
-// Misuse is caught deterministically: finish without start, double start,
-// and any blocking collective while a split-phase round is pending.
-TEST(GhostExchangeSplit, MisuseIsChecked) {
-  gen::RmatParams rp;
-  rp.scale = 6;
-  rp.avg_degree = 6;
-  const gen::EdgeList el = gen::rmat(rp);
-  with_dist_graph(el, {2, PartitionKind::kVertexBlock},
-                  [&](const DistGraph& g, parcomm::Communicator& comm) {
-                    GhostExchange gx(g, comm, Adjacency::kBoth);
-                    std::vector<std::uint64_t> vals(g.n_total(), 1);
-                    EXPECT_THROW(gx.exchange_finish<std::uint64_t>(vals, comm),
-                                 CheckError);
-                    gx.exchange_start<std::uint64_t>(vals, comm,
-                                                     GhostMode::kDense);
-                    // A second start and any blocking collective must both
-                    // be rejected while the round is in flight.
-                    EXPECT_THROW(gx.exchange_start<std::uint64_t>(
-                                     vals, comm, GhostMode::kDense),
-                                 CheckError);
-                    EXPECT_THROW(comm.barrier(), CheckError);
-                    // The pending round is still completable after the
-                    // rejected calls.
-                    gx.exchange_finish<std::uint64_t>(vals, comm);
-                    comm.barrier();
-                  });
-}
-
 }  // namespace
 }  // namespace hpcgraph::dgraph

@@ -207,7 +207,6 @@ TEST(Registry, PinnedDottedNames) {
   cs.ghost_bytes_saved = -3;
   parcomm::PhaseBreakdown pb;
   pb.comm = 1.5;
-  pb.wait = 0.25;
   SweepStats sw;
   sw.busy_max = 0.5;
   sw.loops = 2;
@@ -224,16 +223,15 @@ TEST(Registry, PinnedDottedNames) {
        {"comm.bytes_sent", "comm.bytes_remote", "comm.bytes_self",
         "comm.bytes_received", "comm.collective_calls", "comm.barrier_calls",
         "comm.ghost_rounds_dense", "comm.ghost_rounds_sparse",
-        "comm.ghost_rounds_reduce", "comm.ghost_rounds_async",
-        "comm.ghost_bytes_saved", "phase.comp_s", "phase.comm_s",
-        "phase.idle_s", "phase.pack_s", "phase.route_s", "phase.comm_wait_s",
-        "phase.total_s", "sweep.busy_max_s", "sweep.busy_total_s",
-        "sweep.work_max", "sweep.work_total", "sweep.loops"}) {
+        "comm.ghost_rounds_reduce", "comm.ghost_bytes_saved",
+        "phase.comp_s", "phase.comm_s", "phase.idle_s", "phase.pack_s",
+        "phase.route_s", "phase.total_s", "sweep.busy_max_s",
+        "sweep.busy_total_s", "sweep.work_max", "sweep.work_total",
+        "sweep.loops"}) {
     EXPECT_NE(reg.find(name), nullptr) << name;
   }
   EXPECT_EQ(reg.find("comm.bytes_sent")->count, 7u);
   EXPECT_EQ(reg.find("comm.ghost_bytes_saved")->gauge, -3.0);  // signed
-  EXPECT_EQ(reg.find("phase.comm_wait_s")->gauge, 0.25);
   EXPECT_EQ(reg.find("sweep.loops")->count, 2u);
 }
 

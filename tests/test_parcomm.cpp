@@ -385,144 +385,5 @@ TEST(PhaseTimer, CommTimeAttributedDuringExchange) {
   });
 }
 
-// ---- Split-phase alltoallv (ialltoallv / PendingExchange). ----
-
-TEST_P(WorldParam, IalltoallvMatchesBlockingAlltoallv) {
-  const int p = GetParam();
-  CommWorld world(p);
-  world.run([&](Communicator& comm) {
-    const int me = comm.rank();
-    std::vector<int> send;
-    std::vector<std::uint64_t> counts(p);
-    for (int dst = 0; dst < p; ++dst) {
-      counts[dst] = dst + 1;
-      for (int i = 0; i <= dst; ++i) send.push_back(me * 100 + dst);
-    }
-    std::vector<std::uint64_t> rc_block;
-    const auto ref = comm.alltoallv<int>(send, counts, &rc_block);
-
-    PendingExchange<int> pe = comm.ialltoallv<int>(send, counts);
-    EXPECT_TRUE(pe.valid());
-    // The counts buffer may be reused the moment initiation returns (the
-    // runtime snapshots it); only the payload must stay alive until wait.
-    std::fill(counts.begin(), counts.end(), 9999);
-    // Arbitrary local compute while the exchange is in flight.
-    volatile std::uint64_t sink = 0;
-    for (int i = 0; i < 1000; ++i) sink = sink + static_cast<unsigned>(i);
-    (void)sink;
-    std::vector<std::uint64_t> rc_split;
-    const auto got = pe.wait(&rc_split);
-    EXPECT_FALSE(pe.valid());
-    EXPECT_EQ(got, ref);
-    EXPECT_EQ(rc_split, rc_block);
-  });
-}
-
-TEST_P(WorldParam, IalltoallvHandleIsReusableAcrossRounds) {
-  const int p = GetParam();
-  CommWorld world(p);
-  world.run([&](Communicator& comm) {
-    const int me = comm.rank();
-    const std::vector<std::uint64_t> counts(p, 2);
-    for (std::uint64_t round = 0; round < 3; ++round) {
-      std::vector<std::uint64_t> send(2 * static_cast<std::size_t>(p));
-      for (std::size_t i = 0; i < send.size(); ++i)
-        send[i] = me * 1000 + round * 10 + i;
-      auto pe = comm.ialltoallv<std::uint64_t>(send, counts);
-      const auto recv = pe.wait();
-      ASSERT_EQ(recv.size(), 2 * static_cast<std::size_t>(p));
-      for (int src = 0; src < p; ++src) {
-        EXPECT_EQ(recv[2 * src],
-                  static_cast<std::uint64_t>(src) * 1000 + round * 10 +
-                      2 * static_cast<std::uint64_t>(me));
-      }
-    }
-  });
-}
-
-// While a split-phase exchange is pending every other collective must be
-// rejected — this is the dynamic form of the "no collectives between
-// exchange_start and exchange_finish" rule the overlapped engine relies on.
-TEST(PendingExchange, OutstandingExchangeBlocksOtherCollectives) {
-  CommWorld world(2);
-  world.run([&](Communicator& comm) {
-    const std::vector<std::uint64_t> counts{1, 1};
-    const std::vector<std::uint32_t> send{7u, 8u};
-    auto pe = comm.ialltoallv<std::uint32_t>(send, counts);
-    EXPECT_THROW(comm.barrier(), CheckError);
-    EXPECT_THROW((void)comm.allreduce_sum(1), CheckError);
-    EXPECT_THROW((void)comm.alltoallv<std::uint32_t>(send, counts),
-                 CheckError);
-    EXPECT_THROW((void)comm.ialltoallv<std::uint32_t>(send, counts),
-                 CheckError);
-    const auto recv = pe.wait();
-    ASSERT_EQ(recv.size(), 2u);
-    comm.barrier();  // completed: collectives work again
-    // A consumed handle cannot be waited on twice.
-    EXPECT_THROW((void)pe.wait(), CheckError);
-  });
-}
-
-TEST(CommStats, ConservationAndCountersCoverSplitPhase) {
-  for (const int p : {1, 2, 4}) {
-    CommWorld world(p);
-    std::vector<CommStats> deltas(p);
-    world.run([&](Communicator& comm) {
-      const int me = comm.rank();
-      const CommStats before = comm.stats();
-      std::vector<std::uint64_t> counts(p,
-                                        static_cast<std::uint64_t>(me) + 1);
-      std::vector<std::uint32_t> payload(
-          static_cast<std::size_t>(p) * (me + 1),
-          static_cast<std::uint32_t>(me));
-      auto pe = comm.ialltoallv<std::uint32_t>(payload, counts);
-      (void)pe.wait();
-      deltas[me] = comm.stats().delta(before);
-      // Initiation and completion are two collective entries.
-      EXPECT_EQ(deltas[me].collective_calls, 2u);
-    });
-    std::uint64_t received = 0, remote = 0, self = 0;
-    for (const CommStats& s : deltas) {
-      received += s.bytes_received;
-      remote += s.bytes_remote;
-      self += s.bytes_self;
-    }
-    EXPECT_EQ(received, remote + self) << "p=" << p;
-    EXPECT_GT(received, 0u) << "p=" << p;
-    if (p == 1) EXPECT_EQ(remote, 0u);
-  }
-}
-
-TEST(CommStats, ArithmeticCoversAsyncRoundCounter) {
-  CommStats a, b;
-  a.ghost_rounds_async = 5;
-  b.ghost_rounds_async = 2;
-  EXPECT_EQ((a - b).ghost_rounds_async, 3u);
-  CommStats acc;
-  acc += a;
-  acc += b;
-  EXPECT_EQ(acc.ghost_rounds_async, 7u);
-}
-
-TEST(PhaseTimer, WaitAttributedDuringSplitPhaseCompletion) {
-  CommWorld world(2);
-  world.run([&](Communicator& comm) {
-    comm.phase_timer().reset();
-    const std::vector<std::uint64_t> counts{1u << 18, 1u << 18};
-    const std::vector<std::uint64_t> send(1u << 19, comm.rank());
-    auto pe = comm.ialltoallv<std::uint64_t>(send, counts);
-    const PhaseBreakdown at_start = comm.phase_timer().snapshot();
-    EXPECT_DOUBLE_EQ(at_start.wait, 0.0);  // nothing completed yet
-    (void)pe.wait();
-    const PhaseBreakdown b = comm.phase_timer().snapshot();
-    EXPECT_GT(b.wait, 0.0);  // 4 MiB copied inside wait()
-    // `wait` is an overlay like `pack`: the copy seconds also appear in
-    // comm, so the primary comp/comm/idle split still covers the total.
-    EXPECT_GE(b.comm, 0.0);
-    const PhaseBreakdown d = b - at_start;
-    EXPECT_GT(d.wait, 0.0);  // operator- carries the field
-  });
-}
-
 }  // namespace
 }  // namespace hpcgraph::parcomm

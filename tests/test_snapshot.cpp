@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -168,6 +169,27 @@ TEST_F(SnapshotTest, RejectsTruncatedFile) {
     (void)load_snapshot(comm, prefix());
   }),
                CheckError);
+}
+
+// load_snapshot rebuilds boundary_locals() from the reloaded CSR; it must
+// equal the builder's list.
+using BoundaryInterior = SnapshotTest;
+TEST_F(BoundaryInterior, SnapshotReloadRebuildsTheClasses) {
+  gen::RmatParams rp;
+  rp.scale = 8;
+  rp.avg_degree = 8;
+  const gen::EdgeList el = gen::rmat(rp);
+  parcomm::CommWorld world(3);
+  world.run([&](parcomm::Communicator& comm) {
+    const DistGraph built =
+        Builder::from_edge_list(comm, el, PartitionKind::kEdgeBlock);
+    save_snapshot(built, comm, prefix());
+    const DistGraph loaded = load_snapshot(comm, prefix());
+    const std::span<const lvid_t> a = built.boundary_locals();
+    const std::span<const lvid_t> b = loaded.boundary_locals();
+    EXPECT_FALSE(a.empty());
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+  });
 }
 
 }  // namespace

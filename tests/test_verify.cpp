@@ -369,68 +369,4 @@ TEST(VerifyRuntime, WorldIsReusableAfterAMismatchAbort) {
 #endif
 }
 
-// Split-phase initiation is fingerprinted like any other collective: one
-// rank starting an ialltoallv while the peer issues the blocking form is a
-// live mismatch, caught at initiation — before any payload moves.
-TEST(VerifyRuntime, NonblockingVsBlockingInitiationIsAMismatch) {
-#if HPCGRAPH_VERIFY_ENABLED
-  CommWorld world(2);
-  try {
-    world.run([](Communicator& comm) {
-      const std::vector<std::uint64_t> counts{1, 1};
-      const std::vector<std::uint32_t> send{1u, 2u};
-      if (comm.rank() == 0) {
-        auto pe = comm.ialltoallv<std::uint32_t>(send, counts);
-        (void)pe.wait();
-      } else {
-        (void)comm.alltoallv<std::uint32_t>(send, counts);
-      }
-    });
-    FAIL() << "ialltoallv vs alltoallv must abort the world";
-  } catch (const verify::CollectiveMismatch& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("collective mismatch"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("ialltoallv"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("alltoallv"), std::string::npos) << msg;
-  }
-#else
-  GTEST_SKIP() << "PARCOMM_VERIFY off: mismatch detection compiled out";
-#endif
-}
-
-// The completion side has its own rendezvous: a rank running some other
-// collective where its peer completes a pending exchange is also caught.
-TEST(VerifyRuntime, WaitVsOtherCollectiveIsAMismatch) {
-#if HPCGRAPH_VERIFY_ENABLED
-  CommWorld world(2);
-  try {
-    world.run([](Communicator& comm) {
-      const std::vector<std::uint64_t> counts{1, 1};
-      const std::vector<std::uint32_t> send{3u, 4u};
-      auto pe = comm.ialltoallv<std::uint32_t>(send, counts);
-      if (comm.rank() == 0) {
-        (void)pe.wait();
-        (void)pe;  // rank 1 abandons its wait below
-      } else {
-        // Skipping the wait poisons this rank's schedule: the verifier
-        // reports the divergence at rank 0's wait rendezvous.
-        pe = decltype(pe){};  // drop the handle without completing it
-        comm.barrier();
-      }
-    });
-    FAIL() << "wait_exchange vs barrier must abort the world";
-  } catch (const verify::CollectiveMismatch& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("wait_exchange"), std::string::npos) << msg;
-  } catch (const hpcgraph::CheckError& e) {
-    // Equally acceptable: rank 1's barrier trips the pending-depth check
-    // locally before the fingerprint rendezvous can compare ops.
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("split-phase"), std::string::npos) << msg;
-  }
-#else
-  GTEST_SKIP() << "PARCOMM_VERIFY off: mismatch detection compiled out";
-#endif
-}
-
 }  // namespace

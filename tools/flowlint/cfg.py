@@ -1,17 +1,8 @@
-"""Per-function control-flow graph and the overlap-window dataflow.
+"""Per-function control-flow graph.
 
 The CFG is built from the statement AST (cxxparse): nodes carry the ordered
 event list of one straight-line region; edges follow if/else, switch
 (with fallthrough), loop back-edges, and break/continue/return/throw exits.
-
-On top of it runs the static form of the runtime `pending_depth_` check
-(DESIGN.md §9): a forward may-analysis of "a split-phase exchange may be in
-flight here".  Window opens (ialltoallv / exchange_start) set the flag,
-closes (wait / exchange_finish*) clear it, and any *blocking* collective
-reached while the flag may be set is a finding — the deadlock shape the
-engine only catches at runtime when the offending path is exercised.
-Interprocedural: a call replays the callee's effect summary op by op, so a
-collective buried two calls deep inside the window is still seen.
 """
 
 from __future__ import annotations
@@ -20,7 +11,7 @@ from dataclasses import dataclass, field
 
 from flowlint import cxxparse as cp
 
-__all__ = ["Node", "Cfg", "build_cfg", "overlap_window_scan"]
+__all__ = ["Node", "Cfg", "build_cfg"]
 
 
 @dataclass
@@ -71,7 +62,7 @@ class _Builder:
             if not cur.line:
                 cur.line = s.line
             # Inline (non-worker) lambdas run at this point: splice their
-            # bodies into the flow so window state threads through them.
+            # bodies into the flow.
             for lam in s.lambdas:
                 if lam.worker_ctx is None:
                     sub_entry = cfg.new_node(lam.line)
@@ -150,86 +141,3 @@ class _Builder:
 def build_cfg(body: cp.Block) -> Cfg:
     return _Builder().build(body)
 
-
-# ---------------------------------------------------------------------------
-# Overlap-window may-analysis
-# ---------------------------------------------------------------------------
-
-def _replay(effect: tuple, pending: bool, report, via: str, line: int,
-            summaries) -> bool:
-    """Thread the pending flag through a callee's effect trace; report any
-    blocking op hit while pending."""
-    for op in effect:
-        k = op[0]
-        if k == "c":
-            if pending:
-                report(line, op[1], via)
-        elif k == "open":
-            pending = True
-        elif k == "close":
-            pending = False
-        elif k == "loop":
-            if op[1]:
-                pending = _replay(op[1], pending, report, via, line,
-                                  summaries)
-        elif k == "v":
-            s = summaries.get(op[1])
-            if s is not None:
-                if pending and s.may_block:
-                    report(line, f"collective inside {op[1]}()", via)
-                if s.may_open and not s.may_close:
-                    pending = True
-                elif s.may_close and not s.may_open:
-                    pending = False
-    return pending
-
-
-def _transfer(node: Node, pending: bool, summaries, report=None) -> bool:
-    def noop(line, what, via):
-        pass
-
-    rep = report or noop
-    for ev in node.events:
-        line = ev.line
-        if ev.kind == "c":
-            if pending:
-                rep(line, f".{ev.name}()", None)
-        elif ev.kind == "open":
-            pending = True
-        elif ev.kind == "close":
-            pending = False
-        else:  # call
-            s = summaries.get(ev.name)
-            if s is None:
-                continue
-            if s.effect is not None:
-                pending = _replay(s.effect, pending, rep, ev.name, line,
-                                  summaries)
-            else:
-                if pending and s.may_block:
-                    rep(line, f"collective inside {ev.name}()", ev.name)
-                if s.may_open and not s.may_close:
-                    pending = True
-                elif s.may_close and not s.may_open:
-                    pending = False
-    return pending
-
-
-def overlap_window_scan(body: cp.Block, summaries, report) -> None:
-    """report(line, what, via_callee_or_None) for every blocking collective
-    that may execute between a window open and its close."""
-    cfg = build_cfg(body)
-    n = len(cfg.nodes)
-    in_pending = [False] * n
-    changed = True
-    while changed:  # may-analysis over booleans: converges in O(nodes) passes
-        changed = False
-        for node in cfg.nodes:
-            out_p = _transfer(node, in_pending[node.nid], summaries)
-            for s in node.succs:
-                if out_p and not in_pending[s.nid]:
-                    in_pending[s.nid] = True
-                    changed = True
-    # Reporting pass with stable in-states.
-    for node in cfg.nodes:
-        _transfer(node, in_pending[node.nid], summaries, report)

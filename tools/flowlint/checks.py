@@ -1,4 +1,4 @@
-"""The four control-flow collective-sequence checks (DESIGN.md §12).
+"""The three control-flow collective-sequence checks (DESIGN.md §12).
 
   flow-path-divergent-collectives
       Two paths through a function issue different collective sequences and
@@ -8,11 +8,6 @@
       bounded path enumeration (summaries.eval_unit) with completed paths
       grouped by the arm taken at each rank-dependent decision site; groups
       whose outcome sets differ are findings.
-  flow-collective-in-overlap-window
-      A blocking collective reachable between a split-phase initiation
-      (ialltoallv / exchange_start) and its completion (wait /
-      exchange_finish*) — the static form of the runtime pending_depth_
-      check.  CFG forward may-analysis; calls replay callee summaries.
   flow-collective-under-worker
       A collective reachable from a functor handed to
       ThreadPool::for_chunks/for_ranges/reduce_chunks: it would be issued
@@ -27,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from flowlint import cfg as cfg_mod
 from flowlint import cxxparse as cp
 from flowlint import summaries as sm
 
@@ -35,15 +29,12 @@ __all__ = ["FLOW_RULES", "ALL_RULES", "Finding", "FlowChecker", "check_units"]
 
 FLOW_RULES = (
     "flow-path-divergent-collectives",
-    "flow-collective-in-overlap-window",
     "flow-collective-under-worker",
     "flow-rank-dependent-loop-collective",
 )
 # stale-suppression is shared vocabulary with lint_discipline.py: each tool
 # polices the suppressions of the rules it owns.
 ALL_RULES = FLOW_RULES + ("stale-suppression",)
-
-_ISSUE_KINDS = cp.COLLECTIVES | cp.WINDOW_OPEN | cp.WINDOW_CLOSE
 
 
 @dataclass
@@ -107,8 +98,7 @@ class FlowChecker:
                            region_collect=body_collect,
                            cont_collect=cont_collect)
         if body_collect and sm.cond_is_rank_dep(loop.cond, env):
-            names = sorted(sm.node_may_issue(loop.body, env.summaries)
-                           & _ISSUE_KINDS)
+            names = sorted(sm.node_may_issue(loop.body, env.summaries))
             self._emit(
                 loop.line, "flow-rank-dependent-loop-collective",
                 f"collective{'s' if len(names) != 1 else ''} "
@@ -187,7 +177,7 @@ class FlowChecker:
 
 def check_units(path: str, units: list[sm.FuncUnit],
                 summaries: dict) -> list[Finding]:
-    """Run all four checks over one file's units with global summaries."""
+    """Run all three checks over one file's units with global summaries."""
     checker = FlowChecker(path)
 
     for unit in units:
@@ -196,8 +186,7 @@ def check_units(path: str, units: list[sm.FuncUnit],
 
         # Collectives under a worker functor.
         if unit.worker_ctx is not None:
-            names = sorted(sm.node_may_issue(unit.body, summaries)
-                           & _ISSUE_KINDS)
+            names = sorted(sm.node_may_issue(unit.body, summaries))
             if names:
                 checker._emit(
                     unit.line, "flow-collective-under-worker",
@@ -207,21 +196,5 @@ def check_units(path: str, units: list[sm.FuncUnit],
                     "once per pool thread, not once per rank — do the "
                     "parallel sweep first, then issue the collective from "
                     "the rank thread")
-
-        # Overlap window (CFG dataflow).  Inline lambdas are spliced into
-        # their parent's CFG, so only top-level units are scanned directly.
-        if unit.parent is None:
-            def report(line, what, via, _c=checker):
-                via_s = f" (via {via}())" if via else ""
-                _c._emit(
-                    line, "flow-collective-in-overlap-window",
-                    f"blocking {what}{via_s} may execute between a "
-                    "split-phase initiation (ialltoallv/exchange_start) and "
-                    "its completion (wait/exchange_finish): the static form "
-                    "of the pending_depth_ rule — no blocking collective "
-                    "may enter the overlap window (DESIGN.md §9); finish "
-                    "the exchange first or move the collective before the "
-                    "start")
-            cfg_mod.overlap_window_scan(unit.body, summaries, report)
 
     return checker.findings

@@ -10,9 +10,9 @@ Recovers, from the token stream of one translation unit:
   * lambda literals inside expressions, each with its own body AST and the
     name of the enclosing call it is an argument of (so a lambda handed to
     `ThreadPool::for_chunks` can be told apart from an entry lambda);
-  * per-expression *events*: collective issues, overlap-window opens/closes
-    and plain call sites, in left-to-right token order (a sound enough
-    stand-in for evaluation order at statement granularity).
+  * per-expression *events*: collective issues and plain call sites, in
+    left-to-right token order (a sound enough stand-in for evaluation order
+    at statement granularity).
 
 This is a heuristic parser, not a conforming one; the grammar subset matches
 the house style of src/analytics, src/engine and src/dgraph.  Constructs it
@@ -40,11 +40,6 @@ COLLECTIVES = {
     "allreduce_min", "allreduce_lor", "allgather", "allgatherv", "broadcast",
     "broadcast_vec", "gatherv", "barrier", "timed_barrier",
 }
-# Split-phase window openers / closers (Communicator::ialltoallv returns a
-# PendingExchange; GhostExchange::exchange_start wraps it).
-WINDOW_OPEN = {"ialltoallv", "exchange_start"}
-WINDOW_CLOSE = {"wait", "exchange_finish", "exchange_finish_combining"}
-
 # ThreadPool entry points whose functor runs on pool worker threads: a
 # collective reachable from one of these is issued per-thread, not per-rank.
 WORKER_ENTRY = {"for_chunks", "for_ranges", "reduce_chunks"}
@@ -63,7 +58,7 @@ _KEYWORDS = {
 
 @dataclass(frozen=True)
 class Event:
-    kind: str  # 'c' (blocking collective) | 'open' | 'close' | 'call'
+    kind: str  # 'c' (blocking collective) | 'call'
     name: str
     line: int
 
@@ -576,10 +571,6 @@ def _scan_expr(toks: list[Token], line: int) -> ExprStmt:
 def _method_event(name: str, line: int) -> Event | None:
     if name in COLLECTIVES:
         return Event("c", name, line)
-    if name in WINDOW_OPEN:
-        return Event("open", name, line)
-    if name in WINDOW_CLOSE:
-        return Event("close", name, line)
     return Event("call", name, line)
 
 

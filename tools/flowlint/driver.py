@@ -41,9 +41,6 @@ _RULE_DESCRIPTIONS = {
     "flow-path-divergent-collectives":
         "Two paths through a function issue different collective sequences "
         "under a rank-dependent condition.",
-    "flow-collective-in-overlap-window":
-        "A blocking collective may execute between a split-phase exchange "
-        "initiation and its completion.",
     "flow-collective-under-worker":
         "A collective is reachable from a ThreadPool worker functor (issued "
         "per-thread instead of per-rank).",

@@ -4,8 +4,6 @@ The abstract domain (DESIGN.md §12): the *effect* of a piece of code is the
 sequence of parcomm collectives it issues, abstracted to a tuple of ops
 
     ('c', name)      blocking collective issued here
-    ('open', name)   split-phase window opened (ialltoallv / exchange_start)
-    ('close', name)  split-phase window closed (wait / exchange_finish*)
     ('loop', eff)    a loop whose one-iteration effect is `eff` (or None if
                      iterations can differ)
     ('v', fname)     call into `fname`, which may issue collectives but whose
@@ -66,14 +64,10 @@ def _is_seed_ident(name: str) -> bool:
 @dataclass
 class Summary:
     effect: tuple | None = ()  # None == VARIES
-    may_issue: frozenset = frozenset()  # collective/open/close names reachable
-    may_open: bool = False
-    may_close: bool = False
-    may_block: bool = False
+    may_issue: frozenset = frozenset()  # collective names reachable
 
     def key(self):
-        return (self.effect, self.may_issue, self.may_open, self.may_close,
-                self.may_block)
+        return (self.effect, self.may_issue)
 
 
 @dataclass
@@ -279,7 +273,7 @@ def _nmi(node, summaries, out: set, depth: int) -> None:
             _nmi(s, summaries, out, depth + 1)
     elif isinstance(node, cp.ExprStmt):
         for ev in node.events:
-            if ev.kind in ("c", "open", "close"):
+            if ev.kind == "c":
                 out.add(ev.name)
             else:
                 s = summaries.get(ev.name)
@@ -329,7 +323,7 @@ def resolve_expr_ops(stmt: cp.ExprStmt, env: Env) -> tuple:
 
 
 def _event_ops(ev: cp.Event, env: Env) -> tuple:
-    if ev.kind in ("c", "open", "close"):
+    if ev.kind == "c":
         return ((ev.kind, ev.name),)
     s = env.summaries.get(ev.name)
     if s is None:
@@ -621,13 +615,7 @@ def compute_summaries(units: list[FuncUnit]) -> dict[str, Summary]:
                 for lu in lambda_children.get(id(f), []):
                     may |= node_may_issue(lu.body, summaries)
             effect = next(iter(effects)) if len(effects) == 1 else None
-            new = Summary(
-                effect=effect,
-                may_issue=frozenset(may),
-                may_open=any(n in cp.WINDOW_OPEN for n in may),
-                may_close=any(n in cp.WINDOW_CLOSE for n in may),
-                may_block=any(n in cp.COLLECTIVES for n in may),
-            )
+            new = Summary(effect=effect, may_issue=frozenset(may))
             if new.key() != summaries[name].key():
                 summaries[name] = new
                 changed = True
@@ -653,10 +641,6 @@ def render_effect(eff: tuple | None) -> str:
         k = op[0]
         if k == "c":
             parts.append(op[1])
-        elif k == "open":
-            parts.append(f"{op[1]}[start]")
-        elif k == "close":
-            parts.append(f"{op[1]}[finish]")
         elif k == "loop":
             parts.append(f"loop{{{render_effect(op[1])}}}")
         elif k == "v":

@@ -58,8 +58,6 @@ int usage(const char* msg = nullptr) {
       "timeline of every rank and pool thread\n"
       "                    [--metrics-json FILE] per-rank + aggregated "
       "comm/phase metrics registry dump\n"
-      "                    [--overlap]           split-phase ghost exchange "
-      "(pagerank/labelprop/wcc)\n"
       "                    [--schedule static|dynamic|edge]  intra-rank sweep "
       "schedule (schedule-aware analytics)\n"
       "                    [--frontier queue|bitmap|hybrid]  frontier "
@@ -143,7 +141,6 @@ int main(int argc, char** argv) {
   const std::string trace_json = cli.get("trace-json", "");
   const std::string trace_events = cli.get("trace-events", "");
   const std::string metrics_json = cli.get("metrics-json", "");
-  const bool overlap = cli.get_bool("overlap", false);
   const std::string sched_name = cli.get("schedule", "static");
   Schedule sched = Schedule::kStatic;
   if (!parse_schedule(sched_name, &sched))
@@ -254,7 +251,6 @@ int main(int argc, char** argv) {
       analytics::PageRankOptions o;
       o.max_iterations = iters;
       o.common.trace = trace_ptr;
-      o.common.overlap = overlap;
       o.common.schedule = sched;
       const auto res = analytics::pagerank(g, comm, o);
       if (!output.empty())
@@ -263,7 +259,6 @@ int main(int argc, char** argv) {
       analytics::LabelPropOptions o;
       o.iterations = iters;
       o.common.trace = trace_ptr;
-      o.common.overlap = overlap;
       o.common.schedule = sched;
       const auto res = analytics::label_propagation(g, comm, o);
       if (!output.empty())
@@ -271,7 +266,6 @@ int main(int argc, char** argv) {
     } else if (analytic == "wcc") {
       analytics::WccOptions o;
       o.common.trace = trace_ptr;
-      o.common.overlap = overlap;
       o.common.schedule = sched;
       const auto res = analytics::wcc(g, comm, o);
       if (root_rank)

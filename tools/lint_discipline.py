@@ -43,10 +43,9 @@ algorithm code (src/analytics, src/engine, src/dgraph):
       they excused.
   raw-nonblocking-mpi
       Raw MPI nonblocking primitives (MPI_Ialltoallv, MPI_Isend, MPI_Wait*,
-      MPI_Test*, MPI_Request, ...) outside src/parcomm.  Split-phase
-      communication must go through Communicator::ialltoallv and
-      PendingExchange::wait so the request pool, the pending-depth
-      discipline check, and the PARCOMM_VERIFY fingerprints all see it.
+      MPI_Test*, MPI_Request, ...) outside src/parcomm.  No nonblocking
+      path is sanctioned: every exchange uses the blocking Communicator
+      collectives, which the PARCOMM_VERIFY fingerprints and flowlint see.
   raw-parallel-chunking
       Hand-rolled thread-id arithmetic partitioning (`tid * chunk`,
       `thread_id * span`, ...) in algorithm code.  Loop decomposition must
@@ -130,7 +129,6 @@ except Exception:  # missing package / syntax error: degrade, don't die
 # Rules owned by flowlint: accepted in shared fixtures, never judged here.
 FLOWLINT_RULES = (
     "flow-path-divergent-collectives",
-    "flow-collective-in-overlap-window",
     "flow-collective-under-worker",
     "flow-rank-dependent-loop-collective",
 )
@@ -444,10 +442,10 @@ def check_raw_nonblocking_mpi(code: str, findings, path):
     for m in RAW_NONBLOCKING_MPI_RE.finditer(code):
         findings.append(Finding(
             path, line_of(code, m.start()), "raw-nonblocking-mpi",
-            f"raw {m.group(0)} outside src/parcomm: split-phase "
-            "communication must go through Communicator::ialltoallv / "
-            "PendingExchange::wait so the request pool, the pending-depth "
-            "check, and the PARCOMM_VERIFY fingerprints all see it"))
+            f"raw {m.group(0)} outside src/parcomm: no nonblocking path is "
+            "sanctioned; exchange through the blocking Communicator "
+            "collectives so the PARCOMM_VERIFY fingerprints and flowlint "
+            "see it"))
 
 
 def check_raw_parallel_chunking(code: str, findings, path):

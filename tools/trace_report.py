@@ -9,18 +9,18 @@ timeline means for the paper's questions:
   * per-superstep critical path — which rank's round was longest, and the
     max/mean imbalance across ranks for every round;
   * per-rank load — total busy time per (rank, thread) lane;
-  * comm-hidden ratio — interior compute overlapped with the in-flight
-    exchange, recomputed from rank 0's exchange_start / exchange_finish /
-    compute_interior spans exactly the way the engine derives
-    SuperstepRecord.comm_hidden.
+  * agreement of the two telemetry paths — rank 0's engine.exchange span
+    per round against the exchange_us the engine stored in the matching
+    SuperstepRecord.
 
 Modes:
   trace_report.py TRACE                      human-readable report
   trace_report.py --check TRACE              schema/sanity gate (CI)
   trace_report.py --validate-superstep SS TRACE
-                                             cross-check comm_hidden against
-                                             the --trace-json superstep
-                                             telemetry (5% tolerance)
+                                             cross-check per-round exchange
+                                             time against the --trace-json
+                                             superstep telemetry (5%
+                                             tolerance)
   trace_report.py --diff BASELINE TRACE      per-span-name regression diff
   trace_report.py --selftest                 synthetic end-to-end self-test
 
@@ -36,14 +36,14 @@ from collections import defaultdict
 SCHEMA = "hpcgraph-trace-events-v1"
 
 SUPERSTEP = "engine.superstep"
-EXCHANGE_SPANS = ("engine.exchange", "engine.exchange_start",
-                  "engine.exchange_finish")
-INTERIOR = "engine.compute_interior"
+COMPUTE = "engine.compute"
+EXCHANGE = "engine.exchange"
 
-# --validate-superstep tolerance: the engine records exchange/overlap from
-# the very spans exported here, so the match is near-exact; 5 points of
-# absolute slack absorbs the µs truncation in SuperstepRecord.
-HIDDEN_TOL = 0.05
+# --validate-superstep tolerance: the engine times exchange_us with the very
+# engine.exchange span exported here, so the two differ only by the record's
+# truncation to whole µs.  A round passes within 5% of the longer of the two,
+# or within that 1 µs truncation for very short exchanges.
+EXCHANGE_TOL = 0.05
 
 
 def load(path):
@@ -150,20 +150,11 @@ def children_in(doc, parent, names):
     return out
 
 
-def comm_hidden_per_superstep(doc, rank_pid=0):
-    """[(interior_us, exchange_us, hidden)] for rank 0's rounds, in order.
-
-    Mirrors SuperstepRecord.comm_hidden(): overlap / (overlap + exchange),
-    where exchange covers the blocking call or both split-phase halves.
-    """
-    out = []
-    for ss in supersteps_by_rank(doc).get(rank_pid, []):
-        interior = sum(e["dur"] for e in children_in(doc, ss, {INTERIOR}))
-        exch = sum(e["dur"]
-                   for e in children_in(doc, ss, set(EXCHANGE_SPANS)))
-        denom = interior + exch
-        out.append((interior, exch, interior / denom if denom > 0 else 0.0))
-    return out
+def exchange_per_superstep(doc, rank_pid=0):
+    """engine.exchange µs inside each of rank 0's superstep spans, in round
+    order (0 for rounds without a ghost exchange, e.g. frontier rounds)."""
+    return [sum(e["dur"] for e in children_in(doc, ss, {EXCHANGE}))
+            for ss in supersteps_by_rank(doc).get(rank_pid, [])]
 
 
 # ---------------------------------------------------------------- reports --
@@ -204,45 +195,35 @@ def report(doc):
         imbal = mx / mean if mean > 0 else 0.0
         print(f"  {r:>5} {crit:>9} {mx / 1e3:>9.3f} {mean / 1e3:>9.3f} "
               f"{imbal:>6.2f}")
-
-    hidden = comm_hidden_per_superstep(doc)
-    overlapped = [h for h in hidden if h[1] > 0]
-    if overlapped:
-        print("\ncomm-hidden per round (rank 0, overlap/(overlap+exchange)):")
-        for i, (intr, exch, h) in enumerate(hidden):
-            print(f"  round {i:>3}: interior {intr / 1e3:8.3f} ms, "
-                  f"exchange {exch / 1e3:8.3f} ms, hidden {h:5.1%}")
-        tot_i = sum(h[0] for h in hidden)
-        tot_e = sum(h[1] for h in hidden)
-        agg = tot_i / (tot_i + tot_e) if tot_i + tot_e > 0 else 0.0
-        print(f"  aggregate hidden: {agg:.1%}")
     return 0
 
 
 def validate_superstep(doc, ss_path):
-    """Cross-check trace-derived comm_hidden against --trace-json records."""
+    """Cross-check rank 0's per-round engine.exchange span time against the
+    exchange_us of the matching --trace-json records."""
     ss = load(ss_path)
     if ss.get("schema") != "hpcgraph-superstep-trace-v1":
         return fail(f"{ss_path}: not a superstep trace")
     records = ss.get("supersteps", [])
-    derived = comm_hidden_per_superstep(doc)
+    derived = exchange_per_superstep(doc)
     if len(records) != len(derived):
         return fail(f"{len(records)} superstep records vs "
                     f"{len(derived)} superstep spans on rank 0")
     worst = 0.0
     checked = 0
-    for i, (rec, (_, _, h)) in enumerate(zip(records, derived)):
-        want = rec.get("comm_hidden", 0.0)
-        if rec.get("overlap_us", 0) == 0 and rec.get("exchange_us", 0) == 0:
-            continue  # round without a timed exchange window
+    for i, (rec, got) in enumerate(zip(records, derived)):
+        want = rec.get("exchange_us", 0)
+        if want == 0 and got == 0:
+            continue  # round without a ghost exchange
         checked += 1
-        delta = abs(h - want)
+        delta = abs(got - want)
         worst = max(worst, delta)
-        if delta > HIDDEN_TOL:
-            return fail(f"round {i}: trace comm_hidden {h:.4f} vs "
-                        f"record {want:.4f} (|Δ| {delta:.4f} > {HIDDEN_TOL})")
+        if delta > max(EXCHANGE_TOL * max(got, want), 1.0):
+            return fail(f"round {i}: trace {EXCHANGE} {got:.1f} µs vs "
+                        f"record exchange_us {want} (|Δ| {delta:.1f} µs > "
+                        f"{EXCHANGE_TOL:.0%})")
     print(f"validate-superstep: OK — {checked}/{len(records)} rounds "
-          f"checked, worst |Δ| {worst:.4f} (tol {HIDDEN_TOL})")
+          f"checked, worst |Δ| {worst:.1f} µs (tol {EXCHANGE_TOL:.0%})")
     return 0
 
 
@@ -277,7 +258,7 @@ def diff(doc, base_path, max_regress):
 # --------------------------------------------------------------- selftest --
 
 def _synthetic_trace():
-    """Two ranks × two threads, two supersteps with a known hidden ratio."""
+    """Two ranks × two threads, two supersteps with a 200 µs exchange each."""
     ev = []
     for pid in (0, 1):
         ev.append({"ph": "M", "pid": pid, "tid": 0, "name": "process_name",
@@ -285,8 +266,8 @@ def _synthetic_trace():
         for tid, tname in ((0, "main"), (1, "pool-1")):
             ev.append({"ph": "M", "pid": pid, "tid": tid,
                        "name": "thread_name", "args": {"name": tname}})
-    # Round r on rank p: superstep [base, base+1000); start 100, interior
-    # 300, finish 100 -> hidden = 300 / (300 + 200) = 0.6 exactly.
+    # Round r on rank p: superstep [base, base+1000); compute 300, then the
+    # exchange 200.
     for r in range(2):
         for pid in (0, 1):
             base = r * 2000 + pid * 10
@@ -294,14 +275,10 @@ def _synthetic_trace():
                        "dur": 1000 + 50 * pid, "cat": "obs",
                        "name": SUPERSTEP})
             ev.append({"ph": "X", "pid": pid, "tid": 0, "ts": base + 10,
-                       "dur": 100, "cat": "obs",
-                       "name": "engine.exchange_start"})
-            ev.append({"ph": "X", "pid": pid, "tid": 0, "ts": base + 120,
-                       "dur": 300, "cat": "obs", "name": INTERIOR})
-            ev.append({"ph": "X", "pid": pid, "tid": 0, "ts": base + 430,
-                       "dur": 100, "cat": "obs",
-                       "name": "engine.exchange_finish"})
-            ev.append({"ph": "X", "pid": pid, "tid": 1, "ts": base + 120,
+                       "dur": 300, "cat": "obs", "name": COMPUTE})
+            ev.append({"ph": "X", "pid": pid, "tid": 0, "ts": base + 320,
+                       "dur": 200, "cat": "obs", "name": EXCHANGE})
+            ev.append({"ph": "X", "pid": pid, "tid": 1, "ts": base + 10,
                        "dur": 290, "cat": "obs", "name": "pool.sweep"})
             ev.append({"ph": "C", "pid": pid, "tid": 0, "ts": base + 600,
                        "name": "frontier.active", "args": {"value": 42.0}})
@@ -310,27 +287,27 @@ def _synthetic_trace():
             "traceEvents": ev}
 
 
+def _validate_against(doc, exchange_us):
+    """validate_superstep against records carrying these exchange_us."""
+    path = _write_tmp({"schema": "hpcgraph-superstep-trace-v1",
+                       "supersteps": [{"exchange_us": us}
+                                      for us in exchange_us]})
+    try:
+        return validate_superstep(doc, path)
+    finally:
+        os.unlink(path)
+
+
 def selftest():
     doc = _synthetic_trace()
     problems = check(doc)
     assert not problems, problems
-    hidden = comm_hidden_per_superstep(doc)
-    assert len(hidden) == 2, hidden
-    for intr, exch, h in hidden:
-        assert abs(h - 0.6) < 1e-9, hidden
-        assert intr == 300 and exch == 200, hidden
-    # Cross-check against a synthetic superstep-trace with matching records.
-    ss = {"schema": "hpcgraph-superstep-trace-v1",
-          "supersteps": [{"comm_hidden": 0.6, "overlap_us": 300,
-                          "exchange_us": 200} for _ in range(2)]}
-    import tempfile, os
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as f:
-        json.dump(ss, f)
-        ss_path = f.name
-    try:
-        assert validate_superstep(doc, ss_path) == 0
-    finally:
-        os.unlink(ss_path)
+    assert exchange_per_superstep(doc) == [200, 200]
+    # Cross-check against superstep traces: matching records pass (within
+    # the µs truncation), a 10% mismatch or a missing record fails.
+    assert _validate_against(doc, [200, 199]) == 0
+    assert _validate_against(doc, [200, 220]) == 1
+    assert _validate_against(doc, [200]) == 1
     # A corrupted trace must fail --check.
     bad = _synthetic_trace()
     next(e for e in bad["traceEvents"] if e["ph"] == "X")["dur"] = -1
@@ -339,7 +316,7 @@ def selftest():
     assert diff(doc, _write_tmp(doc), max_regress=10.0) == 0
     slow = _synthetic_trace()
     for e in slow["traceEvents"]:
-        if e.get("name") == INTERIOR:
+        if e.get("name") == COMPUTE:
             e["dur"] *= 2
     assert diff(slow, _write_tmp(doc), max_regress=10.0) == 1
     assert report(doc) == 0
@@ -364,7 +341,8 @@ def main(argv):
     ap.add_argument("--check", action="store_true",
                     help="schema/sanity validation only (CI gate)")
     ap.add_argument("--validate-superstep", metavar="SSTRACE",
-                    help="cross-check comm_hidden against a --trace-json file")
+                    help="cross-check per-round exchange time against a "
+                         "--trace-json file")
     ap.add_argument("--diff", metavar="BASELINE",
                     help="diff span totals against a baseline trace")
     ap.add_argument("--max-regress", type=float, default=float("inf"),
