@@ -6,7 +6,8 @@
 //   * LabelCounter (the Algorithm-1 `lmap`) vs std::unordered_map counting;
 //   * Algorithm-3 thread-local queues vs one-atomic-per-item pushes;
 //   * retained vs rebuilt ghost-exchange queues (§III-D1);
-//   * Alltoallv payload throughput of the simulated runtime.
+//   * Alltoallv payload throughput of the simulated runtime;
+//   * graph construction (Exchange + LConv of Table III) per input edge.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +17,7 @@
 #include "dgraph/builder.hpp"
 #include "dgraph/ghost_exchange.hpp"
 #include "gen/rmat.hpp"
+#include "gen/webgraph.hpp"
 #include "parcomm/comm.hpp"
 #include "util/label_counter.hpp"
 #include "util/lp_hash_map.hpp"
@@ -227,6 +229,39 @@ void BM_Alltoallv(benchmark::State& state) {
                           static_cast<std::int64_t>(per_dest) * p * p * 8);
 }
 BENCHMARK(BM_Alltoallv)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 16);
+
+// ---------- graph construction ----------
+
+// Builder::from_edge_list on a webgraph at 2^16 with 4 ranks: Table III's
+// Exchange and LConv stages without the file read, in wall time per input
+// edge (the `per_edge` counter).  Arg 0: vertex-block, 1: random partition.
+void BM_BuildFromEdgeList(benchmark::State& state) {
+  static const gen::EdgeList graph = [] {
+    gen::WebGraphParams wp;
+    wp.n = gvid_t{1} << 16;
+    return gen::webgraph(wp).graph;
+  }();
+  const auto kind = state.range(0) == 0 ? dgraph::PartitionKind::kVertexBlock
+                                        : dgraph::PartitionKind::kRandom;
+  state.SetLabel(dgraph::partition_label(kind));
+  parcomm::CommWorld world(4);
+  for (auto _ : state) {
+    world.run([&](parcomm::Communicator& comm) {
+      const dgraph::DistGraph g =
+          dgraph::Builder::from_edge_list(comm, graph, kind);
+      benchmark::DoNotOptimize(g.m_out());
+    });
+  }
+  state.counters["per_edge"] = benchmark::Counter(
+      static_cast<double>(graph.m()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_BuildFromEdgeList)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace hpcgraph

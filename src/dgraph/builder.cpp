@@ -1,9 +1,9 @@
 #include "dgraph/builder.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/prefix_sum.hpp"
-#include "util/thread_queue.hpp"
 #include "util/timer.hpp"
 
 namespace hpcgraph::dgraph {
@@ -25,23 +25,129 @@ std::vector<std::uint64_t> allreduce_sum_vec(Communicator& comm,
   return out;
 }
 
-/// Redistribute `edges` so each lands on part.owner(key(e)).
-/// Returned edges are grouped by source rank (deterministic order).
-template <typename KeyFn>
-std::vector<Edge> exchange_edges(Communicator& comm, const Partition& part,
-                                 std::span<const Edge> edges, KeyFn key) {
-  const int p = comm.size();
-  std::vector<std::uint64_t> counts(p, 0);
-  for (const Edge& e : edges) ++counts[part.owner(key(e))];
+/// Frees a vector's storage now rather than at the end of its scope.
+template <typename T>
+void release(std::vector<T>& v) {
+  std::vector<T>().swap(v);
+}
 
-  MultiQueue<Edge> q(counts);
-  {
-    MultiQueue<Edge>::Sink sink(q);
-    for (const Edge& e : edges)
-      sink.push(static_cast<std::uint32_t>(part.owner(key(e))), e);
+/// Stable counting sort of `edges` into `send` (one slot per edge) by
+/// part.owner(key(e)): input order is kept within each destination segment,
+/// and that order fixes the per-vertex order of the CSR.
+template <typename KeyFn>
+void pack_by_owner(const Partition& part, std::span<const Edge> edges,
+                   std::span<const std::uint64_t> counts, KeyFn key,
+                   std::span<Edge> send) {
+  std::vector<std::uint64_t> at(counts.size());
+  exclusive_prefix_sum(counts, std::span<std::uint64_t>(at));
+  for (const Edge& e : edges) send[at[part.owner(key(e))]++] = e;
+}
+
+/// Global-to-local id translation during LConv, one call per endpoint.
+/// Owned vertices map to [0, n_loc): by arithmetic on block partitions, by
+/// one probe of the map (pre-filled with them) otherwise.  A remote vertex
+/// gets a provisional ghost id n_loc + k from the same single probe
+/// (LpHashMap::find_or_insert), k counting distinct ghosts in first-seen
+/// order.
+class LocalIds {
+ public:
+  LocalIds(const Partition& part, int rank, lvid_t n_loc, LpHashMap& map)
+      : map_(map), n_loc_(n_loc), block_(part.is_block()),
+        lo_(block_ ? part.block_range(rank).first : 0) {}
+
+  lvid_t operator()(gvid_t v) {
+    if (block_ && v - lo_ < n_loc_) return static_cast<lvid_t>(v - lo_);
+    const auto next = static_cast<std::uint32_t>(n_loc_ + seen_.size());
+    const std::uint32_t l = map_.find_or_insert(v, next);
+    if (l == next) seen_.push_back(v);
+    return static_cast<lvid_t>(l);
   }
-  HG_DCHECK(q.complete());
-  return comm.alltoallv<Edge>(q.buffer(), counts);
+
+  lvid_t n_loc() const { return n_loc_; }
+
+  /// The distinct ghosts as (global id, provisional id - n_loc) pairs in
+  /// increasing global-id order, the order of their final ids.  Sorts each
+  /// ghost once, not each occurrence.
+  std::vector<std::pair<gvid_t, lvid_t>> sorted_ghosts() {
+    std::vector<std::pair<gvid_t, lvid_t>> out(seen_.size());
+    for (std::size_t k = 0; k < out.size(); ++k)
+      out[k] = {seen_[k], static_cast<lvid_t>(k)};
+    release(seen_);
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+ private:
+  LpHashMap& map_;
+  lvid_t n_loc_;
+  bool block_;
+  gvid_t lo_;
+  std::vector<gvid_t> seen_;
+};
+
+/// One direction's received edges in local ids: `row[i]` is edge i's owned
+/// endpoint (the one it was routed by), `col[i]` its other endpoint, a
+/// provisional ghost id when remote.
+struct LocalEdges {
+  std::vector<lvid_t> row, col;
+};
+
+/// Translates and frees `recv`; `kOut`: rows are sources, else destinations.
+template <bool kOut>
+LocalEdges to_local(std::vector<Edge>& recv, LocalIds& local) {
+  LocalEdges t{std::vector<lvid_t>(recv.size()),
+               std::vector<lvid_t>(recv.size())};
+  for (std::size_t i = 0; i < recv.size(); ++i) {
+    const Edge& e = recv[i];
+    t.row[i] = local(kOut ? e.src : e.dst);
+    t.col[i] = local(kOut ? e.dst : e.src);
+    HG_DCHECK(t.row[i] < local.n_loc());
+  }
+  release(recv);
+  return t;
+}
+
+/// CSR over rows [0, n_loc) of `t` (consumed), each row's entries in
+/// received order, with provisional ghost ids renamed through `ghost_id`.
+/// No map probes.
+void fill_csr(LocalEdges t, lvid_t n_loc, std::span<const lvid_t> ghost_id,
+              std::vector<ecnt_t>& index, std::vector<lvid_t>& adj) {
+  std::vector<ecnt_t> cursor(n_loc, 0);
+  for (const lvid_t r : t.row) ++cursor[r];
+  index = csr_offsets(std::span<const ecnt_t>(cursor));
+  std::copy(index.begin(), index.end() - 1, cursor.begin());
+  adj.resize(t.row.size());
+  for (std::size_t i = 0; i < t.row.size(); ++i) {
+    const lvid_t c = t.col[i];
+    adj[cursor[t.row[i]]++] = c < n_loc ? c : ghost_id[c - n_loc];
+  }
+}
+
+/// Every endpoint must lie in [0, n_global): a larger id would index past
+/// the partition's bounds, its owner map or the edge-block degree
+/// histogram.  Called once per chunk, before make_partition or owner().
+void check_endpoints(std::size_t m, gvid_t max_id, gvid_t n_global,
+                     int rank) {
+  HG_CHECK_MSG(m == 0 || max_id < n_global,
+               "Builder: vertex id " << max_id << " >= n_global " << n_global
+                                     << " in the edge chunk of rank "
+                                     << rank);
+}
+
+/// This rank's contiguous ~m/p slice of an in-memory edge list, its
+/// endpoints checked against graph.n as they are copied.
+std::vector<Edge> rank_slice(Communicator& comm, const gen::EdgeList& graph) {
+  const auto [first, count] =
+      io::chunk_for_rank(graph.edges.size(), comm.rank(), comm.size());
+  std::vector<Edge> chunk;
+  chunk.reserve(count);
+  gvid_t max_id = 0;
+  for (const Edge& e : std::span(graph.edges).subspan(first, count)) {
+    max_id = std::max({max_id, e.src, e.dst});
+    chunk.push_back(e);
+  }
+  check_endpoints(chunk.size(), max_id, graph.n, comm.rank());
+  return chunk;
 }
 
 }  // namespace
@@ -80,12 +186,23 @@ DistGraph Builder::from_chunk(Communicator& comm, gvid_t n_global,
   Timer stage;
 
   // ---- Exchange stage: out-edges to owner(src), in-edges to owner(dst). --
-  std::vector<Edge> out_recv =
-      exchange_edges(comm, part, chunk, [](const Edge& e) { return e.src; });
-  std::vector<Edge> in_recv =
-      exchange_edges(comm, part, chunk, [](const Edge& e) { return e.dst; });
-  chunk.clear();
-  chunk.shrink_to_fit();
+  // One pass counts both directions; each is then packed into the same send
+  // buffer, and the chunk is freed before the in-edge receive allocates.
+  const auto p = static_cast<std::size_t>(comm.size());
+  std::vector<std::uint64_t> out_counts(p, 0), in_counts(p, 0);
+  for (const Edge& e : chunk) {
+    ++out_counts[part.owner(e.src)];
+    ++in_counts[part.owner(e.dst)];
+  }
+  std::vector<Edge> send(chunk.size());
+  pack_by_owner(part, chunk, out_counts,
+                [](const Edge& e) { return e.src; }, send);
+  std::vector<Edge> out_recv = comm.alltoallv<Edge>(send, out_counts);
+  pack_by_owner(part, chunk, in_counts, [](const Edge& e) { return e.dst; },
+                send);
+  release(chunk);
+  std::vector<Edge> in_recv = comm.alltoallv<Edge>(send, in_counts);
+  release(send);
   comm.barrier();
   const double t_exchange = stage.restart();
 
@@ -94,62 +211,43 @@ DistGraph Builder::from_chunk(Communicator& comm, gvid_t n_global,
   g.n_global_ = n_global;
   g.m_global_ = comm.allreduce_sum<ecnt_t>(out_recv.size());
 
-  const std::vector<gvid_t> owned = part.owned_vertices(comm.rank());
+  std::vector<gvid_t> owned = part.owned_vertices(comm.rank());
   g.n_loc_ = static_cast<lvid_t>(owned.size());
 
   g.map_.reserve(owned.size() * 2);
   for (lvid_t i = 0; i < g.n_loc_; ++i)
     g.map_.insert(owned[i], i);
 
-  // Ghosts: remote endpoints of local edges, deduplicated, relabeled in
-  // increasing global-id order (determinism).
-  std::vector<gvid_t> ghosts;
-  ghosts.reserve(out_recv.size() / 4 + 16);
-  const auto note_ghost = [&](gvid_t u) {
-    if (g.map_.find(u) == LpHashMap::kNotFound) ghosts.push_back(u);
-  };
-  for (const Edge& e : out_recv) note_ghost(e.dst);
-  for (const Edge& e : in_recv) note_ghost(e.src);
-  std::sort(ghosts.begin(), ghosts.end());
-  ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
+  // Each received endpoint is translated once; the map is probed only for
+  // endpoints a block range cannot place.
+  LocalIds local(part, comm.rank(), g.n_loc_, g.map_);
+  LocalEdges out_local = to_local<true>(out_recv, local);
+  LocalEdges in_local = to_local<false>(in_recv, local);
+
+  // Ghosts take their final ids in increasing global-id order
+  // (determinism); provisional ids are renamed through `ghost_id`, and the
+  // ghosts' map values are overwritten with the final ids.
+  std::vector<std::pair<gvid_t, lvid_t>> ghosts = local.sorted_ghosts();
   g.n_gst_ = static_cast<lvid_t>(ghosts.size());
 
-  g.unmap_.reserve(owned.size() + ghosts.size());
-  g.unmap_ = owned;
-  g.unmap_.insert(g.unmap_.end(), ghosts.begin(), ghosts.end());
-  g.ghost_task_.resize(ghosts.size());
-  for (lvid_t k = 0; k < g.n_gst_; ++k) {
-    g.map_.insert(ghosts[k], g.n_loc_ + k);
-    g.ghost_task_[k] = part.owner(ghosts[k]);
+  std::vector<lvid_t> ghost_id(g.n_gst_);
+  g.unmap_ = std::move(owned);
+  g.unmap_.resize(g.n_total());
+  g.ghost_task_.resize(g.n_gst_);
+  for (lvid_t j = 0; j < g.n_gst_; ++j) {
+    const auto [v, k] = ghosts[j];
+    const lvid_t l = g.n_loc_ + j;
+    ghost_id[k] = l;
+    g.unmap_[l] = v;
+    g.ghost_task_[j] = part.owner(v);
+    g.map_.insert(v, l);
   }
+  release(ghosts);
 
-  // Out-CSR: count, prefix, fill (received order preserved per vertex).
-  {
-    std::vector<ecnt_t> deg(g.n_loc_, 0);
-    for (const Edge& e : out_recv) ++deg[g.map_.at(e.src)];
-    g.out_index_ = csr_offsets(std::span<const ecnt_t>(deg));
-    g.out_edges_.resize(out_recv.size());
-    std::vector<ecnt_t> cursor(g.out_index_.begin(), g.out_index_.end() - 1);
-    for (const Edge& e : out_recv) {
-      const lvid_t s = static_cast<lvid_t>(g.map_.at(e.src));
-      g.out_edges_[cursor[s]++] = static_cast<lvid_t>(g.map_.at(e.dst));
-    }
-  }
-  out_recv.clear();
-  out_recv.shrink_to_fit();
-
-  // In-CSR.
-  {
-    std::vector<ecnt_t> deg(g.n_loc_, 0);
-    for (const Edge& e : in_recv) ++deg[g.map_.at(e.dst)];
-    g.in_index_ = csr_offsets(std::span<const ecnt_t>(deg));
-    g.in_edges_.resize(in_recv.size());
-    std::vector<ecnt_t> cursor(g.in_index_.begin(), g.in_index_.end() - 1);
-    for (const Edge& e : in_recv) {
-      const lvid_t d = static_cast<lvid_t>(g.map_.at(e.dst));
-      g.in_edges_[cursor[d]++] = static_cast<lvid_t>(g.map_.at(e.src));
-    }
-  }
+  fill_csr(std::move(out_local), g.n_loc_, ghost_id, g.out_index_,
+           g.out_edges_);
+  fill_csr(std::move(in_local), g.n_loc_, ghost_id, g.in_index_,
+           g.in_edges_);
 
   g.build_boundary_locals();
 
@@ -174,12 +272,10 @@ DistGraph Builder::from_file(Communicator& comm, const std::string& path,
   comm.barrier();
   const double t_read = stage.restart();
 
-  if (n_global == 0) {
-    gvid_t local_max = 0;
-    for (const Edge& e : chunk)
-      local_max = std::max({local_max, e.src, e.dst});
-    n_global = comm.allreduce_max(local_max) + 1;
-  }
+  gvid_t max_id = 0;
+  for (const Edge& e : chunk) max_id = std::max({max_id, e.src, e.dst});
+  if (n_global == 0) n_global = comm.allreduce_max(max_id) + 1;
+  check_endpoints(chunk.size(), max_id, n_global, comm.rank());
 
   const Partition part =
       make_partition(comm, kind, n_global, chunk, part_seed);
@@ -192,10 +288,7 @@ DistGraph Builder::from_edge_list(Communicator& comm,
                                   const gen::EdgeList& graph,
                                   PartitionKind kind, BuildTiming* timing,
                                   std::uint64_t part_seed) {
-  const auto [first, count] =
-      io::chunk_for_rank(graph.edges.size(), comm.rank(), comm.size());
-  std::vector<Edge> chunk(graph.edges.begin() + first,
-                          graph.edges.begin() + first + count);
+  std::vector<Edge> chunk = rank_slice(comm, graph);
   const Partition part =
       make_partition(comm, kind, graph.n, chunk, part_seed);
   return from_chunk(comm, graph.n, std::move(chunk), part, timing);
@@ -207,11 +300,7 @@ DistGraph Builder::from_edge_list(Communicator& comm,
                                   BuildTiming* timing) {
   HG_CHECK(part.n_global() == graph.n);
   HG_CHECK(part.nranks() == comm.size());
-  const auto [first, count] =
-      io::chunk_for_rank(graph.edges.size(), comm.rank(), comm.size());
-  std::vector<Edge> chunk(graph.edges.begin() + first,
-                          graph.edges.begin() + first + count);
-  return from_chunk(comm, graph.n, std::move(chunk), part, timing);
+  return from_chunk(comm, graph.n, rank_slice(comm, graph), part, timing);
 }
 
 }  // namespace hpcgraph::dgraph

@@ -4,12 +4,22 @@
 ///
 /// Three stages, individually timed (Table III):
 ///   * **Read**: every rank reads a contiguous ~m/p chunk of the binary edge
-///     file (io::read_edge_chunk).
+///     file (io::read_edge_chunk).  Every endpoint is checked against
+///     n_global before any partition lookup sees it.
 ///   * **Exchange**: edges are redistributed with Alltoallv so each rank
-///     holds all out-edges of its owned vertices; then the edge list is
-///     reversed and exchanged again for in-edges.
+///     holds all out-edges of its owned vertices, then again keyed by
+///     destination for in-edges.  One pass counts both directions; each
+///     direction is packed by a stable counting sort into one reused send
+///     buffer, so input order survives within each destination, and the
+///     chunk is freed before the in-edge receive buffer is allocated.
 ///   * **LConv**: per-rank conversion to the CSR representation of Table II
-///     with ghost relabeling.
+///     with ghost relabeling.  Each received endpoint is translated to a
+///     local id once: owned ids by arithmetic on block partitions (one map
+///     probe otherwise), remote ids by one LpHashMap::find_or_insert that
+///     hands out provisional ghost ids in first-seen order.  Only the
+///     distinct ghosts are then sorted, into their final increasing-global-id
+///     numbering, and both CSRs are counted and filled from the translated
+///     arrays without touching the map.
 ///
 /// No preprocessing: vertex ids are used as given, duplicate edges and
 /// self-loops are preserved.
@@ -58,6 +68,7 @@ class Builder {
                                   BuildTiming* timing = nullptr);
 
   /// Core pipeline given this rank's edge chunk and a ready partition.
+  /// Every endpoint must be below n_global (the entry points above check).
   static DistGraph from_chunk(parcomm::Communicator& comm, gvid_t n_global,
                               std::vector<gen::Edge> chunk,
                               const Partition& part,

@@ -43,19 +43,22 @@ class LpHashMap {
 
   /// Insert key -> val.  If the key exists its value is overwritten.
   void insert(gvid_t key, std::uint32_t val) {
-    HG_DCHECK(key != kEmpty);
-    if ((size_ + 1) * 10 > capacity() * 7) grow();
-    std::size_t i = slot(key);
-    while (keys_[i] != kEmpty) {
-      if (keys_[i] == key) {
-        vals_[i] = val;
-        return;
-      }
-      i = (i + 1) & mask_;
+    const std::size_t i = probe(key);
+    if (keys_[i] == key) {
+      vals_[i] = val;
+    } else {
+      put(i, key, val);
     }
-    keys_[i] = key;
-    vals_[i] = val;
-    ++size_;
+  }
+
+  /// The value of `key`, inserting key -> val first if it is absent; an
+  /// existing value is returned unchanged.  One probe sequence either way,
+  /// so a caller that hands out ids on first sight translates each key once.
+  std::uint32_t find_or_insert(gvid_t key, std::uint32_t val) {
+    const std::size_t i = probe(key);
+    if (keys_[i] == key) return vals_[i];
+    put(i, key, val);
+    return val;
   }
 
   /// Look up a key; returns kNotFound when absent.
@@ -86,6 +89,28 @@ class LpHashMap {
   static constexpr gvid_t kEmpty = kNullGvid;
 
   std::size_t slot(gvid_t key) const { return splitmix64(key) & mask_; }
+
+  /// The slot holding `key`, or the empty slot that ends its probe sequence
+  /// (`key` must not be the empty marker).
+  std::size_t probe(gvid_t key) const {
+    HG_DCHECK(key != kEmpty);
+    std::size_t i = slot(key);
+    while (keys_[i] != kEmpty && keys_[i] != key) i = (i + 1) & mask_;
+    return i;
+  }
+
+  /// Store a new key at `i`, the empty slot probe(key) returned, growing
+  /// first if it would pass the ~0.7 load factor.  Growth depends on the
+  /// number of keys alone, so it never fires on an overwrite or a hit.
+  void put(std::size_t i, gvid_t key, std::uint32_t val) {
+    if ((size_ + 1) * 10 > capacity() * 7) {
+      grow();
+      i = probe(key);
+    }
+    keys_[i] = key;
+    vals_[i] = val;
+    ++size_;
+  }
 
   void grow() {
     std::vector<gvid_t> old_keys = std::move(keys_);

@@ -90,11 +90,64 @@ TEST(LpHashMap, ReserveResetsContents) {
 }
 
 TEST(LpHashMap, HandlesAdversarialCollidingKeys) {
-  // Keys chosen to collide in low bits; linear probing must still resolve.
-  LpHashMap m(8);
-  for (std::uint64_t k = 0; k < 512; ++k) m.insert(k << 32, static_cast<std::uint32_t>(k));
-  for (std::uint64_t k = 0; k < 512; ++k)
+  // Keys chosen to collide in low bits; linear probing must still resolve,
+  // whether the keys arrive through insert or find_or_insert.
+  LpHashMap m(8), f(8);
+  for (std::uint64_t k = 0; k < 512; ++k) {
+    m.insert(k << 32, static_cast<std::uint32_t>(k));
+    ASSERT_EQ(f.find_or_insert(k << 32, static_cast<std::uint32_t>(k)),
+              static_cast<std::uint32_t>(k));
+  }
+  for (std::uint64_t k = 0; k < 512; ++k) {
     ASSERT_EQ(m.find(k << 32), static_cast<std::uint32_t>(k));
+    ASSERT_EQ(f.find_or_insert(k << 32, 9999), static_cast<std::uint32_t>(k));
+  }
+  EXPECT_EQ(f.size(), 512u);
+}
+
+TEST(LpHashMap, FindOrInsertReturnsExistingValueUnchanged) {
+  LpHashMap m;
+  EXPECT_EQ(m.find_or_insert(9, 4), 4u);  // absent: inserted
+  EXPECT_EQ(m.find_or_insert(9, 5), 4u);  // present: kept, not overwritten
+  EXPECT_EQ(m.find(9), 4u);
+  EXPECT_EQ(m.size(), 1u);
+  m.insert(9, 6);
+  EXPECT_EQ(m.find_or_insert(9, 7), 6u);
+  EXPECT_EQ(m.size(), 1u);
+}
+
+TEST(LpHashMap, FindOrInsertMatchesStdUnorderedMapAcrossGrowth) {
+  // Hand out ids on first sight, as the builder does for ghosts, over a
+  // stream with repeats that takes the table through several grow() calls.
+  LpHashMap m(4);
+  const std::size_t initial_cap = m.capacity();
+  std::unordered_map<std::uint64_t, std::uint32_t> oracle;
+  Rng rng(123);
+  for (int i = 0; i < 50000; ++i) {
+    const std::uint64_t key = rng.below(20000) * 2654435761ULL + 1;
+    const auto next = static_cast<std::uint32_t>(oracle.size());
+    const std::uint32_t want = oracle.try_emplace(key, next).first->second;
+    ASSERT_EQ(m.find_or_insert(key, next), want) << "step " << i;
+    ASSERT_EQ(m.size(), oracle.size());
+  }
+  EXPECT_GE(m.capacity(), initial_cap << 8);  // grew at least eight times
+  for (const auto& [k, v] : oracle) ASSERT_EQ(m.find(k), v);
+}
+
+TEST(LpHashMap, GrowthDependsOnKeyCountOnly) {
+  // Capacity after n distinct keys is the same whether or not hits and
+  // overwrites are interleaved, so a map filled by find_or_insert is as large
+  // as one filled by insert.
+  for (std::size_t n = 1; n < 200; ++n) {
+    LpHashMap a(4), b(4);
+    for (std::uint64_t k = 0; k < n; ++k) {
+      a.insert(k + 1, 0);
+      b.find_or_insert(k + 1, 0);
+      b.find_or_insert(1, 0);
+      b.insert(1, 7);
+    }
+    ASSERT_EQ(a.capacity(), b.capacity()) << n;
+  }
 }
 
 // ---------- LabelCounter ----------
