@@ -14,10 +14,9 @@
 //   F. bit-parallel multi-source BFS: harmonic top-64 batched into one
 //      64-root MS-BFS sweep vs the paper's one-BFS-per-candidate loop —
 //      wall/Tpar, communication rounds, and bytes on the wire.
-//   G. superstep-engine overhead: PageRank through the SuperstepEngine
-//      (trace off / trace on) vs the pre-engine hand-rolled BSP loop,
-//      frozen here verbatim since the bespoke loops were deleted from
-//      src/analytics.  Pass --trace-json FILE to dump the traced run.
+//   G. superstep-engine overhead: PageRank through the SuperstepEngine vs
+//      the pre-engine hand-rolled BSP loop, frozen here verbatim since the
+//      bespoke loops were deleted from src/analytics.
 //   I. intra-rank sweep schedule (DESIGN.md §10): static vs dynamic vs
 //      edge-balanced PageRank sweeps at 1/2/4/8 pool threads on a skewed
 //      R-MAT, with per-thread busy time and max/mean edges-per-thread
@@ -26,9 +25,9 @@
 //      micro-demo of the ChunkGrid::edges splitter.
 //   J. frontier representation (DESIGN.md §11): forced queue vs bitmap vs
 //      hybrid DistFrontier modes on SSSP and direction-optimizing BFS over
-//      the web crawl and R-MAT, with per-mode round telemetry (bitmap/pull
-//      rounds, crossovers) and a checksum proving the representations
-//      compute identical results.
+//      the web crawl and R-MAT, with per-mode round counts (bitmap/pull
+//      rounds, crossovers, read from rank 0's traced round counters) and a
+//      checksum proving the representations compute identical results.
 //   K. runtime tracing overhead: the same PageRank region with the obs
 //      tracer off and on.
 //
@@ -42,6 +41,7 @@
 #include <cmath>
 #include <iostream>
 #include <memory>
+#include <string_view>
 
 #include "analytics/analytics.hpp"
 #include "bench_common.hpp"
@@ -384,7 +384,6 @@ int main(int argc, char** argv) {
 
   // ---- G. Superstep-engine overhead vs hand-rolled BSP loop. ----
   if (want('G')) {
-    const std::string trace_json = cli.get("trace-json", "");
     const int pr_iters = 10;
 
     // Frozen pre-engine PageRank: the exact bespoke loop the engine
@@ -433,15 +432,11 @@ int main(int argc, char** argv) {
       }
     };
 
-    engine::SuperstepTrace trace;
-    const auto engine_run = [&](engine::SuperstepTrace* tr) {
-      return [&, tr](const dgraph::DistGraph& g,
-                     parcomm::Communicator& comm) {
-        analytics::PageRankOptions o;
-        o.max_iterations = pr_iters;
-        o.common.trace = tr;
-        (void)analytics::pagerank(g, comm, o);
-      };
+    const auto engine_run = [&](const dgraph::DistGraph& g,
+                                parcomm::Communicator& comm) {
+      analytics::PageRankOptions o;
+      o.max_iterations = pr_iters;
+      (void)analytics::pagerank(g, comm, o);
     };
 
     TablePrinter t({"Driver", "Tpar(s)", "Wall(s)"});
@@ -452,16 +447,10 @@ int main(int argc, char** argv) {
                  TablePrinter::fmt(rep.wall, 3)});
     };
     add("hand-rolled loop (frozen)", handrolled);
-    add("engine, trace off", engine_run(nullptr));
-    add("engine, trace on", engine_run(&trace));
+    add("engine", engine_run);
     std::cout << "\nG. Superstep-engine overhead (PageRank x" << pr_iters
               << "):\n";
     t.print(std::cout);
-    if (!trace_json.empty()) {
-      trace.write_json(trace_json);
-      std::cout << "wrote " << trace_json << " (" << trace.size()
-                << " supersteps)\n";
-    }
   }
 
   // ---- I. Intra-rank sweep schedule: static vs dynamic vs edge-balanced.
@@ -613,7 +602,8 @@ int main(int argc, char** argv) {
       std::uint64_t checksum = 0, rounds = 0;
       std::uint64_t bitmap_rounds = 0, pull_rounds = 0, crossovers = 0;
       for (int rep = 0; rep < reps; ++rep) {
-        engine::SuperstepTrace trace;
+        obs::Tracer tracer;
+        tracer.install();  // before run_region spawns rank threads
         std::atomic<std::uint64_t> sum{0};
         const hb::RegionReport r = hb::run_region(
             *w.graph, nranks, dgraph::PartitionKind::kVertexBlock,
@@ -622,7 +612,6 @@ int main(int argc, char** argv) {
               if (is_sssp) {
                 analytics::SsspOptions o;
                 o.common.frontier = mode;
-                o.common.trace = &trace;
                 const auto res = analytics::sssp(g, comm, w.root, o);
                 // The distances are exact min-plus integers: every mode
                 // must produce the identical array.
@@ -632,7 +621,6 @@ int main(int argc, char** argv) {
                 analytics::BfsOptions o;
                 o.direction_optimizing = true;
                 o.common.frontier = mode;
-                o.common.trace = &trace;
                 const auto res = analytics::bfs(g, comm, w.root, o);
                 for (const std::int64_t lv : res.level)
                   local += lv < 0 ? 1 : static_cast<std::uint64_t>(lv);
@@ -640,14 +628,27 @@ int main(int argc, char** argv) {
               const std::uint64_t total = comm.allreduce_sum(local);
               if (comm.rank() == 0) sum = total;
             });
+        obs::Tracer::uninstall();
         tpars.push_back(r.tpar);
         checksum = sum.load();
+        // Every round stamps frontier.pull, then frontier.bitmap; a
+        // crossover is a round whose (pull, bitmap) pair differs from the
+        // previous round's.
         rounds = bitmap_rounds = pull_rounds = crossovers = 0;
-        for (const engine::SuperstepRecord& sr : trace.records()) {
+        double pull = 0, prev_pull = 0, prev_bitmap = 0;
+        for (const obs::Event& e : tracer.rank_events(0)) {
+          if (e.kind != obs::EventKind::kCounter) continue;
+          if (std::string_view(e.name) == obs::counter_name::kFrontierPull)
+            pull = e.value;
+          if (std::string_view(e.name) != obs::counter_name::kFrontierBitmap)
+            continue;
+          if (rounds > 0 && (pull != prev_pull || e.value != prev_bitmap))
+            ++crossovers;
           ++rounds;
-          if (sr.frontier_rep == "bitmap") ++bitmap_rounds;
-          if (sr.frontier_dir == "pull") ++pull_rounds;
-          if (sr.crossover) ++crossovers;
+          pull_rounds += pull != 0;
+          bitmap_rounds += e.value != 0;
+          prev_pull = pull;
+          prev_bitmap = e.value;
         }
       }
       const double med = hb::median_of(tpars);
@@ -691,8 +692,8 @@ int main(int argc, char** argv) {
 
   // ---- K. Tracing overhead (EXPERIMENTS.md §K). ----
   // The obs layer is always compiled and runtime-gated: with no tracer
-  // installed every Span is a thread-local load, a branch, and two clock
-  // reads.  Measure the same PageRank region with tracing off (no tracer
+  // installed every Span is a thread-local load and a branch, with no clock
+  // read.  Measure the same PageRank region with tracing off (no tracer
   // installed) and on (tracer installed, every rank + pool thread recording
   // into its lane) — the off/on gap should be within run-to-run noise.
   if (want('K')) {
@@ -767,8 +768,8 @@ int main(int argc, char** argv) {
          "must cut communication rounds by >= 4x (one sweep's collectives\n"
          "serve all 64 roots) and win on wall/Tpar; the top-1 score must\n"
          "agree between engines up to FP summation order.  (G) the engine\n"
-         "reproduces the hand-rolled schedule, so all three rows should\n"
-         "land within run-to-run noise of each other.  (I) checksums must\n"
+         "reproduces the hand-rolled schedule, so both rows should land\n"
+         "within run-to-run noise of each other.  (I) checksums must\n"
          "match across all schedules and thread counts; on the\n"
          "unscrambled R-MAT (hubs at low ids) the static spans exceed 2x\n"
          "max/mean edges-per-thread at >= 4 threads while the dynamic and\n"

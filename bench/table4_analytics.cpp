@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
   const int nranks = static_cast<int>(cli.get_int("ranks", 8));
   const double d_avg = cli.get_double("avg-degree", 16);
   const unsigned kcore_max_i = static_cast<unsigned>(cli.get_int("kcore-i", 16));
-  const std::string trace_json = cli.get("trace-json", "");
   Schedule sched = Schedule::kStatic;
   if (!parse_schedule(cli.get("schedule", "static"), &sched)) {
     std::cerr << "unknown --schedule (static|dynamic|edge)\n";
@@ -58,12 +57,6 @@ int main(int argc, char** argv) {
     std::cerr << "unknown flag --" << unknown[0] << "\n";
     return 2;
   }
-
-  // Per-superstep telemetry: the engine-driven analytics append to one
-  // shared trace (rank 0 pushes; runs are sequential, so appends are too).
-  engine::SuperstepTrace trace;
-  engine::SuperstepTrace* const trace_ptr =
-      trace_json.empty() ? nullptr : &trace;
 
   const gvid_t n = gvid_t{1} << scale;
 
@@ -98,55 +91,46 @@ int main(int argc, char** argv) {
 
   const std::vector<AnalyticRow> rows = {
       {"PageRank (10 it)",
-       [trace_ptr, sched](const dgraph::DistGraph& g,
-                          parcomm::Communicator& comm) {
+       [sched](const dgraph::DistGraph& g, parcomm::Communicator& comm) {
          analytics::PageRankOptions o;
          o.max_iterations = 10;
-         o.common.trace = trace_ptr;
          o.common.schedule = sched;
          (void)analytics::pagerank(g, comm, o);
        }},
       {"Label Prop (10 it)",
-       [trace_ptr, sched](const dgraph::DistGraph& g,
-                          parcomm::Communicator& comm) {
+       [sched](const dgraph::DistGraph& g, parcomm::Communicator& comm) {
          analytics::LabelPropOptions o;
          o.iterations = 10;
-         o.common.trace = trace_ptr;
          o.common.schedule = sched;
          (void)analytics::label_propagation(g, comm, o);
        }},
       {"WCC (Multistep)",
-       [trace_ptr, sched](const dgraph::DistGraph& g,
-                          parcomm::Communicator& comm) {
+       [sched](const dgraph::DistGraph& g, parcomm::Communicator& comm) {
          analytics::WccOptions o;
-         o.common.trace = trace_ptr;
          o.common.schedule = sched;
          (void)analytics::wcc(g, comm, o);
        }},
       {"Harmonic Cent. (1 vtx)",
-       [trace_ptr, sched, fmode](const dgraph::DistGraph& g,
-                                 parcomm::Communicator& comm) {
+       [sched, fmode](const dgraph::DistGraph& g,
+                      parcomm::Communicator& comm) {
          const gvid_t hot = analytics::max_degree_vertex(g, comm);
          analytics::HarmonicOptions o;
-         o.common.trace = trace_ptr;
          o.common.schedule = sched;
          o.common.frontier = fmode;
          (void)analytics::harmonic_centrality(g, comm, hot, o);
        }},
       {"k-core (2^i sweep)",
-       [kcore_max_i, trace_ptr, sched](const dgraph::DistGraph& g,
-                                       parcomm::Communicator& comm) {
+       [kcore_max_i, sched](const dgraph::DistGraph& g,
+                            parcomm::Communicator& comm) {
          analytics::KCoreOptions o;
          o.max_i = kcore_max_i;
-         o.common.trace = trace_ptr;
          o.common.schedule = sched;
          (void)analytics::kcore_approx(g, comm, o);
        }},
       {"SCC (FW-BW)",
-       [trace_ptr, sched, fmode](const dgraph::DistGraph& g,
-                                 parcomm::Communicator& comm) {
+       [sched, fmode](const dgraph::DistGraph& g,
+                      parcomm::Communicator& comm) {
          analytics::SccOptions o;
-         o.common.trace = trace_ptr;
          o.common.schedule = sched;
          o.common.frontier = fmode;
          (void)analytics::largest_scc(g, comm, o);
@@ -171,12 +155,6 @@ int main(int argc, char** argv) {
     table.add_row(std::move(cells));
   }
   table.print(std::cout);
-
-  if (trace_ptr) {
-    trace.write_json(trace_json);
-    std::cout << "\nwrote " << trace_json << " (" << trace.size()
-              << " supersteps)\n";
-  }
 
   std::cout
       << "\nPaper reference (256 nodes, 3.56B vertices): PageRank and SCC\n"

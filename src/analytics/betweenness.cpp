@@ -140,7 +140,7 @@ void accumulate_source(const DistGraph& g, Communicator& comm, gvid_t source,
   }
 
   // ---- Forward phase: level-synchronous shortest-path counting. ----
-  engine::SuperstepEngine eng(g, comm, engine_config(common, "betweenness"));
+  engine::SuperstepEngine eng(g, comm, engine_config(common));
   eng.run_frontier(kernel);
 
   // Successor sigma for the backward pass.

@@ -368,7 +368,7 @@ struct BfsDiroptKernel {
 template <typename Kernel>
 BfsResult run_bfs_kernel(const DistGraph& g, Communicator& comm,
                          Kernel& kernel, const BfsOptions& opts) {
-  engine::SuperstepEngine eng(g, comm, engine_config(opts.common, "bfs"));
+  engine::SuperstepEngine eng(g, comm, engine_config(opts.common));
   const engine::EngineResult er = eng.run_frontier(kernel);
 
   BfsResult res;

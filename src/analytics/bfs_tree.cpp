@@ -114,7 +114,7 @@ BfsTreeResult bfs_tree(const DistGraph& g, Communicator& comm, gvid_t root,
     }
   }
 
-  engine::SuperstepEngine eng(g, comm, engine_config(opts.common, "bfs"));
+  engine::SuperstepEngine eng(g, comm, engine_config(opts.common));
   const engine::EngineResult er = eng.run_frontier(kernel);
   res.num_levels = static_cast<int>(er.supersteps);
 

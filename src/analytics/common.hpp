@@ -11,7 +11,6 @@
 #include "dgraph/ghost_exchange.hpp"
 #include "engine/frontier.hpp"
 #include "engine/superstep.hpp"
-#include "engine/trace.hpp"
 #include "parcomm/comm.hpp"
 #include "util/parallel_for.hpp"
 #include "util/thread_queue.hpp"
@@ -42,11 +41,6 @@ struct CommonOptions {
   /// per round; PageRank ignores this (every rank value changes every
   /// iteration, so dense is always cheapest).
   dgraph::GhostMode ghost_mode = dgraph::GhostMode::kAdaptive;
-  /// Per-superstep telemetry sink, or null for no tracing.  Shared by all
-  /// ranks; the engine pushes records from rank 0 only.  Engine-ported
-  /// analytics emit one SuperstepRecord per round; BFS emits one per level
-  /// through the same sink.
-  engine::SuperstepTrace* trace = nullptr;
   /// Intra-rank loop schedule for schedule-aware sweeps (see Schedule and
   /// DESIGN.md §10): kStatic keeps the legacy equal-count split, kDynamic
   /// work-steals over a uniform chunk grid, kEdgeBalanced places chunk
@@ -64,16 +58,13 @@ struct CommonOptions {
   engine::FrontierMode frontier = engine::FrontierMode::kHybrid;
 };
 
-/// Engine knobs shared by the ported analytics: pool + trace from the
-/// common options, a per-analytic label, and an optional iteration cutoff.
+/// Engine knobs shared by the ported analytics: pool, schedule and frontier
+/// mode from the common options, and an optional iteration cutoff.
 inline engine::EngineConfig engine_config(
-    const CommonOptions& o, const char* name,
-    std::uint64_t max_supersteps = UINT64_MAX) {
+    const CommonOptions& o, std::uint64_t max_supersteps = UINT64_MAX) {
   engine::EngineConfig cfg;
   cfg.pool = o.pool;
   cfg.max_supersteps = max_supersteps;
-  cfg.trace = o.trace;
-  cfg.name = name;
   cfg.schedule = o.schedule;
   cfg.frontier = o.frontier;
   return cfg;

@@ -196,7 +196,7 @@ std::pair<std::uint64_t, std::uint64_t> peel_stage(
     Peeler& peel, Communicator& comm, const CommonOptions& opts,
     std::uint64_t limit, F&& on_remove) {
   PeelKernel<F> kernel{peel, limit, std::forward<F>(on_remove)};
-  engine::SuperstepEngine eng(peel.g, comm, engine_config(opts, "kcore"));
+  engine::SuperstepEngine eng(peel.g, comm, engine_config(opts));
   const engine::EngineResult er = eng.run_value(kernel);
   return {er.supersteps, kernel.removed_total};
 }

@@ -99,8 +99,7 @@ LabelPropResult label_propagation(const DistGraph& g,
   LabelPropKernel kernel(g, opts);
   engine::SuperstepEngine eng(
       g, comm,
-      engine_config(opts.common, "label_prop",
-                    static_cast<std::uint64_t>(opts.iterations)));
+      engine_config(opts.common, static_cast<std::uint64_t>(opts.iterations)));
   const engine::EngineResult er = eng.run_value(kernel);
 
   LabelPropResult res;

@@ -6,7 +6,8 @@
 
 #include "dgraph/ghost_exchange.hpp"
 #include "engine/frontier.hpp"
-#include "engine/trace.hpp"
+#include "engine/superstep.hpp"
+#include "obs/tracer.hpp"
 #include "util/bitmask64.hpp"
 
 namespace hpcgraph::analytics {
@@ -79,14 +80,13 @@ int run_batch(const DistGraph& g, Communicator& comm, GhostExchange& gx,
   policy.pull_density = opts.dense_threshold;
   engine::FrontierDir dir = engine::FrontierDir::kPush;
 
-  engine::RoundTrace ltrace(opts.common.trace, comm, "msbfs", &tp, sched);
   while (active_global != 0) {
+    obs::Span level_span(obs::span_name::kSuperstep);
+    const SweepStats sweep0 = tp.sweep_stats();
     ++num_levels;
-    ltrace.begin();
     const std::uint64_t processed = active_global;
     const engine::FrontierDecision dec = engine::frontier_decide(
         policy, dir, active_global, 0, g.n_global(), g.m_global());
-    const bool crossover = level > 0 && dec.dir != dir;
     dir = dec.dir;
     const bool pull = dir == engine::FrontierDir::kPull;
 
@@ -190,16 +190,13 @@ int run_batch(const DistGraph& g, Communicator& comm, GhostExchange& gx,
     ++level;
     if (!act.empty()) visit(level, newly, batch, batch_begin);
     active_global = comm.allreduce_sum<std::uint64_t>(act.size());
-
-    engine::FrontierRoundInfo finfo;
-    finfo.rep = "bitmap";  // batch masks are always the dense representation
-    finfo.dir = engine::frontier_dir_label(dir);
-    finfo.density = g.n_global() > 0 ? static_cast<double>(processed) /
-                                           static_cast<double>(g.n_global())
-                                     : 0.0;
-    finfo.crossover = crossover;
-    ltrace.end(static_cast<std::uint64_t>(level - 1), processed,
-               active_global, pull ? "dense" : "queue", finfo);
+    // The batch masks are always the dense (bitmap) representation.
+    engine::stamp_round(
+        {.active = active_global,
+         .touched = processed,
+         .frontier = engine::FrontierDecision{engine::FrontierRep::kBitmap,
+                                              dir}},
+        tp, sweep0);
   }
 
   if (visited) {

@@ -108,7 +108,7 @@ PageRankResult pagerank(const DistGraph& g, parcomm::Communicator& comm,
   PageRankKernel kernel(g, opts);
   engine::SuperstepEngine eng(
       g, comm,
-      engine_config(opts.common, "pagerank",
+      engine_config(opts.common,
                     static_cast<std::uint64_t>(opts.max_iterations)));
   const engine::EngineResult er = eng.run_value(kernel);
 

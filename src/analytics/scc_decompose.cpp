@@ -262,7 +262,7 @@ SccDecomposeResult scc_decompose(const DistGraph& g, Communicator& comm,
         kernel.cur.push(v);
       }
     }
-    engine::SuperstepEngine eng(g, comm, engine_config(opts.common, "scc"));
+    engine::SuperstepEngine eng(g, comm, engine_config(opts.common));
     eng.run_frontier(kernel);
 
     alive_global -= comm.allreduce_sum(assigned_local);

@@ -108,7 +108,7 @@ SsspResult sssp(const DistGraph& g, Communicator& comm, gvid_t root,
     kernel.cur.push(l);
   }
 
-  engine::SuperstepEngine eng(g, comm, engine_config(opts.common, "sssp"));
+  engine::SuperstepEngine eng(g, comm, engine_config(opts.common));
   const engine::EngineResult er = eng.run_frontier(kernel);
   res.rounds = static_cast<int>(er.supersteps);
 

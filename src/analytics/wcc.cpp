@@ -154,7 +154,7 @@ WccResult wcc(const DistGraph& g, Communicator& comm, const WccOptions& opts) {
   // ---- Step 2 (PageRank-like): HashMin coloring of the leftovers,
   // driven by the superstep engine (seed exchange + sweep-to-fixpoint). ----
   WccColorKernel kernel(g, opts, b.level, giant_min);
-  engine::SuperstepEngine eng(g, comm, engine_config(opts.common, "wcc"));
+  engine::SuperstepEngine eng(g, comm, engine_config(opts.common));
   const engine::EngineResult er = eng.run_value(kernel);
   res.coloring_iters = static_cast<int>(er.supersteps);
 

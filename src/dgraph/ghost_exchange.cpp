@@ -12,6 +12,7 @@ using parcomm::Communicator;
 GhostExchange::GhostExchange(const DistGraph& g, Communicator& comm,
                              Adjacency adj, ThreadPool* pool)
     : pool_(pool), pf_(pool), adj_(adj) {
+  obs::Span plan_span(obs::span_name::kGhostPlan);
   const int p = comm.size();
   const int me = comm.rank();
   ThreadPool& tp = pf_.get();

@@ -72,7 +72,8 @@
 /// at construction (pass deterministically: the sparse payload is ordered by
 /// slot regardless of thread count).  Per-rank observability lands in
 /// CommStats (`ghost_rounds_dense/sparse/reduce`, `ghost_bytes_saved`) and
-/// PhaseTimer (`pack` staging time).
+/// in the `ghost.plan`, `ghost.pack`, `ghost.scatter` and `ghost.reduce`
+/// spans.
 ///
 /// An ablation flag rebuilds queues every iteration instead, so the benefit
 /// is measurable (bench/micro_primitives); bench/ablation_optimizations
@@ -238,7 +239,6 @@ class GhostExchange {
                      for (std::uint64_t i = lo; i < hi; ++i)
                        send[i] = vals[recv_local_[i]];
                    });
-      comm.phase_timer().add_pack(sp.close());
     }
     obs::counter(obs::counter_name::kWireBytes,
                  static_cast<double>(payload_bytes_.size()));
@@ -256,7 +256,6 @@ class GhostExchange {
         T& dst = vals[send_local_[i]];
         dst = combine(dst, back[i]);
       }
-      comm.phase_timer().add_pack(sp.close());
     }
     ++comm.stats().ghost_rounds_reduce;
   }
@@ -276,12 +275,6 @@ class GhostExchange {
   /// destination task.  Exposed for the rebuild-ablation and tests.
   std::span<const lvid_t> send_local() const { return send_local_; }
   std::span<const std::uint64_t> send_counts() const { return send_counts_; }
-
-  /// Wire format the most recent exchange() round actually used — for
-  /// kAdaptive this is the *resolved* choice (kDense or kSparse), so
-  /// per-superstep telemetry can record what went on the wire without
-  /// diffing CommStats counters.  kAdaptive until the first exchange.
-  GhostMode last_round_mode() const { return last_round_mode_; }
 
  private:
   template <typename T, typename F>
@@ -313,7 +306,6 @@ class GhostExchange {
     } else {
       exchange_dense(vals, comm, tp, changed_ghosts, combine);
     }
-    last_round_mode_ = sparse ? GhostMode::kSparse : GhostMode::kDense;
     clear_dirty(tp);
   }
 
@@ -332,7 +324,6 @@ class GhostExchange {
                      for (std::uint64_t i = lo; i < hi; ++i)
                        send[i] = vals[send_local_[i]];
                    });
-      comm.phase_timer().add_pack(sp.close());
     }
     obs::counter(obs::counter_name::kWireBytes,
                  static_cast<double>(payload_bytes_.size()));
@@ -369,7 +360,6 @@ class GhostExchange {
         for (const auto& c : cchg)
           changed_ghosts->insert(changed_ghosts->end(), c.begin(), c.end());
       }
-      comm.phase_timer().add_pack(sp.close());
     }
     ++comm.stats().ghost_rounds_dense;
   }
@@ -412,7 +402,6 @@ class GhostExchange {
                             vals[v]};
                       }
                     });
-      comm.phase_timer().add_pack(sp.close());
     }
 
     obs::counter(obs::counter_name::kWireBytes,
@@ -452,7 +441,6 @@ class GhostExchange {
       if (changed_ghosts)
         for (const auto& c : cchg)
           changed_ghosts->insert(changed_ghosts->end(), c.begin(), c.end());
-      comm.phase_timer().add_pack(sp.close());
     }
 
     auto& st = comm.stats();
@@ -496,7 +484,6 @@ class GhostExchange {
   std::uint64_t entries_global_ = 0;        // allreduced send entries
   double sparse_crossover_ = 1.0;           // adaptive byte-cost factor
   std::size_t n_total_ = 0;                 // locals + ghosts, for checking
-  GhostMode last_round_mode_ = GhostMode::kAdaptive;  // resolved last round
 };
 
 /// Collective.  One-shot ghost refresh through a *freshly built* queue —

@@ -1,6 +1,7 @@
 #include "dgraph/snapshot.hpp"
 
 #include <cstdio>
+#include <filesystem>
 
 #include "util/error.hpp"
 
@@ -15,7 +16,7 @@ constexpr std::uint64_t kVersion = 1;
 class File {
  public:
   File(const std::string& path, const char* mode)
-      : f_(std::fopen(path.c_str(), mode)) {
+      : path_(path), f_(std::fopen(path.c_str(), mode)) {
     HG_CHECK_MSG(f_ != nullptr, "cannot open snapshot file " << path);
   }
   ~File() {
@@ -24,8 +25,18 @@ class File {
   File(const File&) = delete;
   File& operator=(const File&) = delete;
   std::FILE* get() const { return f_; }
+  const std::string& path() const { return path_; }
+
+  /// Bytes from the read position to the end of the file.
+  std::uint64_t left() const {
+    const long pos = std::ftell(f_);
+    const std::uint64_t size = std::filesystem::file_size(path_);
+    HG_CHECK(pos >= 0 && static_cast<std::uint64_t>(pos) <= size);
+    return size - static_cast<std::uint64_t>(pos);
+  }
 
  private:
+  std::string path_;
   std::FILE* f_;
 };
 
@@ -48,13 +59,21 @@ void put_vec(std::FILE* f, const std::vector<T>& v) {
     HG_CHECK(std::fwrite(v.data(), sizeof(T), v.size(), f) == v.size());
 }
 
+/// Reads a length-prefixed array.  The length is checked against the bytes
+/// left in the file before anything is allocated, so a corrupt or truncated
+/// file ends in a named error, not an unbounded allocation.
 template <typename T>
-std::vector<T> get_vec(std::FILE* f) {
+std::vector<T> get_vec(const File& f) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const std::uint64_t size = get_u64(f);
+  const std::uint64_t size = get_u64(f.get());
+  const std::uint64_t left = f.left();
+  HG_CHECK_MSG(size <= left / sizeof(T),
+               "snapshot " << f.path() << ": array length " << size
+                           << " exceeds the " << left
+                           << " bytes left in the file");
   std::vector<T> v(size);
   if (size)
-    HG_CHECK_MSG(std::fread(v.data(), sizeof(T), size, f) == size,
+    HG_CHECK_MSG(std::fread(v.data(), sizeof(T), size, f.get()) == size,
                  "snapshot truncated (array)");
   return v;
 }
@@ -98,18 +117,18 @@ DistGraph load_snapshot(parcomm::Communicator& comm,
   HG_CHECK_MSG(get_u64(fp) == static_cast<std::uint64_t>(comm.size()),
                "snapshot written with a different rank count");
 
-  const std::vector<std::uint64_t> part_blob = get_vec<std::uint64_t>(fp);
+  const std::vector<std::uint64_t> part_blob = get_vec<std::uint64_t>(f);
   DistGraph g(Partition::deserialize(part_blob), comm.rank());
   g.n_global_ = get_u64(fp);
   g.m_global_ = get_u64(fp);
   g.n_loc_ = static_cast<lvid_t>(get_u64(fp));
   g.n_gst_ = static_cast<lvid_t>(get_u64(fp));
-  g.out_index_ = get_vec<ecnt_t>(fp);
-  g.out_edges_ = get_vec<lvid_t>(fp);
-  g.in_index_ = get_vec<ecnt_t>(fp);
-  g.in_edges_ = get_vec<lvid_t>(fp);
-  g.unmap_ = get_vec<gvid_t>(fp);
-  g.ghost_task_ = get_vec<std::int32_t>(fp);
+  g.out_index_ = get_vec<ecnt_t>(f);
+  g.out_edges_ = get_vec<lvid_t>(f);
+  g.in_index_ = get_vec<ecnt_t>(f);
+  g.in_edges_ = get_vec<lvid_t>(f);
+  g.unmap_ = get_vec<gvid_t>(f);
+  g.ghost_task_ = get_vec<std::int32_t>(f);
 
   // Sanity: array sizes must cohere before rebuilding the hash map.
   HG_CHECK(g.out_index_.size() == static_cast<std::size_t>(g.n_loc_) + 1);

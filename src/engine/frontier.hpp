@@ -78,9 +78,6 @@ inline const char* frontier_mode_label(FrontierMode m) {
   }
   return "?";
 }
-inline const char* frontier_dir_label(FrontierDir d) {
-  return d == FrontierDir::kPush ? "push" : "pull";
-}
 
 /// Parse a `--frontier` flag value.  Returns false on unknown input.
 bool parse_frontier_mode(const std::string& s, FrontierMode* out);
@@ -279,7 +276,7 @@ std::vector<T> route_to_owners(parcomm::Communicator& comm,
     for (const S& r : records)
       sink.push(static_cast<std::uint32_t>(dest(r)), wire(r));
   }
-  comm.phase_timer().add_route(sp.close());
+  sp.close();
   obs::counter(obs::counter_name::kWireBytes,
                static_cast<double>(q.buffer().size() * sizeof(T)));
   return comm.alltoallv<T>(q.buffer(), counts, recv_counts);
@@ -324,7 +321,7 @@ std::vector<T> route_to_owners_sharded(
       sink.push(static_cast<std::uint32_t>(dest(s)), wire(s));
   });
   HG_DCHECK(q.complete());
-  comm.phase_timer().add_route(sp.close());
+  sp.close();
   obs::counter(obs::counter_name::kWireBytes,
                static_cast<double>(q.buffer().size() * sizeof(T)));
   return comm.alltoallv<T>(q.buffer(), counts, recv_counts);

@@ -54,7 +54,7 @@
 /// ported analytics reproduce their pre-engine exchange/allreduce sequence
 /// exactly, which is what keeps outputs bit-for-bit identical):
 ///
-///     compute -> exchange -> [apply] -> fused allreduce -> record -> stop?
+///     compute -> exchange -> [apply] -> fused allreduce -> stamp -> stop?
 ///
 /// ## FrontierKernel (BFS-like)
 ///
@@ -105,11 +105,9 @@
 #include "dgraph/dist_graph.hpp"
 #include "dgraph/ghost_exchange.hpp"
 #include "engine/frontier.hpp"
-#include "engine/trace.hpp"
 #include "obs/tracer.hpp"
 #include "parcomm/comm.hpp"
 #include "util/parallel_for.hpp"
-#include "util/timer.hpp"
 
 namespace hpcgraph::engine {
 
@@ -141,7 +139,6 @@ struct StepContext {
 struct FrontierStepContext : StepContext {
   FrontierRep rep = FrontierRep::kQueue;  ///< representation this round
   FrontierDir dir = FrontierDir::kPush;   ///< expansion direction
-  bool crossover = false;  ///< rep or dir changed entering this round
   std::uint64_t active_global = 0;  ///< global size of the frontier expanded
   std::uint64_t degree_global = 0;  ///< its global frontier-degree sum
   std::uint64_t degree_local = 0;   ///< OUT: next frontier's local degree sum
@@ -159,8 +156,6 @@ struct EngineResult {
 struct EngineConfig {
   ThreadPool* pool = nullptr;     ///< worker pool (null = inline 1-thread)
   std::uint64_t max_supersteps = UINT64_MAX;  ///< iteration cutoff
-  SuperstepTrace* trace = nullptr;  ///< telemetry sink (rank 0 pushes)
-  const char* name = "";            ///< analytic label in trace records
   /// Loop schedule for the kernel's parallel sweeps and the exchange's
   /// pack/scatter loops.  Takes effect only for kernels that declare
   /// `static constexpr bool kScheduleAware = true`; everything else keeps
@@ -174,6 +169,47 @@ struct EngineConfig {
   /// sum.  Must be set identically on every rank.
   FrontierMode frontier = FrontierMode::kHybrid;
 };
+
+/// One finished round as the trace records it.  The counts and the residual
+/// are globals from the round's fused allreduce, so every rank stamps the
+/// same record on its own lane.
+struct RoundCounters {
+  std::uint64_t active = 0;   ///< frontier / changed vertices after the round
+  std::uint64_t touched = 0;  ///< vertices processed
+  double residual = 0.0;      ///< kernel-defined residual
+  /// Frontier rounds: the decision the round ran under and the expanded
+  /// frontier's degree sum.  Value rounds leave `frontier` empty and report
+  /// whether their ghost exchange went sparse instead.
+  std::optional<FrontierDecision> frontier = std::nullopt;
+  std::uint64_t degree = 0;
+  bool sparse = false;
+};
+
+/// Stamps `rc` as counters on the calling rank's lane, plus the pool's sweep
+/// occupancy since `sweep0`; a no-op on an untraced thread.  run_value,
+/// run_frontier and the MS-BFS level loop call it at the end of every round.
+inline void stamp_round(const RoundCounters& rc, const ThreadPool& pool,
+                        const SweepStats& sweep0) {
+  namespace cn = obs::counter_name;
+  const auto flag = [](bool b) { return b ? 1.0 : 0.0; };
+  obs::counter(cn::kFrontierActive, static_cast<double>(rc.active));
+  obs::counter(cn::kTouched, static_cast<double>(rc.touched));
+  obs::counter(cn::kResidual, rc.residual);
+  if (rc.frontier) {
+    obs::counter(cn::kFrontierDegree, static_cast<double>(rc.degree));
+    obs::counter(cn::kFrontierPull,
+                 flag(rc.frontier->dir == FrontierDir::kPull));
+    obs::counter(cn::kFrontierBitmap,
+                 flag(rc.frontier->rep == FrontierRep::kBitmap));
+  } else {
+    obs::counter(cn::kGhostSparse, flag(rc.sparse));
+  }
+  const SweepStats d = pool.sweep_stats() - sweep0;
+  if (d.busy_max > 0)
+    obs::counter(cn::kPoolOccupancy,
+                 d.busy_total /
+                     (d.busy_max * static_cast<double>(pool.num_threads())));
+}
 
 template <class K>
 concept ValueKernel =
@@ -269,21 +305,22 @@ class SuperstepEngine {
 
     EngineResult res;
     for (std::uint64_t step = 0; step < cfg_.max_supersteps; ++step) {
-      const auto rec0 = begin_record();
+      obs::Span round_span(obs::span_name::kSuperstep);
       const SweepStats sweep0 = tp.sweep_stats();
       ctx.superstep = step;
       ctx.active_local = 0;
       ctx.touched_local = 0;
       ctx.residual_local = 0.0;
 
-      obs::Span round_span(obs::span_name::kSuperstep);
       {
         obs::Span sp(obs::span_name::kCompute);
         kernel.compute(ctx);
       }
-      obs::Span exchange_span(obs::span_name::kExchange);
-      do_exchange();
-      const double exchange_s = exchange_span.close();
+      const std::uint64_t sparse0 = comm_.stats().ghost_rounds_sparse;
+      {
+        obs::Span sp(obs::span_name::kExchange);
+        do_exchange();
+      }
       if constexpr (requires { kernel.apply(ctx); }) kernel.apply(ctx);
 
       const Signal sig = fused_allreduce(
@@ -292,23 +329,11 @@ class SuperstepEngine {
       res.last_active = sig.active;
       res.last_residual = sig.residual;
       res.converged = kernel.converged(sig.active, sig.residual);
-      obs::counter(obs::counter_name::kFrontierActive,
-                   static_cast<double>(sig.active));
-
-      // Fold this round's intra-rank sweep imbalance into the phase timer
-      // *before* the recorder snapshots its delta, then attach the raw
-      // numbers to the record.
-      const SweepStats sweep_d = tp.sweep_stats() - sweep0;
-      comm_.phase_timer().add_sweep(sweep_d.busy_max, sweep_d.busy_total);
-      if (sweep_d.busy_max > 0)
-        obs::counter(obs::counter_name::kPoolOccupancy,
-                     sweep_d.busy_total /
-                         (sweep_d.busy_max *
-                          static_cast<double>(tp.num_threads())));
-      end_record(rec0, step, sig, res.converged,
-                 retain ? dgraph::ghost_mode_label(gx->last_round_mode())
-                        : "dense",
-                 exchange_s, sweep_d, tp.num_threads(), sched);
+      stamp_round({.active = sig.active,
+                   .touched = sig.touched,
+                   .residual = sig.residual,
+                   .sparse = comm_.stats().ghost_rounds_sparse != sparse0},
+                  tp, sweep0);
       if (res.converged) break;
     }
     return res;
@@ -318,8 +343,8 @@ class SuperstepEngine {
   /// round the engine resolves the frontier representation and push/pull
   /// direction (frontier_decide on the fused allreduce's globals — the
   /// same pure function of the same values on every rank), converts the
-  /// kernel's DistFrontier if it exposes one, and records per-superstep
-  /// density/representation/direction telemetry.
+  /// kernel's DistFrontier if it exposes one, and stamps the round's
+  /// representation, direction and degree sum (stamp_round).
   template <FrontierKernel K>
   EngineResult run_frontier(K& kernel) {
     ThreadPool& tp = pf_.get();
@@ -359,9 +384,7 @@ class SuperstepEngine {
     res.converged = (ctx.active_global == 0);  // empty frontier: done
 
     FrontierDir dir = FrontierDir::kPush;
-    FrontierRep rep = FrontierRep::kQueue;
     while (ctx.active_global != 0 && res.supersteps < cfg_.max_supersteps) {
-      const auto rec0 = begin_record();
       obs::Span round_span(obs::span_name::kSuperstep);
       const SweepStats sweep0 = tp.sweep_stats();
       ctx.superstep = res.supersteps;
@@ -372,14 +395,11 @@ class SuperstepEngine {
       const FrontierDecision dec =
           frontier_decide(policy, dir, ctx.active_global, ctx.degree_global,
                           g_.n_global(), g_.m_global());
-      ctx.crossover =
-          res.supersteps > 0 && (dec.rep != rep || dec.dir != dir);
-      rep = dec.rep;
       dir = dec.dir;
-      ctx.rep = rep;
-      ctx.dir = dir;
+      ctx.rep = dec.rep;
+      ctx.dir = dec.dir;
       if constexpr (requires { kernel.frontier(); }) {
-        if (DistFrontier* f = kernel.frontier()) f->set_rep(rep);
+        if (DistFrontier* f = kernel.frontier()) f->set_rep(dec.rep);
       }
 
       {
@@ -394,28 +414,12 @@ class SuperstepEngine {
       res.last_active = sig.active;
       res.last_residual = sig.residual;
       res.converged = (sig.active == 0);
-      obs::counter(obs::counter_name::kFrontierActive,
-                   static_cast<double>(sig.active));
-
-      const SweepStats sweep_d = tp.sweep_stats() - sweep0;
-      comm_.phase_timer().add_sweep(sweep_d.busy_max, sweep_d.busy_total);
-      if (sweep_d.busy_max > 0)
-        obs::counter(obs::counter_name::kPoolOccupancy,
-                     sweep_d.busy_total /
-                         (sweep_d.busy_max *
-                          static_cast<double>(tp.num_threads())));
-      FrontierRoundInfo finfo;
-      finfo.rep = frontier_rep_label(rep);
-      finfo.dir = frontier_dir_label(dir);
-      finfo.density = g_.n_global() > 0
-                          ? static_cast<double>(ctx.active_global) /
-                                static_cast<double>(g_.n_global())
-                          : 0.0;
-      finfo.degree = ctx.degree_global;
-      finfo.crossover = ctx.crossover;
-      end_record(rec0, res.supersteps - 1, sig, res.converged,
-                 dir == FrontierDir::kPull ? "dense" : "queue", 0, sweep_d,
-                 tp.num_threads(), sched, finfo);
+      stamp_round({.active = sig.active,
+                   .touched = sig.touched,
+                   .residual = sig.residual,
+                   .frontier = dec,
+                   .degree = ctx.degree_global},
+                  tp, sweep0);
 
       ctx.active_global = sig.active;
       ctx.degree_global = sig.degree;
@@ -440,32 +444,6 @@ class SuperstepEngine {
       return Signal{a.active + b.active, a.touched + b.touched,
                     a.degree + b.degree, a.residual + b.residual};
     });
-  }
-
-  bool recording() const { return cfg_.trace && comm_.rank() == 0; }
-  std::optional<StepRecorder> begin_record() {
-    if (!recording()) return std::nullopt;
-    return std::make_optional<StepRecorder>(comm_);
-  }
-  void end_record(const std::optional<StepRecorder>& rec0, std::uint64_t step,
-                  const Signal& sig, bool converged, const char* wire,
-                  double exchange_s, const SweepStats& sweep_d,
-                  unsigned nthreads, Schedule sched,
-                  const FrontierRoundInfo& finfo = {}) {
-    if (!rec0) return;
-    SuperstepRecord rec;
-    rec.analytic = cfg_.name;
-    rec.superstep = step;
-    rec.active = sig.active;
-    rec.touched = sig.touched;
-    rec.residual = sig.residual;
-    rec.converged = converged;
-    rec.wire = wire;
-    rec.exchange_us = static_cast<std::uint64_t>(exchange_s * 1e6);
-    rec.set_sweep(sweep_d, nthreads, sched);
-    rec.set_frontier(finfo);
-    rec0->finish(rec);
-    cfg_.trace->push(std::move(rec));
   }
 
   const dgraph::DistGraph& g_;

@@ -89,18 +89,6 @@ void Registry::absorb(const parcomm::CommStats& s) {
             static_cast<double>(s.ghost_bytes_saved));
 }
 
-void Registry::absorb(const parcomm::PhaseBreakdown& p) {
-  namespace f = parcomm::phase_field;
-  set_gauge(dotted("phase", f::kComp), p.comp);
-  set_gauge(dotted("phase", f::kComm), p.comm);
-  set_gauge(dotted("phase", f::kIdle), p.idle);
-  set_gauge(dotted("phase", f::kPack), p.pack);
-  set_gauge(dotted("phase", f::kRoute), p.route);
-  set_gauge(dotted("phase", f::kSweepBusyMax), p.sweep_busy_max);
-  set_gauge(dotted("phase", f::kSweepBusyTotal), p.sweep_busy_total);
-  set_gauge(dotted("phase", f::kTotal), p.total);
-}
-
 void Registry::absorb(const SweepStats& s) {
   set_gauge("sweep.busy_max_s", s.busy_max);
   set_gauge("sweep.busy_total_s", s.busy_total);

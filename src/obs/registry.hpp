@@ -4,13 +4,13 @@
 /// dotted names (DESIGN.md §13).
 ///
 /// The registry is the machine-readable complement to the span tracer: one
-/// flat namespace per rank, absorbed from the existing telemetry structs
-/// (`CommStats` -> comm.*, `PhaseBreakdown` -> phase.*, `SweepStats` ->
-/// sweep.*) plus whatever a caller registers directly.  `--metrics-json`
-/// serializes every rank's registry, gathers them on rank 0 through the
-/// ordinary collectives (obs/export.hpp), and dumps per-rank values plus
-/// cross-rank aggregates.  Names are pinned by tests/test_obs.cpp: renaming a
-/// metric is a schema change, not a refactor.
+/// flat namespace per rank, absorbed from the two counter structs
+/// (`CommStats` -> comm.*, `SweepStats` -> sweep.*) plus whatever a caller
+/// registers directly.  Time lives in the tracer's spans, not here.
+/// `--metrics-json` serializes every rank's registry, gathers them on rank 0
+/// through the ordinary collectives (obs/export.hpp), and dumps per-rank
+/// values plus cross-rank aggregates.  Names are pinned by
+/// tests/test_obs.cpp: renaming a metric is a schema change, not a refactor.
 
 #include <cstdint>
 #include <string>
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "parcomm/comm_stats.hpp"
-#include "parcomm/phase_timer.hpp"
 #include "util/histogram.hpp"
 #include "util/json.hpp"
 #include "util/parallel_for.hpp"
@@ -46,10 +45,9 @@ class Registry {
   /// Find-or-create a histogram to add samples into.
   Log2Histogram& histogram(std::string_view name);
 
-  /// Absorb the existing telemetry structs under their stable prefixes.
-  void absorb(const parcomm::CommStats& s);      ///< comm.<comm_field>
-  void absorb(const parcomm::PhaseBreakdown& p); ///< phase.<phase_field>
-  void absorb(const SweepStats& s);              ///< sweep.*
+  /// Absorb the counter structs under their stable prefixes.
+  void absorb(const parcomm::CommStats& s);  ///< comm.<comm_field>
+  void absorb(const SweepStats& s);          ///< sweep.*
 
   std::size_t size() const { return metrics_.size(); }
   const std::vector<Metric>& metrics() const { return metrics_; }

@@ -14,10 +14,9 @@
 /// Perfetto-loadable JSON file with a pid per rank and a tid per thread.
 ///
 /// Cost model: tracing is always compiled, runtime-gated.  With no tracer
-/// installed a Span is one thread-local load, one branch, and two monotonic
-/// clock reads — the clock reads are kept unconditionally so `Span::close()`
-/// can replace `util::Timer` at call sites that feed PhaseTimer either way
-/// (EXPERIMENTS.md §K measures the end-to-end overhead as within noise).
+/// installed a Span or counter is one thread-local load and one branch; it
+/// reads no clock (EXPERIMENTS.md §K measures the traced overhead as within
+/// noise).
 /// Span/counter names must be string literals (or otherwise outlive the
 /// tracer): lanes store the pointer and intern at serialization time.
 
@@ -46,14 +45,24 @@ inline constexpr const char* kGhostPack = "ghost.pack";
 inline constexpr const char* kGhostScatter = "ghost.scatter";
 inline constexpr const char* kGhostReduce = "ghost.reduce";
 inline constexpr const char* kRoute = "frontier.route";
+inline constexpr const char* kGhostPlan = "ghost.plan";
 inline constexpr const char* kPoolSweep = "pool.sweep";
+inline constexpr const char* kCopy = "parcomm.copy";  ///< payload copy: comm
+inline constexpr const char* kWait = "parcomm.wait";  ///< barrier wait: idle
 inline constexpr const char* kCliRun = "cli.run";
 inline constexpr const char* kBenchRegion = "bench.region";
 }  // namespace span_name
 
-/// Canonical counter-track names.
+/// Canonical counter-track names.  The per-round ones are stamped once per
+/// superstep on every rank by engine::stamp_round.
 namespace counter_name {
 inline constexpr const char* kFrontierActive = "frontier.active";
+inline constexpr const char* kTouched = "engine.touched";
+inline constexpr const char* kResidual = "engine.residual";
+inline constexpr const char* kFrontierDegree = "frontier.degree";
+inline constexpr const char* kFrontierPull = "frontier.pull";      ///< 0/1
+inline constexpr const char* kFrontierBitmap = "frontier.bitmap";  ///< 0/1
+inline constexpr const char* kGhostSparse = "ghost.sparse";        ///< 0/1
 inline constexpr const char* kWireBytes = "wire.bytes";
 inline constexpr const char* kPoolOccupancy = "pool.occupancy";
 }  // namespace counter_name
@@ -233,41 +242,33 @@ class RankGuard {
   detail::ThreadBinding saved_;
 };
 
-/// RAII span.  Records into the calling thread's bound lane; always measures
-/// so `close()` can replace `util::Timer` at sites that feed PhaseTimer.
+/// RAII span.  Records into the calling thread's bound lane; on an unbound
+/// thread it does nothing at all.
 class Span {
  public:
   explicit Span(const char* name)
-      : name_(name), lane_(detail::tls_binding().lane), t0_(monotonic_ns()) {}
+      : name_(name),
+        lane_(detail::tls_binding().lane),
+        t0_(lane_ != nullptr ? monotonic_ns() : 0) {}
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
-  ~Span() {
-    if (!closed_) record(monotonic_ns());
-  }
+  ~Span() { close(); }
 
-  /// End the span now; returns its duration in seconds.  Idempotent — later
-  /// calls keep returning elapsed time without re-recording.
-  double close() {
-    const std::int64_t t1 = monotonic_ns();
-    if (!closed_) record(t1);
-    return static_cast<double>(t1 - t0_) * 1e-9;
+  /// End the span now instead of at scope exit.  Idempotent.
+  void close() {
+    if (lane_ == nullptr) return;
+    lane_->push({name_, t0_, monotonic_ns() - t0_, value_, EventKind::kSpan});
+    lane_ = nullptr;
   }
 
   /// Attach a numeric annotation (serialized as args.value).
   void set_value(double v) { value_ = v; }
 
  private:
-  void record(std::int64_t t1) {
-    closed_ = true;
-    if (lane_ != nullptr)
-      lane_->push({name_, t0_, t1 - t0_, value_, EventKind::kSpan});
-  }
-
   const char* name_;
-  Lane* lane_;
+  Lane* lane_;  ///< null once closed, or when the thread is unbound
   std::int64_t t0_;
   double value_ = 0.0;
-  bool closed_ = false;
 };
 
 /// Stamp a counter sample onto the calling thread's lane (no-op when the

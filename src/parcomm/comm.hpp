@@ -38,14 +38,13 @@
 #include <thread>
 #include <vector>
 
+#include "obs/tracer.hpp"
 #include "parcomm/barrier.hpp"
 #include "parcomm/comm_stats.hpp"
-#include "parcomm/phase_timer.hpp"
 #include "parcomm/verify.hpp"
 #include "util/error.hpp"
 #include "util/parallel_for.hpp"
 #include "util/prefix_sum.hpp"
-#include "util/timer.hpp"
 
 // Collective-matching verifier hooks (see verify.hpp / DESIGN.md §8).  With
 // PARCOMM_VERIFY on, every public collective gains a defaulted
@@ -110,7 +109,7 @@ class Communicator {
   int rank() const { return rank_; }
   int size() const { return world_.nranks_; }
 
-  /// Synchronize all ranks. Wait time is accounted as idle.
+  /// Synchronize all ranks.  The wait is traced as parcomm.wait.
   void barrier(HPCGRAPH_BARRIER_SITE) {
     ++stats_.barrier_calls;
 #if HPCGRAPH_VERIFY_ENABLED
@@ -182,7 +181,7 @@ class Communicator {
 
     std::vector<T> recv(rtotal);
     {
-      Timer t;
+      obs::Span sp(obs::span_name::kCopy);
       const auto copy_from = [&](int s) {
         if (rcounts[s] == 0) return;
         const auto* src = static_cast<const T*>(b.ptr[s]);
@@ -197,7 +196,6 @@ class Communicator {
       } else {
         for (int s = 0; s < size(); ++s) copy_from(s);
       }
-      phase_.add_comm(t.elapsed());
     }
     stats_.bytes_received += rtotal * sizeof(T);
     timed_barrier();  // senders may now reuse their buffers
@@ -308,14 +306,13 @@ class Communicator {
     for (int s = 0; s < size(); ++s) total += (cnts[s] = b.scalar[s]);
     std::vector<T> out(total);
     {
-      Timer t;
+      obs::Span sp(obs::span_name::kCopy);
       std::uint64_t off = 0;
       for (int s = 0; s < size(); ++s) {
         if (cnts[s] == 0) continue;
         std::memcpy(out.data() + off, b.ptr[s], cnts[s] * sizeof(T));
         off += cnts[s];
       }
-      phase_.add_comm(t.elapsed());
     }
     stats_.bytes_received += total * sizeof(T);
     timed_barrier();
@@ -366,11 +363,9 @@ class Communicator {
     }
     timed_barrier();
     std::vector<T> out(b.scalar[root]);
-    {
-      Timer t;
-      if (!out.empty())
-        std::memcpy(out.data(), b.ptr[root], out.size() * sizeof(T));
-      phase_.add_comm(t.elapsed());
+    if (!out.empty()) {
+      obs::Span sp(obs::span_name::kCopy);
+      std::memcpy(out.data(), b.ptr[root], out.size() * sizeof(T));
     }
     stats_.bytes_received += out.size() * sizeof(T);
     timed_barrier();
@@ -404,14 +399,13 @@ class Communicator {
       std::uint64_t total = 0;
       for (int s = 0; s < size(); ++s) total += (cnts[s] = b.scalar[s]);
       out.resize(total);
-      Timer t;
+      obs::Span sp(obs::span_name::kCopy);
       std::uint64_t off = 0;
       for (int s = 0; s < size(); ++s) {
         if (cnts[s] == 0) continue;
         std::memcpy(out.data() + off, b.ptr[s], cnts[s] * sizeof(T));
         off += cnts[s];
       }
-      phase_.add_comm(t.elapsed());
       stats_.bytes_received += total * sizeof(T);
       if (counts) *counts = std::move(cnts);
     }
@@ -423,17 +417,16 @@ class Communicator {
   CommStats& stats() { return stats_; }
   const CommStats& stats() const { return stats_; }
 
-  /// Per-rank comp/comm/idle instrumentation (Figure 3).
-  PhaseTimer& phase_timer() { return phase_; }
-
  private:
   friend class CommWorld;
   Communicator(CommWorld& world, int rank) : world_(world), rank_(rank) {}
 
+  /// Every barrier wait, internal ones included, is a parcomm.wait span:
+  /// the idle share of the paper's Figure 3 split, as payload copies
+  /// (parcomm.copy) are its communication share.
   void timed_barrier() {
-    Timer t;
+    obs::Span sp(obs::span_name::kWait);
     world_.barrier_->wait();
-    phase_.add_idle(t.elapsed());
   }
 
 #if HPCGRAPH_VERIFY_ENABLED
@@ -460,7 +453,6 @@ class Communicator {
   CommWorld& world_;
   const int rank_;
   CommStats stats_;
-  PhaseTimer phase_;
 #if HPCGRAPH_VERIFY_ENABLED
   std::uint64_t verify_seq_ = 0;  // per-rank collective counter
 #endif

@@ -33,8 +33,8 @@
 
 namespace hpcgraph::parcomm {
 
-/// Canonical serialized field names for CommStats, shared by every emitter
-/// (SuperstepTrace JSON via obs::write_comm_stats, the obs metrics registry).
+/// Canonical serialized field names for CommStats (the obs metrics
+/// registry's comm.* names).
 namespace comm_field {
 inline constexpr const char* kBytesSent = "bytes_sent";
 inline constexpr const char* kBytesRemote = "bytes_remote";

@@ -1,12 +1,13 @@
 #pragma once
 /// \file json.hpp
 /// Minimal JSON emission + syntax validation.  No external dependency: the
-/// engine's superstep trace needs a writer, and the tests need an in-process
-/// way to assert "this file is well-formed JSON" without shelling out.
+/// trace, metrics and bench exports need a writer, and the tests need an
+/// in-process way to assert "this file is well-formed JSON" without
+/// shelling out.
 ///
 /// The writer is a push-style serializer: callers open objects/arrays and
 /// push keyed values; the writer tracks nesting and comma placement.  It only
-/// emits the subset of JSON the trace uses (objects, arrays, strings,
+/// emits the subset of JSON the exports use (objects, arrays, strings,
 /// integers, doubles, bools), always escaped and locale-independent.
 
 #include <cassert>
@@ -151,7 +152,8 @@ class JsonWriter {
 /// Recursive-descent well-formedness check.  Accepts exactly the JSON value
 /// grammar (RFC 8259 minus \uXXXX surrogate-pair pedantry); returns true iff
 /// `text` is a single valid JSON value with nothing but whitespace after it.
-/// Used by tests to validate --trace-json output without a JSON library.
+/// Used by tests to validate the trace and metrics exports without a JSON
+/// library.
 class JsonChecker {
  public:
   static bool valid(std::string_view text) {

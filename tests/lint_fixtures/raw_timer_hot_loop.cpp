@@ -1,7 +1,7 @@
 // Fixture: raw timing primitive inside a hot loop.  Per-iteration timing in
-// algorithm code must go through obs::Span so the elapsed seconds still feed
-// PhaseTimer (Span::close()) AND the measurement lands on the
-// --trace-events timeline; a bare util::Timer is invisible to the tracer.
+// algorithm code must go through obs::Span, so the measurement lands on
+// every rank's --trace-events timeline; a bare util::Timer is invisible to
+// the tracer.
 // EXPECT-LINT: raw-timer-in-hot-loop
 
 #include <cstdint>

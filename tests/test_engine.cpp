@@ -1,7 +1,7 @@
 // The SuperstepEngine: unit tests on synthetic kernels (iteration cutoff,
-// immediate convergence, empty-frontier exit), per-superstep trace
-// validation (one record per round, monotone indices, well-formed JSON,
-// populated comm/phase deltas), and the engine-port equivalence matrix —
+// immediate convergence, empty-frontier exit), per-round telemetry (one
+// superstep span and one sample of each round counter per round, on every
+// rank), and the engine-port equivalence matrix —
 // all five ported analytics bit-for-bit identical across rank counts and
 // ghost wire formats against the single-rank dense baseline.
 
@@ -10,14 +10,15 @@
 #include <cmath>
 #include <cstring>
 #include <span>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analytics/analytics.hpp"
 #include "engine/superstep.hpp"
-#include "engine/trace.hpp"
 #include "gen/rmat.hpp"
+#include "obs/tracer.hpp"
 #include "test_helpers.hpp"
-#include "util/json.hpp"
 
 namespace hpcgraph::engine {
 namespace {
@@ -86,99 +87,105 @@ TEST(SuperstepEngine, ImmediateConvergenceRunsOneSuperstep) {
                   });
 }
 
+/// Events of `rank` named `name` of the given kind, across its lanes.
+std::vector<obs::Event> events_named(const obs::Tracer& tracer, int rank,
+                                     const char* name, obs::EventKind kind) {
+  std::vector<obs::Event> out;
+  for (const obs::Event& e : tracer.rank_events(rank))
+    if (e.kind == kind && std::string_view(e.name) == name) out.push_back(e);
+  return out;
+}
+
 TEST(SuperstepEngine, EmptyFrontierExitsWithZeroSupersteps) {
-  SuperstepTrace trace;
+  obs::Tracer tracer;
+  tracer.install();
   with_dist_graph(tiny_graph(), {2, dgraph::PartitionKind::kVertexBlock},
                   [&](const DistGraph& g, Communicator& comm) {
+                    obs::RankGuard guard(comm.rank());
                     EmptyFrontierKernel k;
-                    EngineConfig cfg;
-                    cfg.trace = &trace;
-                    cfg.name = "empty";
-                    SuperstepEngine eng(g, comm, cfg);
+                    SuperstepEngine eng(g, comm, {});
                     const EngineResult r = eng.run_frontier(k);
                     EXPECT_EQ(r.supersteps, 0u);
                     EXPECT_TRUE(r.converged);
                     EXPECT_FALSE(k.stepped);
                   });
-  EXPECT_TRUE(trace.empty());  // no rounds, no records
+  obs::Tracer::uninstall();
+  for (int rank = 0; rank < 2; ++rank)  // no rounds, no superstep spans
+    EXPECT_TRUE(events_named(tracer, rank, obs::span_name::kSuperstep,
+                             obs::EventKind::kSpan)
+                    .empty());
 }
 
-// ---- Trace validation. ----
+// ---- Per-round telemetry: spans and counters on every rank's lane. ----
 
-TEST(SuperstepTrace, OneRecordPerRoundMonotoneAndWellFormed) {
-  SuperstepTrace trace;
+TEST(EngineTrace, EveryRankRecordsEveryRound) {
+  obs::Tracer tracer;
+  tracer.install();
   with_dist_graph(tiny_graph(), {2, dgraph::PartitionKind::kVertexBlock},
                   [&](const DistGraph& g, Communicator& comm) {
+                    obs::RankGuard guard(comm.rank());
                     CountingKernel k(g);
                     EngineConfig cfg;
                     cfg.max_supersteps = 4;
-                    cfg.trace = &trace;
-                    cfg.name = "counting";
                     SuperstepEngine eng(g, comm, cfg);
                     (void)eng.run_value(k);
                   });
-  ASSERT_EQ(trace.size(), 4u);  // exactly one record per round, rank 0 only
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const SuperstepRecord& rec = trace.records()[i];
-    EXPECT_EQ(rec.index, i);
-    EXPECT_EQ(rec.superstep, i);
-    EXPECT_EQ(rec.analytic, "counting");
-    EXPECT_EQ(rec.active, 2u);
-    EXPECT_EQ(rec.touched, 10u);  // tiny_graph has 10 vertices
-    EXPECT_DOUBLE_EQ(rec.residual, 1.0);
-    EXPECT_FALSE(rec.converged);
-    EXPECT_EQ(rec.wire, "dense");
-    // The round's delta includes its ghost exchange + fused allreduce.
-    // (No received == remote + self check here: that conservation law
-    // holds summed over all ranks, and the record is rank 0's view only.)
-    EXPECT_GE(rec.comm.collective_calls, 2u);
-    EXPECT_GT(rec.comm.bytes_received, 0u);
-    EXPECT_GT(rec.comm.bytes_sent, 0u);
-    EXPECT_GE(rec.phase.total, 0.0);
+  obs::Tracer::uninstall();
+
+  namespace cn = obs::counter_name;
+  for (int rank = 0; rank < 2; ++rank) {
+    SCOPED_TRACE(rank);
+    EXPECT_EQ(events_named(tracer, rank, obs::span_name::kSuperstep,
+                           obs::EventKind::kSpan)
+                  .size(),
+              4u);
+    // The counters carry the fused allreduce's globals: every rank stamps
+    // the same record.  tiny_graph has 10 vertices; each rank reports
+    // active 1 and residual 0.5.
+    for (const auto& [name, want] :
+         {std::pair{cn::kTouched, 10.0}, std::pair{cn::kFrontierActive, 2.0},
+          std::pair{cn::kResidual, 1.0}, std::pair{cn::kGhostSparse, 0.0}}) {
+      const std::vector<obs::Event> samples =
+          events_named(tracer, rank, name, obs::EventKind::kCounter);
+      ASSERT_EQ(samples.size(), 4u) << name;
+      for (const obs::Event& e : samples) EXPECT_EQ(e.value, want) << name;
+    }
   }
-  const std::string json = trace.to_json();
-  EXPECT_TRUE(util::JsonChecker::valid(json)) << json.substr(0, 200);
-  EXPECT_NE(json.find("\"schema\":\"hpcgraph-superstep-trace-v1\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"exchange_us\""), std::string::npos);
 }
 
-TEST(SuperstepTrace, IndicesStayMonotoneAcrossEngineRuns) {
+TEST(EngineTrace, PageRankRoundsRecordTheirExchange) {
   gen::RmatParams rp;
   rp.scale = 7;
   rp.avg_degree = 6;
   const gen::EdgeList el = gen::rmat(rp);
 
-  SuperstepTrace trace;
+  obs::Tracer tracer;
+  tracer.install();
   with_dist_graph(el, {2, dgraph::PartitionKind::kVertexBlock},
                   [&](const DistGraph& g, Communicator& comm) {
+                    obs::RankGuard guard(comm.rank());
                     analytics::PageRankOptions po;
                     po.max_iterations = 5;
-                    po.common.trace = &trace;
                     (void)analytics::pagerank(g, comm, po);
-                    analytics::SsspOptions so;
-                    so.common.trace = &trace;
-                    (void)analytics::sssp(g, comm, 0, so);
                   });
-  ASSERT_GT(trace.size(), 5u);  // 5 PageRank rounds + >=1 SSSP round
-  bool saw_pr = false, saw_sssp = false;
-  std::uint64_t pr_exchange_us = 0;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_EQ(trace.records()[i].index, i);  // trace-global, monotone
-    saw_pr |= trace.records()[i].analytic == "pagerank";
-    saw_sssp |= trace.records()[i].analytic == "sssp";
-    if (trace.records()[i].analytic == "pagerank")
-      pr_exchange_us += trace.records()[i].exchange_us;
+  obs::Tracer::uninstall();
+
+  for (int rank = 0; rank < 2; ++rank) {
+    SCOPED_TRACE(rank);
+    const std::vector<obs::Event> rounds = events_named(
+        tracer, rank, obs::span_name::kSuperstep, obs::EventKind::kSpan);
+    const std::vector<obs::Event> exchanges = events_named(
+        tracer, rank, obs::span_name::kExchange, obs::EventKind::kSpan);
+    ASSERT_EQ(rounds.size(), 5u);
+    ASSERT_EQ(exchanges.size(), 5u);
+    for (std::size_t i = 0; i < rounds.size(); ++i) {
+      // Each round's ghost exchange lies inside it and takes real time.
+      EXPECT_GT(exchanges[i].dur_ns, 0);
+      EXPECT_GE(exchanges[i].ts_ns, rounds[i].ts_ns);
+      EXPECT_LE(exchanges[i].ts_ns + exchanges[i].dur_ns,
+                rounds[i].ts_ns + rounds[i].dur_ns);
+    }
   }
-  EXPECT_TRUE(saw_pr);
-  EXPECT_TRUE(saw_sssp);
-  // Five ghost exchanges take well over a microsecond: the timer must be
-  // populated, not just present.
-  EXPECT_GT(pr_exchange_us, 0u);
-  // Within each run the superstep counter restarts at 0 and increments.
-  EXPECT_EQ(trace.records()[0].superstep, 0u);
-  EXPECT_EQ(trace.records()[5].superstep, 0u);  // first SSSP round
-  EXPECT_TRUE(util::JsonChecker::valid(trace.to_json()));
 }
 
 // ---- Equivalence matrix: engine ports vs the single-rank dense run. ----

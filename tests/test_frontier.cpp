@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string_view>
 
 #include "analytics/betweenness.hpp"
 #include "analytics/bfs.hpp"
@@ -18,6 +19,7 @@
 #include "analytics/sssp.hpp"
 #include "engine/frontier.hpp"
 #include "gen/rmat.hpp"
+#include "obs/tracer.hpp"
 #include "ref/ref_analytics.hpp"
 #include "test_helpers.hpp"
 #include "util/thread_queue.hpp"
@@ -632,6 +634,46 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<FrontierMode>& pinfo) {
       return frontier_mode_label(pinfo.param);
     });
+
+// Every rank stamps the round's direction: a direction-optimizing BFS from
+// an R-MAT hub crosses over to pull under the forced bitmap representation,
+// and each rank's lane shows it.
+TEST(FrontierCounters, DiroptBfsStampsPullOnEveryRank) {
+  gen::RmatParams rp;
+  rp.scale = 10;
+  rp.avg_degree = 16;
+  const gen::EdgeList el = gen::rmat(rp);
+  std::vector<std::uint32_t> odeg(el.n, 0);
+  for (const gen::Edge& e : el.edges) ++odeg[e.src];
+  const gvid_t hub = static_cast<gvid_t>(
+      std::max_element(odeg.begin(), odeg.end()) - odeg.begin());
+
+  constexpr int kRanks = 3;
+  obs::Tracer tracer;
+  tracer.install();
+  with_dist_graph(el, {kRanks, dgraph::PartitionKind::kVertexBlock},
+                  [&](const DistGraph& g, parcomm::Communicator& comm) {
+    obs::RankGuard guard(comm.rank());
+    analytics::BfsOptions opts;
+    opts.direction_optimizing = true;
+    opts.common.frontier = FrontierMode::kBitmap;
+    (void)analytics::bfs(g, comm, hub, opts);
+  });
+  obs::Tracer::uninstall();
+
+  for (int rank = 0; rank < kRanks; ++rank) {
+    std::size_t rounds = 0, pull_rounds = 0;
+    for (const obs::Event& e : tracer.rank_events(rank)) {
+      if (e.kind != obs::EventKind::kCounter ||
+          std::string_view(e.name) != obs::counter_name::kFrontierPull)
+        continue;
+      ++rounds;
+      if (e.value == 1.0) ++pull_rounds;
+    }
+    EXPECT_GT(rounds, 1u) << "rank " << rank;
+    EXPECT_GE(pull_rounds, 1u) << "rank " << rank;
+  }
+}
 
 }  // namespace
 }  // namespace hpcgraph::engine

@@ -58,13 +58,19 @@ TEST(Lane, WraparoundDropsOldestKeepsOrder) {
 
 // ---- Span / counter recording. ----
 
-TEST(Span, UnboundThreadDegradesToTimer) {
-  ASSERT_EQ(Tracer::current(), nullptr);
-  Span sp("unbound");
-  const double s = sp.close();
-  EXPECT_GE(s, 0.0);
-  EXPECT_GE(sp.close(), s);  // idempotent: keeps returning elapsed
-  counter("unbound.counter", 1.0);  // no-op, must not crash
+TEST(Span, UnboundThreadRecordsNothing) {
+  Tracer tracer;
+  tracer.install();
+  {
+    // No RankGuard: the thread has no lane, so nothing is recorded.
+    Span sp("unbound");
+    sp.close();
+    sp.close();  // idempotent
+    counter("unbound.counter", 1.0);
+  }
+  Tracer::uninstall();
+  EXPECT_TRUE(tracer.rank_lanes(0).empty());
+  EXPECT_TRUE(tracer.rank_events(0).empty());
 }
 
 TEST(Span, NestedSpansRecordInCloseOrder) {
@@ -75,7 +81,7 @@ TEST(Span, NestedSpansRecordInCloseOrder) {
     Span outer(span_name::kSuperstep);
     {
       Span inner(span_name::kGhostPack);
-      EXPECT_GT(inner.close(), 0.0);
+      inner.close();
     }
     counter(counter_name::kFrontierActive, 42.0);
   }
@@ -153,8 +159,15 @@ TEST(Finalize, RebasedTimelineIsMonotonePerLaneAcrossRanks) {
     Tracer::uninstall();
 
     const std::vector<MergedEvent>& merged = tracer.merged_events();
-    // 3 spans + 3 counters per rank, all gathered onto rank 0.
-    EXPECT_EQ(merged.size(), static_cast<std::size_t>(6 * nranks));
+    // 3 spans + 3 counters per rank, all gathered onto rank 0, beside the
+    // parcomm.wait/copy spans of finalize's own collectives.
+    std::size_t recorded = 0;
+    for (const MergedEvent& e : merged) {
+      const std::string& name = tracer.merged_names()[e.name_id];
+      recorded += name == span_name::kSuperstep ||
+                  name == counter_name::kWireBytes;
+    }
+    EXPECT_EQ(recorded, static_cast<std::size_t>(6 * nranks));
     for (int r = 0; r < nranks; ++r) {
       // Rank 0's offset is exactly 0; the others are the barrier exit skew.
       if (r == 0) {
@@ -205,27 +218,22 @@ TEST(Registry, PinnedDottedNames) {
   parcomm::CommStats cs;
   cs.bytes_sent = 7;
   cs.ghost_bytes_saved = -3;
-  parcomm::PhaseBreakdown pb;
-  pb.comm = 1.5;
   SweepStats sw;
   sw.busy_max = 0.5;
   sw.loops = 2;
 
   Registry reg;
   reg.absorb(cs);
-  reg.absorb(pb);
   reg.absorb(sw);
 
-  // The stable export names (DESIGN.md §13).  comm.* and phase.* come from
-  // the comm_field/phase_field constants, so trace JSON and metrics JSON
-  // can never drift apart; a rename must touch this list on purpose.
+  // The stable export names (DESIGN.md §13).  comm.* comes from the
+  // comm_field constants; a rename must touch this list on purpose.
   for (const char* name :
        {"comm.bytes_sent", "comm.bytes_remote", "comm.bytes_self",
         "comm.bytes_received", "comm.collective_calls", "comm.barrier_calls",
         "comm.ghost_rounds_dense", "comm.ghost_rounds_sparse",
         "comm.ghost_rounds_reduce", "comm.ghost_bytes_saved",
-        "phase.comp_s", "phase.comm_s", "phase.idle_s", "phase.pack_s",
-        "phase.route_s", "phase.total_s", "sweep.busy_max_s",
+        "sweep.busy_max_s",
         "sweep.busy_total_s", "sweep.work_max", "sweep.work_total",
         "sweep.loops"}) {
     EXPECT_NE(reg.find(name), nullptr) << name;

@@ -1,11 +1,17 @@
 // Tests for the simulated message-passing runtime: every collective across
-// several world sizes, abort propagation, statistics, and phase timing.
+// several world sizes, abort propagation, statistics, and the wait/copy
+// spans the collectives trace.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <string_view>
+#include <thread>
 
+#include "obs/tracer.hpp"
 #include "parcomm/comm.hpp"
 
 namespace hpcgraph::parcomm {
@@ -352,37 +358,47 @@ TEST(CommStats, ConservationHoldsOnDeltas) {
   }
 }
 
-TEST(PhaseTimer, BreakdownComponentsSumToTotal) {
-  CommWorld world(2);
-  world.run([&](Communicator& comm) {
-    comm.phase_timer().reset();
-    // Unbalanced compute: rank 1 works, rank 0 idles at the barrier.
-    if (comm.rank() == 1) {
-      volatile double sink = 0;
-      for (int i = 0; i < 2000000; ++i) sink = sink + i * 0.5;
-    }
-    comm.barrier();
-    const PhaseBreakdown b = comm.phase_timer().snapshot();
-    EXPECT_GE(b.total, b.comm + b.idle - 1e-9);
-    EXPECT_GE(b.comp, 0.0);
-    EXPECT_NEAR(b.comp_ratio() + b.comm_ratio() + b.idle_ratio(), 1.0, 1e-6);
-    if (comm.rank() == 0) {
-      // The idle rank spent most of its region waiting.
-      EXPECT_GT(b.idle, 0.0);
-    }
-  });
+// ---- Figure 3's split as spans: barrier waits (idle) and payload copies
+// (communication). ----
+
+/// Longest span named `name` on `rank`'s lanes (0 if there is none).
+std::int64_t longest_span(const obs::Tracer& tracer, int rank,
+                          const char* name) {
+  std::int64_t longest = 0;
+  for (const obs::Event& e : tracer.rank_events(rank))
+    if (e.kind == obs::EventKind::kSpan && std::string_view(e.name) == name)
+      longest = std::max(longest, e.dur_ns);
+  return longest;
 }
 
-TEST(PhaseTimer, CommTimeAttributedDuringExchange) {
+TEST(ParcommSpans, WaitingRankRecordsAWaitSpan) {
+  obs::Tracer tracer;
+  tracer.install();
   CommWorld world(2);
   world.run([&](Communicator& comm) {
-    comm.phase_timer().reset();
+    obs::RankGuard guard(comm.rank());
+    // Rank 1 works, rank 0 idles at the barrier.
+    if (comm.rank() == 1)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    comm.barrier();
+  });
+  obs::Tracer::uninstall();
+  EXPECT_GT(longest_span(tracer, 0, obs::span_name::kWait), 0);
+}
+
+TEST(ParcommSpans, AlltoallvRecordsACopySpan) {
+  obs::Tracer tracer;
+  tracer.install();
+  CommWorld world(2);
+  world.run([&](Communicator& comm) {
+    obs::RankGuard guard(comm.rank());
     std::vector<std::uint64_t> counts{1u << 18, 1u << 18};
     std::vector<std::uint64_t> send(1u << 19, comm.rank());
-    (void)comm.alltoallv<std::uint64_t>(send, counts);
-    const PhaseBreakdown b = comm.phase_timer().snapshot();
-    EXPECT_GT(b.comm, 0.0);  // 4 MiB copied
+    (void)comm.alltoallv<std::uint64_t>(send, counts);  // 4 MiB copied
   });
+  obs::Tracer::uninstall();
+  for (int rank = 0; rank < 2; ++rank)
+    EXPECT_GT(longest_span(tracer, rank, obs::span_name::kCopy), 0) << rank;
 }
 
 }  // namespace

@@ -171,6 +171,55 @@ TEST_F(SnapshotTest, RejectsTruncatedFile) {
                CheckError);
 }
 
+// A corrupt array length (or a file cut mid-array) must end in a named
+// error on the loading rank, never an unbounded allocation; the other rank
+// is released from its barrier, so nothing hangs.
+using Snapshot = SnapshotTest;
+TEST_F(Snapshot, OversizeLengthIsANamedError) {
+  const gen::EdgeList el = hpcgraph::testing::tiny_graph();
+  parcomm::CommWorld world(2);
+  const auto save = [&] {
+    world.run([&](parcomm::Communicator& comm) {
+      save_snapshot(
+          Builder::from_edge_list(comm, el, PartitionKind::kVertexBlock),
+          comm, prefix());
+    });
+  };
+  const std::string victim = prefix() + ".1";
+  const auto expect_named_error = [&](const std::string& length) {
+    try {
+      world.run([&](parcomm::Communicator& comm) {
+        (void)load_snapshot(comm, prefix());
+      });
+      ADD_FAILURE() << "loaded a corrupt snapshot";
+    } catch (const CheckError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(victim), std::string::npos) << msg;
+      EXPECT_NE(msg.find("array length " + length), std::string::npos) << msg;
+    }
+  };
+  // Header: magic, version, rank, rank count; then the partition blob's
+  // length at byte 32 and its first word at byte 40.
+  constexpr std::streamoff kBlobLength = 32;
+
+  save();
+  std::uint64_t blob_length = 0;
+  {
+    std::fstream f(victim, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(kBlobLength);
+    f.read(reinterpret_cast<char*>(&blob_length), sizeof blob_length);
+    const std::uint64_t huge = std::uint64_t{1} << 40;
+    f.seekp(kBlobLength);
+    f.write(reinterpret_cast<const char*>(&huge), sizeof huge);
+  }
+  ASSERT_GT(blob_length, 0u);
+  expect_named_error(std::to_string(std::uint64_t{1} << 40));
+
+  save();
+  std::filesystem::resize_file(victim, kBlobLength + 8 + 4);
+  expect_named_error(std::to_string(blob_length));
+}
+
 // load_snapshot rebuilds boundary_locals() from the reloaded CSR; it must
 // equal the builder's list.
 using BoundaryInterior = SnapshotTest;

@@ -52,12 +52,10 @@ int usage(const char* msg = nullptr) {
       "                    [--ranks P] [--partition np|mp|rand|pulp] "
       "[--iters K]\n"
       "                    [--root V] [--output FILE] [--seed S]\n"
-      "                    [--trace-json FILE]   per-superstep telemetry "
-      "(engine analytics + bfs)\n"
       "                    [--trace-events FILE] merged Chrome/Perfetto "
       "timeline of every rank and pool thread\n"
       "                    [--metrics-json FILE] per-rank + aggregated "
-      "comm/phase metrics registry dump\n"
+      "comm metrics registry dump\n"
       "                    [--schedule static|dynamic|edge]  intra-rank sweep "
       "schedule (schedule-aware analytics)\n"
       "                    [--frontier queue|bitmap|hybrid]  frontier "
@@ -138,7 +136,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("top-k", 10));
   const std::size_t bc_sources =
       static_cast<std::size_t>(cli.get_int("sources", 16));
-  const std::string trace_json = cli.get("trace-json", "");
   const std::string trace_events = cli.get("trace-events", "");
   const std::string metrics_json = cli.get("metrics-json", "");
   const std::string sched_name = cli.get("schedule", "static");
@@ -180,11 +177,6 @@ int main(int argc, char** argv) {
   if (!trace_events.empty()) tracer.install();
   std::string metrics_payload;
   parcomm::CommWorld world(nranks);
-  // Shared across ranks; the engine (and the BFS sink) push records from
-  // rank 0 only, so the trace needs no locking.
-  engine::SuperstepTrace trace;
-  engine::SuperstepTrace* const trace_ptr =
-      trace_json.empty() ? nullptr : &trace;
   int status = 0;
   world.run([&](parcomm::Communicator& comm) {
     obs::RankGuard obs_guard(comm.rank());
@@ -250,7 +242,6 @@ int main(int argc, char** argv) {
     } else if (analytic == "pagerank") {
       analytics::PageRankOptions o;
       o.max_iterations = iters;
-      o.common.trace = trace_ptr;
       o.common.schedule = sched;
       const auto res = analytics::pagerank(g, comm, o);
       if (!output.empty())
@@ -258,14 +249,12 @@ int main(int argc, char** argv) {
     } else if (analytic == "labelprop") {
       analytics::LabelPropOptions o;
       o.iterations = iters;
-      o.common.trace = trace_ptr;
       o.common.schedule = sched;
       const auto res = analytics::label_propagation(g, comm, o);
       if (!output.empty())
         write_tsv<std::uint64_t>(g, comm, res.labels, output, "community");
     } else if (analytic == "wcc") {
       analytics::WccOptions o;
-      o.common.trace = trace_ptr;
       o.common.schedule = sched;
       const auto res = analytics::wcc(g, comm, o);
       if (root_rank)
@@ -276,7 +265,6 @@ int main(int argc, char** argv) {
     } else if (analytic == "scc") {
       analytics::SccOptions o;
       o.trim = true;
-      o.common.trace = trace_ptr;
       o.common.schedule = sched;
       o.common.frontier = fmode;
       const auto res = analytics::largest_scc(g, comm, o);
@@ -287,7 +275,6 @@ int main(int argc, char** argv) {
         write_tsv<std::uint8_t>(g, comm, res.member, output, "in_scc");
     } else if (analytic == "scc-decompose") {
       analytics::SccDecomposeOptions o;
-      o.common.trace = trace_ptr;
       o.common.schedule = sched;
       o.common.frontier = fmode;
       const auto res = analytics::scc_decompose(g, comm, o);
@@ -298,7 +285,6 @@ int main(int argc, char** argv) {
         write_tsv<gvid_t>(g, comm, res.comp, output, "scc");
     } else if (analytic == "bfs") {
       analytics::BfsOptions o;
-      o.common.trace = trace_ptr;
       o.common.schedule = sched;
       o.common.frontier = fmode;
       const auto res = analytics::bfs_tree(g, comm, root, o);
@@ -309,7 +295,6 @@ int main(int argc, char** argv) {
         write_tsv<std::int64_t>(g, comm, res.level, output, "level");
     } else if (analytic == "sssp") {
       analytics::SsspOptions o;
-      o.common.trace = trace_ptr;
       o.common.schedule = sched;
       o.common.frontier = fmode;
       const auto res = analytics::sssp(g, comm, root, o);
@@ -320,7 +305,6 @@ int main(int argc, char** argv) {
         write_tsv<std::uint64_t>(g, comm, res.dist, output, "distance");
     } else if (analytic == "harmonic") {
       analytics::HarmonicOptions o;
-      o.common.trace = trace_ptr;
       o.common.schedule = sched;
       o.common.frontier = fmode;
       const auto top = analytics::harmonic_top_k(g, comm, top_k, o);
@@ -333,7 +317,6 @@ int main(int argc, char** argv) {
       }
     } else if (analytic == "kcore") {
       analytics::KCoreOptions o;
-      o.common.trace = trace_ptr;
       o.common.schedule = sched;
       const auto res = analytics::kcore_approx(g, comm, o);
       if (root_rank)
@@ -344,7 +327,6 @@ int main(int argc, char** argv) {
         write_tsv<std::uint64_t>(g, comm, res.bound, output, "coreness_ub");
     } else if (analytic == "kcore-exact") {
       analytics::CommonOptions o;
-      o.trace = trace_ptr;
       o.schedule = sched;
       const auto res = analytics::kcore_exact(g, comm, o);
       if (root_rank) std::cout << "degeneracy " << res.max_core << "\n";
@@ -356,7 +338,6 @@ int main(int argc, char** argv) {
     } else if (analytic == "betweenness") {
       analytics::BetweennessOptions o;
       o.num_sources = bc_sources;
-      o.common.trace = trace_ptr;
       o.common.schedule = sched;
       o.common.frontier = fmode;
       const auto res = analytics::betweenness(g, comm, o);
@@ -373,18 +354,12 @@ int main(int argc, char** argv) {
     if (!metrics_json.empty()) {
       obs::Registry reg;
       reg.absorb(comm.stats());
-      reg.absorb(comm.phase_timer().snapshot());
       const std::string payload = obs::export_metrics(reg, comm);
       if (comm.rank() == 0) metrics_payload = payload;
     }
     if (!trace_events.empty()) obs::finalize_trace(tracer, comm);
   });
 
-  if (status == 0 && trace_ptr) {
-    trace.write_json(trace_json);
-    std::cout << "wrote " << trace_json << " (" << trace.size()
-              << " supersteps)\n";
-  }
   if (!trace_events.empty()) {
     obs::Tracer::uninstall();
     if (status == 0) {

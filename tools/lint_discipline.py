@@ -65,11 +65,10 @@ algorithm code (src/analytics, src/engine, src/dgraph):
   raw-timer-in-hot-loop
       A raw `Timer t;` / `AccumTimer` declaration or `thread_cpu_seconds()`
       call lexically inside a for/while body in algorithm code.  Hot-loop
-      timing must use an `obs::Span` (obs/tracer.hpp): `Span::close()`
-      returns the same elapsed seconds a Timer would (so PhaseTimer feeds
-      are unchanged) and the measurement additionally lands on the
-      --trace-events timeline (DESIGN.md §13).  Region-level timers outside
-      loops are fine.
+      timing must use an `obs::Span` (obs/tracer.hpp): spans are the one
+      place time is recorded, so the measurement lands on every rank's
+      --trace-events timeline, and an untraced span reads no clock
+      (DESIGN.md §13).  Region-level timers outside loops are fine.
 
 Suppression: append `lint:allow(<rule>: reason)` — or
 `lint:allow(<rule-a>, <rule-b>: reason)` to cover several rules at once — in
@@ -474,7 +473,7 @@ def check_raw_frontier_exchange(code: str, findings, path):
 
 
 # Raw timing primitives that should be obs::Spans when they sit inside a
-# loop body (where they time per-iteration work feeding PhaseTimer).
+# loop body (where they time per-iteration work).
 RAW_TIMER_RE = re.compile(
     r"\b(?:util\s*::\s*)?(?:Timer|AccumTimer)\s+\w+\s*[;({]"
     r"|\bthread_cpu_seconds\s*\(")
@@ -507,10 +506,10 @@ def check_raw_timer_in_hot_loop(code: str, findings, path):
             findings.append(Finding(
                 path, line_of(code, m.start()), "raw-timer-in-hot-loop",
                 f"raw timing primitive `{m.group(0).strip()}` inside a loop "
-                "body: use obs::Span — Span::close() returns the same "
-                "elapsed seconds (PhaseTimer feeds unchanged) and the "
-                "measurement lands on the --trace-events timeline "
-                "(DESIGN.md §13)"))
+                "body: use obs::Span — spans are the one place time is "
+                "recorded, the measurement lands on every rank's "
+                "--trace-events timeline, and an untraced span reads no "
+                "clock (DESIGN.md §13)"))
 
 
 def check_ref_capture(code: str, findings, path):

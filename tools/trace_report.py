@@ -9,18 +9,16 @@ timeline means for the paper's questions:
   * per-superstep critical path — which rank's round was longest, and the
     max/mean imbalance across ranks for every round;
   * per-rank load — total busy time per (rank, thread) lane;
-  * agreement of the two telemetry paths — rank 0's engine.exchange span
-    per round against the exchange_us the engine stored in the matching
-    SuperstepRecord.
+  * per-rank communication and idle time — the parcomm.copy and
+    parcomm.wait span totals, the paper's Figure 3 split.
 
 Modes:
   trace_report.py TRACE                      human-readable report
-  trace_report.py --check TRACE              schema/sanity gate (CI)
-  trace_report.py --validate-superstep SS TRACE
-                                             cross-check per-round exchange
-                                             time against the --trace-json
-                                             superstep telemetry (5%
-                                             tolerance)
+  trace_report.py --check TRACE              schema/sanity gate (CI), with
+                                             the lockstep check: when no
+                                             event was dropped, every rank's
+                                             main lane holds the same number
+                                             of engine.superstep spans
   trace_report.py --diff BASELINE TRACE      per-span-name regression diff
   trace_report.py --selftest                 synthetic end-to-end self-test
 
@@ -38,12 +36,8 @@ SCHEMA = "hpcgraph-trace-events-v1"
 SUPERSTEP = "engine.superstep"
 COMPUTE = "engine.compute"
 EXCHANGE = "engine.exchange"
-
-# --validate-superstep tolerance: the engine times exchange_us with the very
-# engine.exchange span exported here, so the two differ only by the record's
-# truncation to whole µs.  A round passes within 5% of the longer of the two,
-# or within that 1 µs truncation for very short exchanges.
-EXCHANGE_TOL = 0.05
+COPY = "parcomm.copy"
+WAIT = "parcomm.wait"
 
 
 def load(path):
@@ -102,6 +96,18 @@ def check(doc):
     ranks = other.get("ranks")
     if isinstance(ranks, int) and len(span_pids) > ranks:
         problems.append(f"{len(span_pids)} span pids but ranks={ranks}")
+    # Lockstep: every superstep is collective, so every rank runs the same
+    # rounds.  Dropped events can remove spans, so the check needs none.
+    if other.get("dropped_events") == 0:
+        rounds = {pid: 0 for pid in named_pids | span_pids}
+        for e in events:
+            if (e.get("ph") == "X" and e.get("tid") == 0
+                    and e.get("name") == SUPERSTEP):
+                rounds[e["pid"]] += 1
+        if len(set(rounds.values())) > 1:
+            counts = dict(sorted(rounds.items()))
+            problems.append(f"ranks ran different numbers of {SUPERSTEP} "
+                            f"spans (pid: count) {counts}")
     return problems
 
 
@@ -138,23 +144,14 @@ def supersteps_by_rank(doc):
     return per
 
 
-def children_in(doc, parent, names):
-    """Spans named in `names` on the parent's lane inside its window."""
-    lo, hi = parent["ts"], parent["ts"] + parent["dur"]
-    out = []
+def comm_idle_by_rank(doc):
+    """pid -> [parcomm.copy µs, parcomm.wait µs]: each rank's communication
+    and idle time, the paper's Figure 3 split."""
+    out = defaultdict(lambda: [0.0, 0.0])
     for e in spans(doc):
-        if (e["pid"] == parent["pid"] and e["tid"] == parent["tid"]
-                and e is not parent and e["name"] in names
-                and lo <= e["ts"] and e["ts"] + e["dur"] <= hi + 1e-9):
-            out.append(e)
-    return out
-
-
-def exchange_per_superstep(doc, rank_pid=0):
-    """engine.exchange µs inside each of rank 0's superstep spans, in round
-    order (0 for rounds without a ghost exchange, e.g. frontier rounds)."""
-    return [sum(e["dur"] for e in children_in(doc, ss, {EXCHANGE}))
-            for ss in supersteps_by_rank(doc).get(rank_pid, [])]
+        if e["name"] in (COPY, WAIT):
+            out[e["pid"]][e["name"] == WAIT] += e["dur"]
+    return dict(out)
 
 
 # ---------------------------------------------------------------- reports --
@@ -177,6 +174,11 @@ def report(doc):
         print(f"  {label(pid, tid):<24} {busy[(pid, tid)]:>12.1f}  "
               f"({count[(pid, tid)]} spans)")
 
+    print(f"\nper-rank communication ({COPY}) and idle ({WAIT}):")
+    print(f"  {'rank':>5} {'comm ms':>10} {'idle ms':>10}")
+    for pid, (comm, idle) in sorted(comm_idle_by_rank(doc).items()):
+        print(f"  {pid:>5} {comm / 1e3:>10.3f} {idle / 1e3:>10.3f}")
+
     per_rank = supersteps_by_rank(doc)
     if not per_rank:
         print("\nno superstep spans (not an engine run?)")
@@ -195,35 +197,6 @@ def report(doc):
         imbal = mx / mean if mean > 0 else 0.0
         print(f"  {r:>5} {crit:>9} {mx / 1e3:>9.3f} {mean / 1e3:>9.3f} "
               f"{imbal:>6.2f}")
-    return 0
-
-
-def validate_superstep(doc, ss_path):
-    """Cross-check rank 0's per-round engine.exchange span time against the
-    exchange_us of the matching --trace-json records."""
-    ss = load(ss_path)
-    if ss.get("schema") != "hpcgraph-superstep-trace-v1":
-        return fail(f"{ss_path}: not a superstep trace")
-    records = ss.get("supersteps", [])
-    derived = exchange_per_superstep(doc)
-    if len(records) != len(derived):
-        return fail(f"{len(records)} superstep records vs "
-                    f"{len(derived)} superstep spans on rank 0")
-    worst = 0.0
-    checked = 0
-    for i, (rec, got) in enumerate(zip(records, derived)):
-        want = rec.get("exchange_us", 0)
-        if want == 0 and got == 0:
-            continue  # round without a ghost exchange
-        checked += 1
-        delta = abs(got - want)
-        worst = max(worst, delta)
-        if delta > max(EXCHANGE_TOL * max(got, want), 1.0):
-            return fail(f"round {i}: trace {EXCHANGE} {got:.1f} µs vs "
-                        f"record exchange_us {want} (|Δ| {delta:.1f} µs > "
-                        f"{EXCHANGE_TOL:.0%})")
-    print(f"validate-superstep: OK — {checked}/{len(records)} rounds "
-          f"checked, worst |Δ| {worst:.1f} µs (tol {EXCHANGE_TOL:.0%})")
     return 0
 
 
@@ -267,7 +240,7 @@ def _synthetic_trace():
             ev.append({"ph": "M", "pid": pid, "tid": tid,
                        "name": "thread_name", "args": {"name": tname}})
     # Round r on rank p: superstep [base, base+1000); compute 300, then the
-    # exchange 200.
+    # exchange 200, which copies for 50 and waits for 100.
     for r in range(2):
         for pid in (0, 1):
             base = r * 2000 + pid * 10
@@ -278,6 +251,10 @@ def _synthetic_trace():
                        "dur": 300, "cat": "obs", "name": COMPUTE})
             ev.append({"ph": "X", "pid": pid, "tid": 0, "ts": base + 320,
                        "dur": 200, "cat": "obs", "name": EXCHANGE})
+            ev.append({"ph": "X", "pid": pid, "tid": 0, "ts": base + 330,
+                       "dur": 100, "cat": "obs", "name": WAIT})
+            ev.append({"ph": "X", "pid": pid, "tid": 0, "ts": base + 440,
+                       "dur": 50, "cat": "obs", "name": COPY})
             ev.append({"ph": "X", "pid": pid, "tid": 1, "ts": base + 10,
                        "dur": 290, "cat": "obs", "name": "pool.sweep"})
             ev.append({"ph": "C", "pid": pid, "tid": 0, "ts": base + 600,
@@ -287,27 +264,21 @@ def _synthetic_trace():
             "traceEvents": ev}
 
 
-def _validate_against(doc, exchange_us):
-    """validate_superstep against records carrying these exchange_us."""
-    path = _write_tmp({"schema": "hpcgraph-superstep-trace-v1",
-                       "supersteps": [{"exchange_us": us}
-                                      for us in exchange_us]})
-    try:
-        return validate_superstep(doc, path)
-    finally:
-        os.unlink(path)
-
-
 def selftest():
     doc = _synthetic_trace()
     problems = check(doc)
     assert not problems, problems
-    assert exchange_per_superstep(doc) == [200, 200]
-    # Cross-check against superstep traces: matching records pass (within
-    # the µs truncation), a 10% mismatch or a missing record fails.
-    assert _validate_against(doc, [200, 199]) == 0
-    assert _validate_against(doc, [200, 220]) == 1
-    assert _validate_against(doc, [200]) == 1
+    assert comm_idle_by_rank(doc) == {0: [100, 200], 1: [100, 200]}
+    # A rank missing a round fails the lockstep check, unless events were
+    # dropped (the ring may have overwritten the span).
+    skewed = _synthetic_trace()
+    skewed["traceEvents"].remove(next(
+        e for e in skewed["traceEvents"]
+        if e.get("name") == SUPERSTEP and e["pid"] == 1))
+    assert any("different numbers" in p for p in check(skewed)), \
+        "lockstep violation passed check"
+    skewed["otherData"]["dropped_events"] = 3
+    assert not check(skewed)
     # A corrupted trace must fail --check.
     bad = _synthetic_trace()
     next(e for e in bad["traceEvents"] if e["ph"] == "X")["dur"] = -1
@@ -340,9 +311,6 @@ def main(argv):
     ap.add_argument("trace", nargs="?", help="--trace-events JSON file")
     ap.add_argument("--check", action="store_true",
                     help="schema/sanity validation only (CI gate)")
-    ap.add_argument("--validate-superstep", metavar="SSTRACE",
-                    help="cross-check per-round exchange time against a "
-                         "--trace-json file")
     ap.add_argument("--diff", metavar="BASELINE",
                     help="diff span totals against a baseline trace")
     ap.add_argument("--max-regress", type=float, default=float("inf"),
@@ -372,8 +340,6 @@ def main(argv):
         print(f"check: OK — {n} events, "
               f"ranks={doc.get('otherData', {}).get('ranks')}")
         return 0
-    if args.validate_superstep:
-        return validate_superstep(doc, args.validate_superstep)
     if args.diff:
         return diff(doc, args.diff, args.max_regress)
     return report(doc)
