@@ -203,7 +203,9 @@ void BM_GhostExchangeRebuilt(benchmark::State& state) {
           comm, fx.graph, dgraph::PartitionKind::kRandom);
       std::vector<std::uint64_t> vals(g.n_total(), 1);
       for (int it = 0; it < 10; ++it) {
-        dgraph::GhostExchange gx(g, comm, dgraph::Adjacency::kBoth);
+        // A fresh plan each time: the graph's cached one would be reused.
+        dgraph::GhostExchange gx(dgraph::GhostPlan::build(
+            g, comm, dgraph::Adjacency::kBoth, nullptr));
         gx.exchange<std::uint64_t>(vals, comm);  // queues rebuilt each time
       }
     });

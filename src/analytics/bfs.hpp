@@ -36,7 +36,10 @@ struct BfsOptions {
   /// here as the extension it points at.  Levels are identical to the
   /// default traversal; only the work/communication schedule changes.
   /// Bottom-up levels exchange one frontier flag per boundary vertex
-  /// through retained queues instead of per-discovery vertex messages.
+  /// through the graph's retained plan instead of per-discovery vertex
+  /// messages.  Kept because it wins once that plan is shared across calls:
+  /// 8 roots at 4 ranks take 0.44–0.77× the push-only time on R-MAT and
+  /// webgraph (EXPERIMENTS.md, "one ghost plan per graph").
   bool direction_optimizing = false;
   double alpha = 15.0;  ///< go bottom-up when frontier edges > m/alpha
   double beta = 20.0;   ///< return top-down when frontier < n/beta

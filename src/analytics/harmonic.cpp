@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "analytics/bfs.hpp"
-#include "dgraph/ghost_exchange.hpp"
 #include "util/bitmask64.hpp"
 #include "util/rng.hpp"
 
@@ -37,15 +36,10 @@ namespace {
 std::vector<double> score_batched(const DistGraph& g, Communicator& comm,
                                   std::span<const gvid_t> roots,
                                   const HarmonicOptions& opts) {
-  // The exchange plan is hoisted out of the batch loop: every batch (and
-  // any caller reusing this plan) shares one retained-queue setup.
-  dgraph::GhostExchange gx(g, comm, dgraph::Adjacency::kBoth,
-                           opts.common.pool);
   MsBfsOptions mo;
   mo.dir = Dir::kOut;
   mo.batch_size = opts.batch_size;
   mo.dense_threshold = opts.dense_threshold;
-  mo.exchange = &gx;
   mo.common = opts.common;
 
   std::vector<double> local(roots.size(), 0.0);
@@ -154,13 +148,10 @@ HarmonicApproxResult harmonic_approx(const DistGraph& g, Communicator& comm,
 
   // ---- Distances *toward* each target: reverse (in-edge) MS-BFS, so bit j
   // reaching v at level L means d(v, sample_j) = L along out-edges. ----
-  dgraph::GhostExchange gx(g, comm, dgraph::Adjacency::kBoth,
-                           opts.common.pool);
   MsBfsOptions mo;
   mo.dir = Dir::kIn;
   mo.batch_size = opts.batch_size;
   mo.dense_threshold = opts.dense_threshold;
-  mo.exchange = &gx;
   mo.common = opts.common;
   const MsBfsResult r = msbfs_visit(
       g, comm, res.samples, mo,

@@ -27,12 +27,11 @@ namespace {
 /// the per-event scheme transmitted.  The peeling fixpoint is
 /// order-independent, so results are identical.
 ///
-/// The per-stage sweep-to-fixpoint loop itself runs on the SuperstepEngine
-/// (one PeelKernel per stage borrows this state through the kernel's
-/// `ghosts()` hook, so the exchange plan is built once for all stages).
+/// The per-stage sweep-to-fixpoint loop itself runs on the SuperstepEngine:
+/// one PeelKernel per stage borrows this state, and every stage's run
+/// exchanges over the graph's shared kBoth plan.
 struct Peeler {
   const DistGraph& g;
-  GhostExchange gx;
   dgraph::GhostMode mode;
   std::vector<std::uint64_t> deg;       ///< remaining degree, locals only
   std::vector<std::uint8_t> alive;      ///< locals + ghost replicas
@@ -42,9 +41,8 @@ struct Peeler {
   std::uint64_t alive_local;
   ChunkGrid scan_grid;                  ///< mark-scan grid (built lazily)
 
-  Peeler(const DistGraph& g_, Communicator& comm, const CommonOptions& opts)
+  Peeler(const DistGraph& g_, const CommonOptions& opts)
       : g(g_),
-        gx(g_, comm, Adjacency::kBoth, opts.pool),
         mode(opts.ghost_mode),
         deg(g_.n_loc()),
         alive(g_.n_total(), 1),
@@ -69,9 +67,10 @@ struct Peeler {
   }
 
   /// Remove local vertices below the degree limit (marking them on the
-  /// exchange plan); calls on_remove(v) per removal, returns the count.
+  /// run's exchange); calls on_remove(v) per removal, returns the count.
   template <typename F>
-  std::uint64_t remove_below(std::uint64_t limit, F&& on_remove) {
+  std::uint64_t remove_below(std::uint64_t limit, F&& on_remove,
+                             GhostExchange& gx) {
     std::uint64_t removed = 0;
     for (lvid_t v = 0; v < g.n_loc(); ++v) {
       if (!alive[v] || deg[v] >= limit) continue;
@@ -99,7 +98,8 @@ struct Peeler {
   /// order-independent fixpoint, and bit-identical deg/alive/bound outputs.
   template <typename F>
   std::uint64_t remove_below_scheduled(std::uint64_t limit, F&& on_remove,
-                                       ThreadPool& tp, Schedule sched) {
+                                       GhostExchange& gx, ThreadPool& tp,
+                                       Schedule sched) {
     // The scan is O(1) per vertex (no adjacency walk), so the grid is
     // uniform-weight; chunk geometry is a pure function of n_loc.
     if (scan_grid.empty() && g.n_loc() > 0)
@@ -168,17 +168,17 @@ struct PeelKernel {
   F on_remove;
   std::uint64_t removed_total = 0;  ///< global removals over the stage
 
-  GhostExchange* ghosts() { return &p.gx; }
+  Adjacency adjacency() const { return Adjacency::kBoth; }
   dgraph::GhostMode ghost_mode() const { return p.mode; }
   std::span<std::uint8_t> values() { return {p.alive}; }
   std::vector<lvid_t>* changed_ghosts() { return &p.flipped; }
 
   void compute(engine::StepContext& ctx) {
     if (ctx.schedule == Schedule::kStatic)
-      ctx.active_local = p.remove_below(limit, on_remove);
+      ctx.active_local = p.remove_below(limit, on_remove, *ctx.gx);
     else
-      ctx.active_local = p.remove_below_scheduled(limit, on_remove, ctx.pool,
-                                                  ctx.schedule);
+      ctx.active_local = p.remove_below_scheduled(limit, on_remove, *ctx.gx,
+                                                  ctx.pool, ctx.schedule);
     ctx.touched_local = p.g.n_loc();
   }
 
@@ -208,7 +208,7 @@ KCoreResult kcore_approx(const DistGraph& g, Communicator& comm,
   KCoreResult res;
   res.bound.assign(g.n_loc(), std::uint64_t{1} << opts.max_i);
 
-  Peeler peel(g, comm, opts.common);
+  Peeler peel(g, opts.common);
 
   for (unsigned i = 1; i <= opts.max_i; ++i) {
     const std::uint64_t threshold = std::uint64_t{1} << i;
@@ -262,7 +262,7 @@ KCoreExactResult kcore_exact(const DistGraph& g, Communicator& comm,
   KCoreExactResult res;
   res.core.assign(g.n_loc(), 0);
 
-  Peeler peel(g, comm, opts);
+  Peeler peel(g, opts);
 
   std::uint64_t k = 0;
   while (comm.allreduce_sum(peel.alive_local) > 0) {

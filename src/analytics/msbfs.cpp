@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <optional>
 
 #include "dgraph/ghost_exchange.hpp"
 #include "engine/frontier.hpp"
@@ -222,25 +221,16 @@ MsBfsResult msbfs_visit(const DistGraph& g, Communicator& comm,
   ScopedPool pf(opts.common);
   ThreadPool& tp = pf.get();
 
-  // One exchange plan serves every batch; callers looping over many calls
-  // (harmonic_top_k, harmonic_approx) inject a longer-lived one instead.
-  std::optional<GhostExchange> own;
-  GhostExchange* gx = opts.exchange;
-  if (gx != nullptr) {
-    HG_CHECK_MSG(gx->adjacency() == dgraph::Adjacency::kBoth,
-                 "reused MS-BFS exchange plan must be built with "
-                 "Adjacency::kBoth");
-  } else {
-    own.emplace(g, comm, dgraph::Adjacency::kBoth, opts.common.pool);
-    gx = &*own;
-  }
-  gx->set_schedule(opts.common.schedule);
+  // Every batch, and every call on this graph, runs over the graph's kBoth
+  // plan (built on its first request).
+  GhostExchange gx(g, comm, dgraph::Adjacency::kBoth, opts.common.pool);
+  gx.set_schedule(opts.common.schedule);
 
   MsBfsResult res;
   res.n_roots = roots.size();
   for (std::size_t b = 0; b < roots.size(); b += opts.batch_size) {
     const std::size_t len = std::min(opts.batch_size, roots.size() - b);
-    const int levels = run_batch(g, comm, *gx, roots.subspan(b, len), b, opts,
+    const int levels = run_batch(g, comm, gx, roots.subspan(b, len), b, opts,
                                  tp, visit, &res.visited);
     res.num_levels = std::max(res.num_levels, levels);
   }

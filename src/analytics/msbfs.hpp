@@ -61,10 +61,6 @@ struct MsBfsOptions {
   /// schedule when the global count of frontier-active vertices exceeds
   /// dense_threshold * n_global; 1.0 forces pure push, 0.0 pure pull.
   double dense_threshold = 0.04;
-  /// Optional pre-built exchange plan to reuse across calls (hoisted out of
-  /// analytic candidate loops).  Must be constructed over the same graph
-  /// with dgraph::Adjacency::kBoth; null = build one internally per call.
-  dgraph::GhostExchange* exchange = nullptr;
   CommonOptions common;
 };
 

@@ -20,7 +20,9 @@
 /// distributed results reproducible and directly comparable with the
 /// sequential reference implementations in tests.
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -30,11 +32,18 @@
 #include "util/lp_hash_map.hpp"
 #include "util/types.hpp"
 
+namespace hpcgraph {
+class ThreadPool;
+}  // namespace hpcgraph
+
 namespace hpcgraph::parcomm {
 class Communicator;
 }  // namespace hpcgraph::parcomm
 
 namespace hpcgraph::dgraph {
+
+class GhostPlan;       // dgraph/ghost_exchange.hpp
+enum class Adjacency;  // dgraph/ghost_exchange.hpp
 
 /// One rank's share of the distributed graph.  Built by builder.hpp.
 class DistGraph {
@@ -115,6 +124,20 @@ class DistGraph {
   /// the builder and the snapshot loader.
   std::span<const lvid_t> boundary_locals() const { return boundary_; }
 
+  // ---- Retained ghost-exchange plans (defined in ghost_exchange.cpp). ----
+  /// The graph's ghost-exchange plan for `adj`.  Collective on the first
+  /// request per adjacency, which builds it (GhostPlan::build); later
+  /// requests return the same plan without communicating.  Every rank must
+  /// request it at the same point of the collective sequence, which holds
+  /// as long as every rank runs the same analytics on its graph.  A copy of
+  /// the graph shares the plans built before the copy; a snapshot-reloaded
+  /// graph builds its own.
+  std::shared_ptr<const GhostPlan> ghost_plan(parcomm::Communicator& comm,
+                                              Adjacency adj,
+                                              ThreadPool* pool) const;
+  /// Resident bytes of the plans this graph holds.
+  std::uint64_t ghost_plan_bytes() const;
+
   // ---- Raw CSR views (compression, serialization, custom kernels). ----
   std::span<const ecnt_t> out_index() const { return out_index_; }
   std::span<const lvid_t> out_edges_raw() const { return out_edges_; }
@@ -169,6 +192,9 @@ class DistGraph {
   std::vector<gvid_t> unmap_;           // local -> global, n_loc + n_gst
   std::vector<std::int32_t> ghost_task_;  // owner of each ghost, n_gst
   std::vector<lvid_t> boundary_;        // locals with a ghost neighbor
+  // One lazily built plan per Adjacency value; a cache of a pure function
+  // of the members above, hence mutable.
+  mutable std::array<std::shared_ptr<const GhostPlan>, 3> ghost_plans_;
 };
 
 }  // namespace hpcgraph::dgraph

@@ -4,12 +4,18 @@
 /// pattern shared by all "PageRank-like" analytics (§III-D1) — extended with
 /// a change-tracked adaptive sparse/dense wire format.
 ///
-/// Setup (once): each rank scans the adjacency of every local vertex v and
-/// marks, per Algorithm 1 lines 5–11, the set of tasks that hold v as a
-/// ghost; it then builds a *retained* send queue of those (task, vertex)
-/// pairs.  The initial exchange ships global vertex ids; receivers convert
-/// them to local ghost ids through the hash map once and keep them
-/// (`recv_local_`), so later iterations never touch the hash map.
+/// Setup (once per graph and adjacency): each rank scans the adjacency of
+/// every local vertex v and marks, per Algorithm 1 lines 5–11, the set of
+/// tasks that hold v as a ghost; it then builds a *retained* send queue of
+/// those (task, vertex) pairs.  The initial exchange ships global vertex ids;
+/// receivers convert them to local ghost ids through the hash map once and
+/// keep them (`recv_local_`), so later iterations never touch the hash map.
+/// That immutable result is a `GhostPlan`.  The graph owns at most one plan
+/// per Adjacency, built on first use and shared by every analytic, engine
+/// run and BFS call on it (`DistGraph::ghost_plan`), so the paper's "retain,
+/// don't rebuild" holds across analytics, not only across iterations.  A
+/// `GhostExchange` is the cheap per-run half over a shared plan: dirty
+/// flags, the payload buffer, the sparse cursors and the loop schedule.
 ///
 /// Per iteration: only the value payload is refreshed and exchanged — the
 /// paper's two optimizations verbatim ("we first cut the size of data being
@@ -69,18 +75,21 @@
 /// state, no hash map.
 ///
 /// Both wire formats pack, unpack and scatter in parallel on the pool passed
-/// at construction (pass deterministically: the sparse payload is ordered by
+/// to the exchange (pass deterministically: the sparse payload is ordered by
 /// slot regardless of thread count).  Per-rank observability lands in
 /// CommStats (`ghost_rounds_dense/sparse/reduce`, `ghost_bytes_saved`) and
 /// in the `ghost.plan`, `ghost.pack`, `ghost.scatter` and `ghost.reduce`
 /// spans.
 ///
-/// An ablation flag rebuilds queues every iteration instead, so the benefit
-/// is measurable (bench/micro_primitives); bench/ablation_optimizations
-/// section E measures dense-always vs sparse-always vs adaptive.
+/// An ablation flag rebuilds queues every iteration instead, through the
+/// same build function but bypassing the graph's cache (exchange_fresh), so
+/// the benefit is measurable (bench/micro_primitives);
+/// bench/ablation_optimizations section E measures dense-always vs
+/// sparse-always vs adaptive.
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -92,7 +101,8 @@
 
 namespace hpcgraph::dgraph {
 
-/// Which adjacency directions determine "task t needs vertex v".
+/// Which adjacency directions determine "task t needs vertex v".  Declared
+/// opaquely in dist_graph.hpp, which caches one GhostPlan per value.
 enum class Adjacency {
   kOut,     ///< ghosts of out-edges only (directed value flow, e.g. PageRank)
   kIn,      ///< ghosts of in-edges only
@@ -131,16 +141,64 @@ struct OverwriteCombine {
   }
 };
 
-/// Retained-queue ghost exchange for per-vertex values of type T.
-class GhostExchange {
+/// The immutable half of a retained-queue exchange: per-destination send
+/// queues of local ids, the per-source receive map to ghost ids, the fixed
+/// slot chunk grid and the allreduced entry count.  A pure function of
+/// (graph, adjacency); its contents do not depend on the pool it was built
+/// with.
+class GhostPlan {
  public:
-  /// Collective.  Builds retained queues and performs the id exchange.
+  /// Collective.  The one plan build: two adjacency scans, the id
+  /// alltoallv and an allreduce, under a `ghost.plan` span.  Analytics get
+  /// the graph's cached plan through DistGraph::ghost_plan instead; calling
+  /// this directly builds a fresh, uncached plan (the rebuild ablation).
   /// \param adj   Which neighbours of a local vertex make it a boundary
   ///              vertex w.r.t. a given task.
-  /// \param pool  Worker pool for setup *and* per-iteration pack/unpack
-  ///              (null = inline single-thread execution).
+  /// \param pool  Worker pool for the scans (null = inline execution).
+  static std::shared_ptr<const GhostPlan> build(const DistGraph& g,
+                                                parcomm::Communicator& comm,
+                                                Adjacency adj,
+                                                ThreadPool* pool);
+
+  /// Number of (vertex, task) pairs sent each dense iteration.
+  std::uint64_t send_entries() const { return send_local_.size(); }
+  /// Number of ghost updates received each dense iteration.
+  std::uint64_t recv_entries() const { return recv_local_.size(); }
+  /// Global number of retained queue entries (allreduced at build).
+  std::uint64_t entries_global() const { return entries_global_; }
+  /// Resident bytes of the plan's arrays.
+  std::uint64_t memory_bytes() const;
+
+ private:
+  friend class GhostExchange;
+  GhostPlan() = default;
+
+  std::vector<lvid_t> send_local_;          // retained vertex queue (local ids)
+  std::vector<std::uint64_t> send_counts_;  // per-task counts
+  std::vector<std::uint64_t> send_displs_;  // CSR offsets of send segments
+  std::vector<lvid_t> recv_local_;          // retained receive targets
+  std::vector<std::uint64_t> recv_displs_;  // CSR offsets per source task
+  std::vector<std::uint64_t> recv_counts_;  // per-source counts (reduce path)
+  ChunkGrid slot_grid_;                     // fixed grid over retained slots
+  std::uint64_t entries_global_ = 0;        // allreduced send entries
+  lvid_t n_loc_ = 0;                        // dirty-flag extent
+  std::size_t n_total_ = 0;                 // locals + ghosts, for checking
+};
+
+/// Retained-queue ghost exchange for per-vertex values of type T: the
+/// per-run state over a shared GhostPlan.
+class GhostExchange {
+ public:
+  /// Exchange over the graph's cached plan for `adj`.  Collective only when
+  /// it builds that plan, on the graph's first request for `adj`; every
+  /// rank reaches it at the same point of the collective sequence.
+  /// \param pool  Worker pool for the plan build *and* per-iteration
+  ///              pack/unpack (null = inline single-thread execution).
   GhostExchange(const DistGraph& g, parcomm::Communicator& comm,
                 Adjacency adj = Adjacency::kBoth, ThreadPool* pool = nullptr);
+  /// Exchange over an existing plan; no communication.
+  explicit GhostExchange(std::shared_ptr<const GhostPlan> plan,
+                         ThreadPool* pool = nullptr);
 
   // ---- Change tracking (owner side). ----
 
@@ -226,55 +284,43 @@ class GhostExchange {
   template <typename T, typename F>
   void reduce(std::span<T> vals, parcomm::Communicator& comm, F&& combine) {
     static_assert(std::is_trivially_copyable_v<T>);
-    HG_CHECK_MSG(vals.size() >= n_total_,
+    HG_CHECK_MSG(vals.size() >= plan_->n_total_,
                  "value array must cover locals + ghosts");
     ThreadPool& tp = pf_.get();
 
-    payload_bytes_.resize(recv_local_.size() * sizeof(T));
+    payload_bytes_.resize(plan_->recv_local_.size() * sizeof(T));
     T* send = reinterpret_cast<T*>(payload_bytes_.data());
     {
       obs::Span sp(obs::span_name::kGhostPack);
-      tp.for_range(0, recv_local_.size(), sched_,
+      tp.for_range(0, plan_->recv_local_.size(), sched_,
                    [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
                      for (std::uint64_t i = lo; i < hi; ++i)
-                       send[i] = vals[recv_local_[i]];
+                       send[i] = vals[plan_->recv_local_[i]];
                    });
     }
     obs::counter(obs::counter_name::kWireBytes,
                  static_cast<double>(payload_bytes_.size()));
     const std::vector<T> back = comm.alltoallv<T>(
-        {send, recv_local_.size()}, recv_counts_, nullptr, pool_);
+        {send, plan_->recv_local_.size()}, plan_->recv_counts_, nullptr,
+        pool_);
     // Each source rank returns exactly the segment this rank sent it at
     // setup, so `back` aligns 1:1 with the retained send queue.
-    HG_DCHECK(back.size() == send_local_.size());
+    HG_DCHECK(back.size() == plan_->send_local_.size());
     {
       obs::Span sp(obs::span_name::kGhostReduce);
       // Serial fold: a boundary vertex retained for several destination
       // tasks occupies one slot per task, so parallel segment processing
       // would race on vals[v].
       for (std::size_t i = 0; i < back.size(); ++i) {
-        T& dst = vals[send_local_[i]];
+        T& dst = vals[plan_->send_local_[i]];
         dst = combine(dst, back[i]);
       }
     }
     ++comm.stats().ghost_rounds_reduce;
   }
 
-  /// Adjacency rule this plan was built with (callers sharing one plan
-  /// across analytics check compatibility against it).
-  Adjacency adjacency() const { return adj_; }
-
-  /// Number of (vertex, task) pairs sent each dense iteration.
-  std::uint64_t send_entries() const { return send_local_.size(); }
-  /// Number of ghost updates received each dense iteration.
-  std::uint64_t recv_entries() const { return recv_local_.size(); }
-  /// Global number of retained queue entries (allreduced at setup).
-  std::uint64_t entries_global() const { return entries_global_; }
-
-  /// Local ids (owner side) of each retained queue slot, grouped by
-  /// destination task.  Exposed for the rebuild-ablation and tests.
-  std::span<const lvid_t> send_local() const { return send_local_; }
-  std::span<const std::uint64_t> send_counts() const { return send_counts_; }
+  /// The shared plan this exchange runs over.
+  const GhostPlan& plan() const { return *plan_; }
 
  private:
   template <typename T, typename F>
@@ -282,7 +328,7 @@ class GhostExchange {
                      GhostMode mode, std::vector<lvid_t>* changed_ghosts,
                      F&& combine) {
     static_assert(std::is_trivially_copyable_v<T>);
-    HG_CHECK_MSG(vals.size() >= n_total_,
+    HG_CHECK_MSG(vals.size() >= plan_->n_total_,
                  "value array must cover locals + ghosts");
     ThreadPool& tp = pf_.get();
     if (changed_ghosts) changed_ghosts->clear();
@@ -297,7 +343,7 @@ class GhostExchange {
         const std::uint64_t changed_global = comm.allreduce_sum(changed_local);
         sparse = static_cast<double>(changed_global * sizeof(SlotVal<T>)) <
                  sparse_crossover_ *
-                     static_cast<double>(entries_global_ * sizeof(T));
+                     static_cast<double>(plan_->entries_global_ * sizeof(T));
       }
     }
 
@@ -315,29 +361,30 @@ class GhostExchange {
                       ThreadPool& tp, std::vector<lvid_t>* changed_ghosts,
                       F&& combine) {
     static_assert(std::is_trivially_copyable_v<T>);
-    payload_bytes_.resize(send_local_.size() * sizeof(T));
+    payload_bytes_.resize(plan_->send_local_.size() * sizeof(T));
     T* send = reinterpret_cast<T*>(payload_bytes_.data());
     {
       obs::Span sp(obs::span_name::kGhostPack);
-      tp.for_range(0, send_local_.size(), sched_,
+      tp.for_range(0, plan_->send_local_.size(), sched_,
                    [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
                      for (std::uint64_t i = lo; i < hi; ++i)
-                       send[i] = vals[send_local_[i]];
+                       send[i] = vals[plan_->send_local_[i]];
                    });
     }
     obs::counter(obs::counter_name::kWireBytes,
                  static_cast<double>(payload_bytes_.size()));
     const std::vector<T> recv = comm.alltoallv<T>(
-        {send, send_local_.size()}, send_counts_, nullptr, pool_);
+        {send, plan_->send_local_.size()}, plan_->send_counts_, nullptr,
+        pool_);
     {
       obs::Span sp(obs::span_name::kGhostScatter);
       // Race-free under combine: each ghost slot has exactly one owner, so
-      // it appears at most once in recv_local_.
+      // it appears at most once in the receive map.
       if (!changed_ghosts) {
         tp.for_range(0, recv.size(), sched_,
                      [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
                        for (std::uint64_t i = lo; i < hi; ++i) {
-                         T& dst = vals[recv_local_[i]];
+                         T& dst = vals[plan_->recv_local_[i]];
                          dst = combine(dst, recv[i]);
                        }
                      });
@@ -351,7 +398,7 @@ class GhostExchange {
                       [&](unsigned, std::uint64_t c, const Chunk& ck) {
                         auto& out = cchg[c];
                         for (std::uint64_t i = ck.begin; i < ck.end; ++i) {
-                          const lvid_t l = recv_local_[i];
+                          const lvid_t l = plan_->recv_local_[i];
                           const T nv = combine(vals[l], recv[i]);
                           if (vals[l] != nv) out.push_back(l);
                           vals[l] = nv;
@@ -373,7 +420,7 @@ class GhostExchange {
                        std::vector<lvid_t>* changed_ghosts, F&& combine) {
     using Pair = SlotVal<T>;
     static_assert(std::is_trivially_copyable_v<Pair>);
-    const std::size_t p = send_counts_.size();
+    const std::size_t p = plan_->send_counts_.size();
     payload_bytes_.resize(changed_local * sizeof(Pair));
     Pair* pairs = reinterpret_cast<Pair*>(payload_bytes_.data());
 
@@ -385,7 +432,7 @@ class GhostExchange {
     // under every schedule and thread count.
     {
       obs::Span sp(obs::span_name::kGhostPack);
-      tp.for_chunks(slot_grid_, sched_,
+      tp.for_chunks(plan_->slot_grid_, sched_,
                     [&](unsigned, std::uint64_t c, const Chunk& ck) {
                       std::vector<std::uint64_t> cur(
                           chg_chunk_base_.begin() +
@@ -394,11 +441,12 @@ class GhostExchange {
                               static_cast<std::ptrdiff_t>((c + 1) * p));
                       std::size_t d = dest_of_slot(ck.begin);
                       for (std::uint64_t i = ck.begin; i < ck.end; ++i) {
-                        while (i >= send_displs_[d + 1]) ++d;
-                        const lvid_t v = send_local_[i];
+                        while (i >= plan_->send_displs_[d + 1]) ++d;
+                        const lvid_t v = plan_->send_local_[i];
                         if (!dirty_[v]) continue;
                         pairs[cur[d]++] = Pair{
-                            static_cast<std::uint32_t>(i - send_displs_[d]),
+                            static_cast<std::uint32_t>(
+                                i - plan_->send_displs_[d]),
                             vals[v]};
                       }
                     });
@@ -411,7 +459,7 @@ class GhostExchange {
         {pairs, changed_local}, chg_counts_, &rcounts, pool_);
 
     // Scatter against the retained receive map: the pair from source s
-    // updates recv_local_[recv_displs_[s] + slot].
+    // updates recv_local_[recv_displs_[s] + slot] of the plan.
     {
       obs::Span sp(obs::span_name::kGhostScatter);
       const std::vector<std::uint64_t> rdispl =
@@ -429,9 +477,9 @@ class GhostExchange {
         for (std::uint64_t j = ck.begin; j < ck.end; ++j) {
           while (j >= rdispl[s + 1]) ++s;
           const Pair& pr = recv[j];
-          const std::uint64_t pos = recv_displs_[s] + pr.slot;
-          HG_DCHECK(pos < recv_displs_[s + 1]);
-          const lvid_t l = recv_local_[pos];
+          const std::uint64_t pos = plan_->recv_displs_[s] + pr.slot;
+          HG_DCHECK(pos < plan_->recv_displs_[s + 1]);
+          const lvid_t l = plan_->recv_local_[pos];
           const T nv = combine(vals[l], pr.value);
           if (changed_ghosts && vals[l] != nv) cchg[c].push_back(l);
           vals[l] = nv;
@@ -446,15 +494,16 @@ class GhostExchange {
     auto& st = comm.stats();
     ++st.ghost_rounds_sparse;
     st.ghost_bytes_saved +=
-        static_cast<std::int64_t>(send_local_.size() * sizeof(T)) -
+        static_cast<std::int64_t>(plan_->send_local_.size() * sizeof(T)) -
         static_cast<std::int64_t>(changed_local * sizeof(Pair));
   }
 
   /// Destination task owning retained slot i (segments are contiguous).
   std::size_t dest_of_slot(std::uint64_t i) const {
+    const std::vector<std::uint64_t>& displs = plan_->send_displs_;
     return static_cast<std::size_t>(
-               std::upper_bound(send_displs_.begin(), send_displs_.end(), i) -
-               send_displs_.begin()) -
+               std::upper_bound(displs.begin(), displs.end(), i) -
+               displs.begin()) -
            1;
   }
 
@@ -465,33 +514,24 @@ class GhostExchange {
   std::uint64_t count_changed(ThreadPool& tp);
   void clear_dirty(ThreadPool& tp);
 
-  std::vector<lvid_t> send_local_;          // retained vertex queue (local ids)
-  std::vector<std::uint64_t> send_counts_;  // per-task counts
-  std::vector<std::uint64_t> send_displs_;  // CSR offsets of send segments
-  std::vector<lvid_t> recv_local_;          // retained receive targets
-  std::vector<std::uint64_t> recv_displs_;  // CSR offsets per source task
-  std::vector<std::uint64_t> recv_counts_;  // per-source counts (reduce path)
+  std::shared_ptr<const GhostPlan> plan_;   // retained queues (shared)
   std::vector<std::uint8_t> payload_bytes_; // reused per-iteration buffer
   std::vector<std::uint8_t> dirty_;         // per local vertex changed flag
-  ChunkGrid slot_grid_;                     // fixed grid over retained slots
   std::vector<std::uint64_t> chg_chunk_counts_;  // [chunk*p + dest] changed
   std::vector<std::uint64_t> chg_chunk_base_;    // [chunk*p + dest] cursors
   std::vector<std::uint64_t> chg_counts_;        // per-dest changed
   ThreadPool* pool_ = nullptr;
   PoolFallback pf_{nullptr};                // persistent pool-or-inline
-  Adjacency adj_ = Adjacency::kBoth;        // rule the plan was built with
   Schedule sched_ = Schedule::kStatic;      // pack/scatter loop schedule
-  std::uint64_t entries_global_ = 0;        // allreduced send entries
   double sparse_crossover_ = 1.0;           // adaptive byte-cost factor
-  std::size_t n_total_ = 0;                 // locals + ghosts, for checking
 };
 
-/// Collective.  One-shot ghost refresh through a *freshly built* queue —
-/// the `retain_queues == false` ablation path shared by the engine-ported
-/// analytics.  A fresh queue has no change history, so the sparse contract
-/// ("every unmarked ghost already mirrors its owner") cannot be certified;
-/// the round therefore always goes dense regardless of what mode the caller
-/// runs retained exchanges with.  `changed_ghosts`, if non-null, still
+/// Collective.  One-shot ghost refresh through a *freshly built*, uncached
+/// plan — the `retain_queues == false` ablation path shared by the
+/// engine-ported analytics.  A fresh queue has no change history, so the
+/// sparse contract ("every unmarked ghost already mirrors its owner") cannot
+/// be certified; the round therefore always goes dense regardless of what
+/// mode the caller runs retained exchanges with.  `changed_ghosts`, if non-null, still
 /// receives the ghost slots whose value actually changed (dense rounds
 /// compute it by comparison), so flip-driven analytics (k-core) stay correct
 /// under the ablation.
@@ -500,7 +540,7 @@ void exchange_fresh(const DistGraph& g, parcomm::Communicator& comm,
                     Adjacency adj, ThreadPool* pool, std::span<T> vals,
                     std::vector<lvid_t>* changed_ghosts = nullptr) {
   static_assert(std::is_trivially_copyable_v<T>);
-  GhostExchange fresh(g, comm, adj, pool);
+  GhostExchange fresh(GhostPlan::build(g, comm, adj, pool), pool);
   fresh.exchange<T>(vals, comm, GhostMode::kDense, changed_ghosts);
 }
 

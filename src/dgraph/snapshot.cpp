@@ -78,6 +78,27 @@ std::vector<T> get_vec(const File& f) {
   return v;
 }
 
+/// A CSR index array must start at 0 and never decrease.
+void check_index(const std::vector<ecnt_t>& index, const std::string& path,
+                 const char* name) {
+  HG_CHECK_MSG(index.front() == 0, "snapshot " << path << ": " << name
+                                               << " does not start at 0");
+  for (std::size_t i = 1; i < index.size(); ++i)
+    HG_CHECK_MSG(index[i - 1] <= index[i],
+                 "snapshot " << path << ": " << name << " decreases at entry "
+                             << i);
+}
+
+/// Every edge entry must be a local-or-ghost id.
+void check_edges(const std::vector<lvid_t>& edges, lvid_t n_total,
+                 const std::string& path, const char* name) {
+  for (std::size_t e = 0; e < edges.size(); ++e)
+    HG_CHECK_MSG(edges[e] < n_total,
+                 "snapshot " << path << ": " << name << " entry " << e
+                             << " is " << edges[e] << ", not below n_total "
+                             << n_total);
+}
+
 std::string rank_path(const std::string& prefix, int rank) {
   return prefix + "." + std::to_string(rank);
 }
@@ -139,9 +160,32 @@ DistGraph load_snapshot(parcomm::Communicator& comm,
   HG_CHECK(g.out_index_.back() == g.out_edges_.size());
   HG_CHECK(g.in_index_.back() == g.in_edges_.size());
 
+  // The arrays the ghost plan build and the analytics use as indices must
+  // be in range: a bad entry would otherwise write or read out of bounds.
+  const std::string& path = f.path();
+  check_index(g.out_index_, path, "out_index");
+  check_index(g.in_index_, path, "in_index");
+  check_edges(g.out_edges_, g.n_total(), path, "out_edges");
+  check_edges(g.in_edges_, g.n_total(), path, "in_edges");
+  for (std::size_t i = 0; i < g.ghost_task_.size(); ++i) {
+    const std::int32_t t = g.ghost_task_[i];
+    HG_CHECK_MSG(t >= 0 && t < comm.size() && t != comm.rank(),
+                 "snapshot " << path << ": ghost_task entry " << i << " is "
+                             << t << ", not another rank of " << comm.size());
+  }
+  for (std::size_t i = 0; i < g.unmap_.size(); ++i)
+    HG_CHECK_MSG(g.unmap_[i] < g.n_global_,
+                 "snapshot " << path << ": unmap entry " << i << " is "
+                             << g.unmap_[i] << ", not below n_global "
+                             << g.n_global_);
+
   // The global->local hash map is cheaper to rebuild than to store.
   g.map_.reserve(g.unmap_.size() * 2);
   for (lvid_t l = 0; l < g.n_total(); ++l) g.map_.insert(g.unmap_[l], l);
+  HG_CHECK_MSG(g.map_.size() == g.n_total(),
+               "snapshot " << path << ": unmap holds "
+                           << g.n_total() - g.map_.size()
+                           << " duplicate global ids");
 
   g.build_boundary_locals();
 

@@ -21,9 +21,10 @@
 ///   * `std::span<Value> values()`           length >= g.n_total(); ghost
 ///                                           slots are refreshed by the
 ///                                           engine's exchange each round
-///   * `dgraph::Adjacency adjacency()`       boundary rule for the engine's
-///                                           own GhostExchange (not needed if
-///                                           `ghosts()` is provided)
+///   * `dgraph::Adjacency adjacency()`       boundary rule: the run's
+///                                           GhostExchange uses the graph's
+///                                           plan for it (built on the graph's
+///                                           first request, shared after)
 ///   * `void compute(StepContext&)`          local sweep; mark changed
 ///                                           vertices on ctx.gx and report
 ///                                           ctx.active/touched/residual
@@ -32,8 +33,6 @@
 ///                                           allreduce (same inputs on every
 ///                                           rank -> same decision)
 /// Optional members (detected with `if constexpr (requires ...)`):
-///   * `dgraph::GhostExchange* ghosts()`     reuse a caller-owned plan (built
-///                                           once across k-core stages)
 ///   * `dgraph::GhostMode ghost_mode()`      wire policy (default kDense)
 ///   * `bool retain_queues()`                false = rebuild-ablation: each
 ///                                           round exchanges through a fresh
@@ -76,8 +75,9 @@
 ///                                           decision before step()
 ///   * `std::uint64_t degree_local()`        pre-loop local frontier-degree
 ///                                           sum (round 0's crossover input)
-///   * `dgraph::GhostExchange* ghosts()`     caller-owned plan for kernels
-///                                           that publish dense frontiers
+///   * `dgraph::GhostExchange* ghosts()`     the kernel's exchange, for
+///                                           kernels that publish dense
+///                                           frontiers (over the graph's plan)
 ///
 /// The engine sizes the frontier globally before round 0 (empty frontier =>
 /// zero supersteps) and after every step; it stops when the global frontier
@@ -218,12 +218,8 @@ concept ValueKernel =
       { k.values() } -> std::convertible_to<std::span<typename K::Value>>;
       k.compute(ctx);
       { k.converged(a, r) } -> std::convertible_to<bool>;
-    } &&
-    (requires(K k) {
       { k.adjacency() } -> std::same_as<dgraph::Adjacency>;
-    } || requires(K k) {
-      { k.ghosts() } -> std::convertible_to<dgraph::GhostExchange*>;
-    });
+    };
 
 template <class K>
 concept FrontierKernel = requires(K k, FrontierStepContext& ctx) {
@@ -245,16 +241,9 @@ class SuperstepEngine {
     using T = typename K::Value;
     ThreadPool& tp = pf_.get();
 
-    // Exchange plan: borrow the kernel's retained plan if it has one, else
-    // build (collectively) from the kernel's adjacency rule.
-    dgraph::GhostExchange* gx = nullptr;
-    std::optional<dgraph::GhostExchange> owned;
-    if constexpr (requires { kernel.ghosts(); }) {
-      gx = kernel.ghosts();
-    } else {
-      owned.emplace(g_, comm_, kernel.adjacency(), cfg_.pool);
-      gx = &*owned;
-    }
+    // Per-run exchange over the graph's plan for the kernel's adjacency
+    // rule (collective only on the graph's first request for that rule).
+    dgraph::GhostExchange gx(g_, comm_, kernel.adjacency(), cfg_.pool);
 
     dgraph::GhostMode mode = dgraph::GhostMode::kDense;
     if constexpr (requires { kernel.ghost_mode(); }) mode = kernel.ghost_mode();
@@ -270,12 +259,12 @@ class SuperstepEngine {
     const auto do_exchange = [&] {
       std::span<T> vals = kernel.values();
       if (retain) {
-        gx->exchange<T>(vals, comm_, mode, changed_ghosts);
+        gx.exchange<T>(vals, comm_, mode, changed_ghosts);
       } else {
         // Rebuild ablation: no change history on a fresh queue, so the
         // round goes through the always-dense exchange_fresh helper.
-        dgraph::exchange_fresh<T>(g_, comm_, gx->adjacency(), cfg_.pool, vals,
-                                  changed_ghosts);
+        dgraph::exchange_fresh<T>(g_, comm_, kernel.adjacency(), cfg_.pool,
+                                  vals, changed_ghosts);
       }
     };
 
@@ -292,9 +281,9 @@ class SuperstepEngine {
           if (!kernel.schedule_ok()) sched = Schedule::kStatic;
       }
     }
-    gx->set_schedule(sched);
+    gx.set_schedule(sched);
 
-    StepContext ctx{g_, comm_, tp, gx};
+    StepContext ctx{g_, comm_, tp, &gx};
     ctx.schedule = sched;
     if constexpr (requires { kernel.init(ctx); }) {
       kernel.init(ctx);

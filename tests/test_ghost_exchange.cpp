@@ -3,8 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
+#include "analytics/bfs.hpp"
+#include "analytics/harmonic.hpp"
+#include "analytics/kcore.hpp"
+#include "analytics/label_prop.hpp"
+#include "analytics/pagerank.hpp"
+#include "analytics/wcc.hpp"
 #include "dgraph/ghost_exchange.hpp"
 #include "gen/rmat.hpp"
 #include "test_helpers.hpp"
@@ -13,6 +20,7 @@ namespace hpcgraph::dgraph {
 namespace {
 
 using hpcgraph::testing::DistConfig;
+using hpcgraph::testing::span_count;
 using hpcgraph::testing::standard_configs;
 using hpcgraph::testing::with_dist_graph;
 
@@ -128,13 +136,13 @@ TEST_P(GhostExchangeParam, SendVolumeIsBoundedByGhostRelation) {
     // Per-vertex dedup: a rank sends each local vertex at most once per
     // neighbouring task, so entries <= n_loc * (p-1), and the global number
     // of receive entries equals the global number of send entries.
-    EXPECT_LE(gx.send_entries(),
+    EXPECT_LE(gx.plan().send_entries(),
               static_cast<std::uint64_t>(g.n_loc()) * (comm.size() - 1));
-    const auto total_send = comm.allreduce_sum(gx.send_entries());
-    const auto total_recv = comm.allreduce_sum(gx.recv_entries());
+    const auto total_send = comm.allreduce_sum(gx.plan().send_entries());
+    const auto total_recv = comm.allreduce_sum(gx.plan().recv_entries());
     EXPECT_EQ(total_send, total_recv);
     // Every ghost receives exactly one update per exchange.
-    EXPECT_EQ(gx.recv_entries(), g.n_gst());
+    EXPECT_EQ(gx.plan().recv_entries(), g.n_gst());
   });
 }
 
@@ -226,7 +234,7 @@ TEST_P(GhostExchangeParam, SparseAndAdaptiveMatchDense) {
                       before.ghost_rounds_dense - before.ghost_rounds_sparse,
                   3u);
         EXPECT_GE(after.ghost_rounds_sparse, before.ghost_rounds_sparse + 1);
-        if (gxa.entries_global() > 0) {
+        if (gxa.plan().entries_global() > 0) {
           if (permil == 0) {
             EXPECT_EQ(after.ghost_rounds_sparse,
                       before.ghost_rounds_sparse + 2);
@@ -263,7 +271,8 @@ TEST_P(GhostExchangeParam, SparseQuietRoundSavesBytes) {
     EXPECT_EQ(after.ghost_rounds_sparse, before.ghost_rounds_sparse + 1);
     EXPECT_EQ(
         after.ghost_bytes_saved - before.ghost_bytes_saved,
-        static_cast<std::int64_t>(gx.send_entries() * sizeof(std::uint64_t)));
+        static_cast<std::int64_t>(gx.plan().send_entries() *
+                                  sizeof(std::uint64_t)));
     for (lvid_t l = 0; l < g.n_total(); ++l)
       ASSERT_EQ(vals[l], f(g.global_id(l)));
   });
@@ -407,10 +416,13 @@ TEST(GhostExchange, ThreadedSetupMatchesSerial) {
     const DistGraph g = Builder::from_edge_list(
         comm, el, PartitionKind::kVertexBlock);
     ThreadPool pool(4);
-    GhostExchange serial(g, comm, Adjacency::kBoth, nullptr);
-    GhostExchange threaded(g, comm, Adjacency::kBoth, &pool);
-    EXPECT_EQ(serial.send_entries(), threaded.send_entries());
-    EXPECT_EQ(serial.recv_entries(), threaded.recv_entries());
+    // Two independent builds, bypassing the graph's cached plan.
+    GhostExchange serial(GhostPlan::build(g, comm, Adjacency::kBoth, nullptr));
+    GhostExchange threaded(
+        GhostPlan::build(g, comm, Adjacency::kBoth, &pool), &pool);
+    ASSERT_NE(&serial.plan(), &threaded.plan());
+    EXPECT_EQ(serial.plan().send_entries(), threaded.plan().send_entries());
+    EXPECT_EQ(serial.plan().recv_entries(), threaded.plan().recv_entries());
     // Both must produce correct ghost updates.
     std::vector<std::uint64_t> vals(g.n_total(), 0);
     for (lvid_t v = 0; v < g.n_loc(); ++v) vals[v] = f(g.global_id(v));
@@ -418,6 +430,130 @@ TEST(GhostExchange, ThreadedSetupMatchesSerial) {
     for (lvid_t l = g.n_loc(); l < g.n_total(); ++l)
       ASSERT_EQ(vals[l], f(g.global_id(l)));
   });
+}
+
+// ---- The graph's plan cache. ----
+
+/// The outputs of the analytics a plan is shared across, on one rank.
+struct SharedRun {
+  std::vector<std::uint64_t> lp;
+  std::vector<gvid_t> wcc;
+  std::vector<std::uint64_t> kcore;
+  std::vector<analytics::ScoredVertex> harmonic;
+  std::vector<std::vector<std::int64_t>> bfs;
+};
+
+// LP, WCC, k-core and harmonic share the kBoth plan and the three
+// direction-optimizing BFS calls share the kOut plan: two builds per rank
+// for the whole sequence, and the same outputs as each call on a freshly
+// built graph.
+TEST(GhostPlan, BuiltOncePerGraphAndAdjacency) {
+  gen::RmatParams rp;
+  rp.scale = 10;
+  rp.avg_degree = 8;
+  const gen::EdgeList el = gen::rmat(rp);
+  constexpr int kRanks = 2;
+  const std::vector<gvid_t> roots = {0, 7, 300};
+
+  analytics::BfsOptions bo;
+  bo.dir = analytics::Dir::kOut;
+  bo.direction_optimizing = true;
+  using Step = std::function<void(const DistGraph&, parcomm::Communicator&,
+                                  SharedRun&)>;
+  std::vector<Step> steps = {
+      [](const DistGraph& g, parcomm::Communicator& comm, SharedRun& r) {
+        r.lp = analytics::label_propagation(g, comm).labels;
+      },
+      [](const DistGraph& g, parcomm::Communicator& comm, SharedRun& r) {
+        r.wcc = analytics::wcc(g, comm).comp;
+      },
+      [](const DistGraph& g, parcomm::Communicator& comm, SharedRun& r) {
+        r.kcore = analytics::kcore_approx(g, comm).bound;
+      },
+      [](const DistGraph& g, parcomm::Communicator& comm, SharedRun& r) {
+        r.harmonic = analytics::harmonic_top_k(g, comm, 16);
+      }};
+  for (const gvid_t root : roots)
+    steps.push_back([&bo, root](const DistGraph& g,
+                                parcomm::Communicator& comm, SharedRun& r) {
+      r.bfs.push_back(analytics::bfs(g, comm, root, bo).level);
+    });
+
+  std::vector<SharedRun> shared(kRanks), fresh(kRanks);
+  obs::Tracer tracer;
+  tracer.install();
+  parcomm::CommWorld world(kRanks);
+  world.run([&](parcomm::Communicator& comm) {
+    obs::RankGuard guard(comm.rank());
+    const DistGraph g =
+        Builder::from_edge_list(comm, el, PartitionKind::kRandom);
+    for (const Step& step : steps) step(g, comm, shared[comm.rank()]);
+  });
+  obs::Tracer::uninstall();
+  for (int rank = 0; rank < kRanks; ++rank) {
+    for (const obs::Lane* lane : tracer.rank_lanes(rank))
+      ASSERT_EQ(lane->dropped(), 0u);
+    EXPECT_EQ(span_count(tracer, rank, obs::span_name::kGhostPlan), 2u)
+        << "rank " << rank;
+  }
+
+  world.run([&](parcomm::Communicator& comm) {
+    for (const Step& step : steps) {
+      const DistGraph g =
+          Builder::from_edge_list(comm, el, PartitionKind::kRandom);
+      step(g, comm, fresh[comm.rank()]);
+    }
+  });
+  for (int rank = 0; rank < kRanks; ++rank) {
+    SCOPED_TRACE(rank);
+    EXPECT_EQ(shared[rank].lp, fresh[rank].lp);
+    EXPECT_EQ(shared[rank].wcc, fresh[rank].wcc);
+    EXPECT_EQ(shared[rank].kcore, fresh[rank].kcore);
+    ASSERT_EQ(shared[rank].harmonic.size(), fresh[rank].harmonic.size());
+    for (std::size_t i = 0; i < shared[rank].harmonic.size(); ++i) {
+      EXPECT_EQ(shared[rank].harmonic[i].gid, fresh[rank].harmonic[i].gid);
+      EXPECT_EQ(shared[rank].harmonic[i].score,
+                fresh[rank].harmonic[i].score);
+    }
+    EXPECT_EQ(shared[rank].bfs, fresh[rank].bfs);
+  }
+}
+
+// The rebuild ablation must still rebuild: with retain_queues off, every
+// PageRank round exchanges through a freshly built plan (plus at most the
+// graph's own plan); with it on, the run builds exactly one.
+TEST(GhostPlan, RebuildAblationBuildsAFreshPlanEachRound) {
+  gen::RmatParams rp;
+  rp.scale = 7;
+  rp.avg_degree = 6;
+  const gen::EdgeList el = gen::rmat(rp);
+  for (const bool retain : {false, true}) {
+    SCOPED_TRACE(retain ? "retained" : "rebuilt");
+    obs::Tracer tracer;
+    tracer.install();
+    with_dist_graph(el, {2, PartitionKind::kVertexBlock},
+                    [&](const DistGraph& g, parcomm::Communicator& comm) {
+                      obs::RankGuard guard(comm.rank());
+                      analytics::PageRankOptions po;
+                      po.max_iterations = 5;
+                      po.retain_queues = retain;
+                      (void)analytics::pagerank(g, comm, po);
+                    });
+    obs::Tracer::uninstall();
+    for (int rank = 0; rank < 2; ++rank) {
+      const std::size_t rounds =
+          span_count(tracer, rank, obs::span_name::kSuperstep);
+      const std::size_t plans =
+          span_count(tracer, rank, obs::span_name::kGhostPlan);
+      ASSERT_EQ(rounds, 5u);
+      if (retain) {
+        EXPECT_EQ(plans, 1u);
+      } else {
+        EXPECT_GE(plans, rounds);
+        EXPECT_LE(plans, rounds + 1);
+      }
+    }
+  }
 }
 
 TEST(GhostExchange, RejectsTooShortValueArray) {

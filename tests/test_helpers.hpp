@@ -7,6 +7,7 @@
 
 #include "dgraph/builder.hpp"
 #include "gen/edge_list.hpp"
+#include "obs/tracer.hpp"
 #include "parcomm/comm.hpp"
 #include "ref/seq_graph.hpp"
 
@@ -51,6 +52,15 @@ void with_dist_graph(const gen::EdgeList& el, const DistConfig& cfg, F&& body) {
         dgraph::Builder::from_edge_list(comm, el, cfg.kind);
     body(g, comm);
   });
+}
+
+/// Number of spans called `name` recorded on `rank`'s lanes.
+inline std::size_t span_count(const obs::Tracer& tracer, int rank,
+                              const char* name) {
+  std::size_t n = 0;
+  for (const obs::Event& e : tracer.rank_events(rank))
+    n += e.kind == obs::EventKind::kSpan && std::string(e.name) == name;
+  return n;
 }
 
 /// Tiny deterministic directed test graph with interesting structure:

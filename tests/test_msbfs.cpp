@@ -9,7 +9,6 @@
 
 #include "analytics/bfs.hpp"
 #include "analytics/msbfs.hpp"
-#include "dgraph/ghost_exchange.hpp"
 #include "gen/rmat.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
@@ -19,6 +18,7 @@ namespace {
 
 using dgraph::DistGraph;
 using hpcgraph::testing::DistConfig;
+using hpcgraph::testing::span_count;
 using hpcgraph::testing::tiny_graph;
 using hpcgraph::testing::with_dist_graph;
 
@@ -171,7 +171,7 @@ TEST(MsBfs, EmptyRootSpanIsANoop) {
                   });
 }
 
-TEST(MsBfs, ValidatesBatchSizeAndInjectedPlan) {
+TEST(MsBfs, ValidatesBatchSize) {
   const gen::EdgeList el = tiny_graph();
   with_dist_graph(el, {2, dgraph::PartitionKind::kVertexBlock},
                   [&](const DistGraph& g, parcomm::Communicator& comm) {
@@ -181,26 +181,25 @@ TEST(MsBfs, ValidatesBatchSizeAndInjectedPlan) {
                     EXPECT_THROW(msbfs(g, comm, roots, mo), CheckError);
                     mo.batch_size = 65;
                     EXPECT_THROW(msbfs(g, comm, roots, mo), CheckError);
-                    // A reused plan must cover both adjacency directions.
-                    dgraph::GhostExchange bad(g, comm, dgraph::Adjacency::kOut);
-                    mo.batch_size = 64;
-                    mo.exchange = &bad;
-                    EXPECT_THROW(msbfs(g, comm, roots, mo), CheckError);
                     comm.barrier();  // all ranks threw; resynchronize
                   });
 }
 
-TEST(MsBfs, InjectedPlanIsReusableAcrossCalls) {
+// Every msbfs call on one graph exchanges over the graph's kBoth plan: three
+// calls (each of several batches) build it once per rank, and each call's
+// levels still match per-source bfs().
+TEST(MsBfs, RepeatedCallsShareOnePlan) {
   gen::RmatParams rp;
   rp.scale = 7;
   rp.avg_degree = 6;
   const gen::EdgeList el = gen::rmat(rp);
+  obs::Tracer tracer;
+  tracer.install();
   with_dist_graph(el, {4, dgraph::PartitionKind::kRandom},
                   [&](const DistGraph& g, parcomm::Communicator& comm) {
-                    dgraph::GhostExchange gx(g, comm,
-                                             dgraph::Adjacency::kBoth);
+                    obs::RankGuard guard(comm.rank());
                     MsBfsOptions mo;
-                    mo.exchange = &gx;
+                    mo.batch_size = 8;
                     for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
                       const auto roots = draw_roots(el.n, 20, seed);
                       const auto want =
@@ -210,6 +209,10 @@ TEST(MsBfs, InjectedPlanIsReusableAcrossCalls) {
                                           "seed=" + std::to_string(seed));
                     }
                   });
+  obs::Tracer::uninstall();
+  for (int rank = 0; rank < 4; ++rank)
+    EXPECT_EQ(span_count(tracer, rank, obs::span_name::kGhostPlan), 1u)
+        << "rank " << rank;
 }
 
 // The visitor stream must deliver each (root, vertex) discovery exactly once,

@@ -6,12 +6,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 
 #include "analytics/pagerank.hpp"
 #include "analytics/wcc.hpp"
+#include "dgraph/ghost_exchange.hpp"
 #include "dgraph/pulp_partition.hpp"
 #include "dgraph/snapshot.hpp"
 #include "gen/rmat.hpp"
@@ -218,6 +220,125 @@ TEST_F(Snapshot, OversizeLengthIsANamedError) {
   save();
   std::filesystem::resize_file(victim, kBlobLength + 8 + 4);
   expect_named_error(std::to_string(blob_length));
+}
+
+// Arrays that the ghost plan build and the analytics index with must be in
+// range.  Each case corrupts one field of rank 1's file; loading must end in
+// a CheckError that names the file and the array, with no rank left hanging.
+TEST_F(Snapshot, CorruptArraysAreNamedErrors) {
+  gen::RmatParams rp;
+  rp.scale = 6;
+  rp.avg_degree = 4;
+  const gen::EdgeList el = gen::rmat(rp);
+  parcomm::CommWorld world(2);
+  const std::string victim = prefix() + ".1";
+  world.run([&](parcomm::Communicator& comm) {
+    save_snapshot(
+        Builder::from_edge_list(comm, el, PartitionKind::kVertexBlock), comm,
+        prefix());
+  });
+  std::vector<char> pristine(std::filesystem::file_size(victim));
+  std::ifstream(victim, std::ios::binary)
+      .read(pristine.data(), static_cast<std::streamsize>(pristine.size()));
+
+  // Byte offsets of the fields in the save_snapshot layout: four header
+  // words, the partition blob, four scalars, then six length-prefixed
+  // arrays.
+  const auto word = [&](std::size_t off) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, pristine.data() + off, sizeof v);
+    return v;
+  };
+  const std::size_t scalars = 40 + 8 * word(32);
+  const std::uint64_t n_global = word(scalars);
+  const std::uint64_t n_loc = word(scalars + 16);
+  const std::uint64_t n_gst = word(scalars + 24);
+  struct Array {
+    std::size_t data;  ///< offset of entry 0
+    std::size_t elem;  ///< entry size
+  };
+  std::vector<Array> arrays;  // out_index out_edges in_index in_edges unmap
+  std::size_t off = scalars + 32;  //   ghost_task
+  for (const std::size_t elem : {8, 4, 8, 4, 8, 4}) {
+    arrays.push_back({off + 8, elem});
+    off += 8 + elem * word(off);
+  }
+  ASSERT_EQ(off, pristine.size());
+  const Array out_index = arrays[0], out_edges = arrays[1], unmap = arrays[4],
+              ghost_task = arrays[5];
+  ASSERT_GE(n_loc, 2u);
+  ASSERT_GE(n_gst, 1u);
+  ASSERT_GT(word(out_index.data + 8 * n_loc), 0u);  // rank 1 has out-edges
+
+  const auto expect_named_error = [&](const char* what, const Array& a,
+                                      std::size_t entry, std::uint64_t value,
+                                      const char* name) {
+    SCOPED_TRACE(what);
+    std::vector<char> bytes = pristine;
+    std::memcpy(bytes.data() + a.data + a.elem * entry, &value, a.elem);
+    std::ofstream(victim, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    try {
+      world.run([&](parcomm::Communicator& comm) {
+        (void)load_snapshot(comm, prefix());
+      });
+      ADD_FAILURE() << "loaded a corrupt snapshot";
+    } catch (const CheckError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(victim), std::string::npos) << msg;
+      EXPECT_NE(msg.find(name), std::string::npos) << msg;
+    }
+  };
+  expect_named_error("decreasing out_index", out_index, 1,
+                     word(out_index.data + 8 * n_loc) + 1, "out_index");
+  expect_named_error("out-edge equal to n_total", out_edges, 0, n_loc + n_gst,
+                     "out_edges");
+  expect_named_error("ghost task beyond the ranks", ghost_task, 0, 2,
+                     "ghost_task");
+  expect_named_error("ghost task equal to the rank", ghost_task, 0, 1,
+                     "ghost_task");
+  expect_named_error("duplicated unmap id", unmap, 1, word(unmap.data),
+                     "duplicate global ids");
+  expect_named_error("unmap id equal to n_global", unmap, 0, n_global,
+                     "unmap");
+}
+
+// A copy of a graph shares the plans built before the copy; a reloaded
+// graph starts with none and builds its own.
+using GhostPlanCache = SnapshotTest;
+TEST_F(GhostPlanCache, CopySharesPlansReloadBuildsItsOwn) {
+  gen::RmatParams rp;
+  rp.scale = 8;
+  rp.avg_degree = 8;
+  const gen::EdgeList el = gen::rmat(rp);
+  obs::Tracer tracer;
+  tracer.install();
+  parcomm::CommWorld world(2);
+  world.run([&](parcomm::Communicator& comm) {
+    obs::RankGuard guard(comm.rank());
+    const DistGraph built =
+        Builder::from_edge_list(comm, el, PartitionKind::kRandom);
+    EXPECT_EQ(built.ghost_plan_bytes(), 0u);
+    const auto plan = built.ghost_plan(comm, Adjacency::kBoth, nullptr);
+    EXPECT_GT(built.ghost_plan_bytes(), 0u);
+
+    const DistGraph copy = built;
+    EXPECT_EQ(copy.ghost_plan(comm, Adjacency::kBoth, nullptr), plan);
+
+    save_snapshot(built, comm, prefix());
+    const DistGraph loaded = load_snapshot(comm, prefix());
+    EXPECT_EQ(loaded.ghost_plan_bytes(), 0u);
+    const auto own = loaded.ghost_plan(comm, Adjacency::kBoth, nullptr);
+    EXPECT_NE(own, plan);
+    EXPECT_EQ(own->entries_global(), plan->entries_global());
+    EXPECT_EQ(loaded.ghost_plan_bytes(), built.ghost_plan_bytes());
+  });
+  obs::Tracer::uninstall();
+  for (int rank = 0; rank < 2; ++rank)
+    EXPECT_EQ(hpcgraph::testing::span_count(tracer, rank,
+                                            obs::span_name::kGhostPlan),
+              2u)
+        << "rank " << rank;
 }
 
 // load_snapshot rebuilds boundary_locals() from the reloaded CSR; it must

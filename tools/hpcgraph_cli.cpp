@@ -55,7 +55,7 @@ int usage(const char* msg = nullptr) {
       "                    [--trace-events FILE] merged Chrome/Perfetto "
       "timeline of every rank and pool thread\n"
       "                    [--metrics-json FILE] per-rank + aggregated "
-      "comm metrics registry dump\n"
+      "comm and ghost-plan memory metrics\n"
       "                    [--schedule static|dynamic|edge]  intra-rank sweep "
       "schedule (schedule-aware analytics)\n"
       "                    [--frontier queue|bitmap|hybrid]  frontier "
@@ -354,6 +354,8 @@ int main(int argc, char** argv) {
     if (!metrics_json.empty()) {
       obs::Registry reg;
       reg.absorb(comm.stats());
+      reg.set_gauge("dgraph.ghost_plan_bytes",
+                    static_cast<double>(g.ghost_plan_bytes()));
       const std::string payload = obs::export_metrics(reg, comm);
       if (comm.rank() == 0) metrics_payload = payload;
     }

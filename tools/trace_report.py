@@ -18,7 +18,8 @@ Modes:
                                              the lockstep check: when no
                                              event was dropped, every rank's
                                              main lane holds the same number
-                                             of engine.superstep spans
+                                             of engine.superstep spans and
+                                             of ghost.plan spans
   trace_report.py --diff BASELINE TRACE      per-span-name regression diff
   trace_report.py --selftest                 synthetic end-to-end self-test
 
@@ -36,6 +37,7 @@ SCHEMA = "hpcgraph-trace-events-v1"
 SUPERSTEP = "engine.superstep"
 COMPUTE = "engine.compute"
 EXCHANGE = "engine.exchange"
+GHOST_PLAN = "ghost.plan"
 COPY = "parcomm.copy"
 WAIT = "parcomm.wait"
 
@@ -96,18 +98,21 @@ def check(doc):
     ranks = other.get("ranks")
     if isinstance(ranks, int) and len(span_pids) > ranks:
         problems.append(f"{len(span_pids)} span pids but ranks={ranks}")
-    # Lockstep: every superstep is collective, so every rank runs the same
-    # rounds.  Dropped events can remove spans, so the check needs none.
+    # Lockstep: supersteps and ghost plan builds are collective, so every
+    # rank runs the same rounds and builds the same plans (a plan cache
+    # whose first use diverged across ranks shows here).  Dropped events can
+    # remove spans, so the check needs none.
     if other.get("dropped_events") == 0:
-        rounds = {pid: 0 for pid in named_pids | span_pids}
-        for e in events:
-            if (e.get("ph") == "X" and e.get("tid") == 0
-                    and e.get("name") == SUPERSTEP):
-                rounds[e["pid"]] += 1
-        if len(set(rounds.values())) > 1:
-            counts = dict(sorted(rounds.items()))
-            problems.append(f"ranks ran different numbers of {SUPERSTEP} "
-                            f"spans (pid: count) {counts}")
+        for name in (SUPERSTEP, GHOST_PLAN):
+            counts = {pid: 0 for pid in named_pids | span_pids}
+            for e in events:
+                if (e.get("ph") == "X" and e.get("tid") == 0
+                        and e.get("name") == name):
+                    counts[e["pid"]] += 1
+            if len(set(counts.values())) > 1:
+                per_pid = dict(sorted(counts.items()))
+                problems.append(f"ranks ran different numbers of {name} "
+                                f"spans (pid: count) {per_pid}")
     return problems
 
 
@@ -257,6 +262,9 @@ def _synthetic_trace():
                        "dur": 50, "cat": "obs", "name": COPY})
             ev.append({"ph": "X", "pid": pid, "tid": 1, "ts": base + 10,
                        "dur": 290, "cat": "obs", "name": "pool.sweep"})
+            if r == 0:  # each rank builds its exchange plan before round 0
+                ev.append({"ph": "X", "pid": pid, "tid": 0, "ts": base + 1,
+                           "dur": 5, "cat": "obs", "name": GHOST_PLAN})
             ev.append({"ph": "C", "pid": pid, "tid": 0, "ts": base + 600,
                        "name": "frontier.active", "args": {"value": 42.0}})
     return {"displayTimeUnit": "ms",
@@ -279,6 +287,15 @@ def selftest():
         "lockstep violation passed check"
     skewed["otherData"]["dropped_events"] = 3
     assert not check(skewed)
+    # So does a rank missing a plan build.
+    unplanned = _synthetic_trace()
+    unplanned["traceEvents"].remove(next(
+        e for e in unplanned["traceEvents"]
+        if e.get("name") == GHOST_PLAN and e["pid"] == 0))
+    assert any(GHOST_PLAN in p for p in check(unplanned)), \
+        "plan-build lockstep violation passed check"
+    unplanned["otherData"]["dropped_events"] = 1
+    assert not check(unplanned)
     # A corrupted trace must fail --check.
     bad = _synthetic_trace()
     next(e for e in bad["traceEvents"] if e["ph"] == "X")["dur"] = -1
