@@ -29,10 +29,11 @@ struct CommonOptions {
   /// Intra-rank worker pool (null = pool of HPCGRAPH_POOL_THREADS, default
   /// 1 thread).  Honoured by the loops with data-parallel structure: BFS,
   /// PageRank, Label Propagation, and the ghost-exchange setup.  Of the
-  /// sweep-to-fixpoint analytics, WCC coloring and k-core peeling switch to
-  /// deterministic chunk-parallel sweep variants under a non-static
-  /// `schedule`; their default in-place serial sweeps are what make them
-  /// converge fast, and rank-level parallelism is the paper's primary axis.
+  /// sweep-to-fixpoint analytics, WCC coloring switches to a deterministic
+  /// chunk-parallel sweep variant under a non-static `schedule`; its default
+  /// in-place serial sweep is what makes it converge fast, and rank-level
+  /// parallelism is the paper's primary axis.  k-core peels from a serial
+  /// worklist under every schedule.
   ThreadPool* pool = nullptr;
   std::size_t qsize = kDefaultQSize;  ///< Algorithm-3 thread-queue capacity
   /// Ghost-exchange wire format for the convergent analytics (Label

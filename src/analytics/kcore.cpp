@@ -1,52 +1,48 @@
 #include "analytics/kcore.hpp"
 
-#include "analytics/bfs.hpp"
+#include <array>
+
+#include "analytics/msbfs.hpp"
 #include "dgraph/ghost_exchange.hpp"
 #include "engine/superstep.hpp"
+#include "obs/tracer.hpp"
+#include "util/bitmask64.hpp"
 #include "util/prefix_sum.hpp"
 
 namespace hpcgraph::analytics {
 
-using dgraph::Adjacency;
 using dgraph::DistGraph;
-using dgraph::GhostExchange;
 using parcomm::Communicator;
 
 namespace {
 
-/// Shared peeling state for the approximate and exact k-core loops.
-///
-/// Cross-rank degree maintenance uses alive-flag mirroring instead of
-/// routing one message per remote decrement: each sweep removes local
-/// vertices below the limit, then a ghost exchange pushes the updated alive
-/// flags (a one-byte value per vertex, so the adaptive sparse format kicks
-/// in as soon as deaths get rare — which is most sweeps of most stages).
-/// Receivers translate each *newly dead* ghost into degree decrements of the
-/// local vertices incident to it via a ghost->locals incidence CSR built
-/// once at setup, one entry per edge occurrence — exactly the multiplicity
-/// the per-event scheme transmitted.  The peeling fixpoint is
-/// order-independent, so results are identical.
-///
-/// The per-stage sweep-to-fixpoint loop itself runs on the SuperstepEngine:
-/// one PeelKernel per stage borrows this state, and every stage's run
-/// exchanges over the graph's shared kBoth plan.
+/// Peeling state shared by the approximate and exact k-core (the worklist
+/// peel of kcore.hpp).  A vertex joins the worklist at most once per stage:
+/// when seeded, or when its degree crosses from the limit to one below it.
+/// Ranks mirror a one-byte alive flag rather than send one message per remote
+/// decrement, so the adaptive sparse format takes over once deaths get rare;
+/// the incidence CSR holds one entry per edge occurrence.
 struct Peeler {
   const DistGraph& g;
   dgraph::GhostMode mode;
-  std::vector<std::uint64_t> deg;       ///< remaining degree, locals only
-  std::vector<std::uint8_t> alive;      ///< locals + ghost replicas
-  std::vector<std::uint64_t> inc_offs;  ///< ghost -> incident locals (CSR)
+  std::vector<std::uint64_t> deg;         ///< remaining degree, locals only
+  std::vector<std::uint8_t> alive;        ///< locals + ghost replicas
+  std::vector<std::uint64_t> removed_at;  ///< limit a removed local fell below
+  std::vector<std::uint64_t> inc_offs;    ///< ghost -> incident locals (CSR)
   std::vector<lvid_t> inc_verts;
-  std::vector<lvid_t> flipped;          ///< ghosts newly dead this sweep
+  std::vector<lvid_t> flipped;            ///< ghosts newly dead this round
+  std::vector<lvid_t> work;               ///< alive locals below the limit
+  std::uint64_t limit = 0;                ///< the stage's degree limit
   std::uint64_t alive_local;
-  ChunkGrid scan_grid;                  ///< mark-scan grid (built lazily)
 
   Peeler(const DistGraph& g_, const CommonOptions& opts)
       : g(g_),
         mode(opts.ghost_mode),
         deg(g_.n_loc()),
         alive(g_.n_total(), 1),
+        removed_at(g_.n_loc(), 0),
         alive_local(g_.n_loc()) {
+    obs::Span span(obs::span_name::kKcoreSetup);
     const std::uint64_t n_loc = g.n_loc();
     const auto each_ghost = [&](lvid_t v, auto&& fn) {
       for (const lvid_t u : g.out_neighbors(v))
@@ -66,213 +62,215 @@ struct Peeler {
       each_ghost(v, [&](lvid_t u) { inc_verts[cur[u - n_loc]++] = v; });
   }
 
-  /// Remove local vertices below the degree limit (marking them on the
-  /// run's exchange); calls on_remove(v) per removal, returns the count.
-  template <typename F>
-  std::uint64_t remove_below(std::uint64_t limit, F&& on_remove,
-                             GhostExchange& gx) {
-    std::uint64_t removed = 0;
-    for (lvid_t v = 0; v < g.n_loc(); ++v) {
-      if (!alive[v] || deg[v] >= limit) continue;
-      alive[v] = 0;
-      gx.mark_changed(v);
-      on_remove(v);
-      ++removed;
-      --alive_local;
-      const auto drop = [&](lvid_t u) {
-        if (!g.is_ghost(u) && alive[u] && deg[u] > 0) --deg[u];
-      };
-      for (const lvid_t u : g.out_neighbors(v)) drop(u);
-      for (const lvid_t u : g.in_neighbors(v)) drop(u);
-    }
-    return removed;
+  /// Stage start: set the limit and queue every alive local below it.
+  void seed(std::uint64_t lim) {
+    limit = lim;
+    work.clear();
+    for (lvid_t v = 0; v < g.n_loc(); ++v)
+      if (alive[v] && deg[v] < limit) work.push_back(v);
   }
 
-  /// Schedule-aware variant of remove_below: a parallel read-only mark scan
-  /// collects per-chunk candidate lists (alive vertices below the limit),
-  /// then a serial apply in chunk order performs the removals and degree
-  /// decrements.  Candidates are judged against the sweep-start degree
-  /// snapshot, so the in-sweep cascade of the serial path (a removal
-  /// dragging a later vertex below the limit within the same sweep) is
-  /// deferred to the next sweep — possibly more sweeps to the same
-  /// order-independent fixpoint, and bit-identical deg/alive/bound outputs.
-  template <typename F>
-  std::uint64_t remove_below_scheduled(std::uint64_t limit, F&& on_remove,
-                                       GhostExchange& gx, ThreadPool& tp,
-                                       Schedule sched) {
-    // The scan is O(1) per vertex (no adjacency walk), so the grid is
-    // uniform-weight; chunk geometry is a pure function of n_loc.
-    if (scan_grid.empty() && g.n_loc() > 0)
-      scan_grid = make_grid(sched, g.n_loc(), {}, tp.num_threads());
-    std::vector<std::vector<lvid_t>> cand(scan_grid.size());
-    tp.for_chunks(scan_grid, sched,
-                  [&](unsigned, std::uint64_t c, const Chunk& ck) {
-                    for (std::uint64_t v = ck.begin; v < ck.end; ++v)
-                      if (alive[v] && deg[v] < limit)
-                        cand[c].push_back(static_cast<lvid_t>(v));
-                  });
+  /// One edge occurrence of local u lost its other endpoint: decrement u's
+  /// degree if u is alive, queueing u when it falls below the limit.
+  void drop(lvid_t u) {
+    if (!alive[u] || deg[u] == 0) return;
+    if (deg[u]-- == limit) work.push_back(u);
+  }
+
+  /// Remove every queued vertex and all it drags below the limit on this
+  /// rank, marking each on the round's exchange; returns the count.
+  std::uint64_t drain(dgraph::GhostExchange& gx) {
     std::uint64_t removed = 0;
-    for (const std::vector<lvid_t>& list : cand) {
-      for (const lvid_t v : list) {
-        alive[v] = 0;
-        gx.mark_changed(v);
-        on_remove(v);
-        ++removed;
-        --alive_local;
-        const auto drop = [&](lvid_t u) {
-          if (!g.is_ghost(u) && alive[u] && deg[u] > 0) --deg[u];
-        };
-        for (const lvid_t u : g.out_neighbors(v)) drop(u);
-        for (const lvid_t u : g.in_neighbors(v)) drop(u);
-      }
+    while (!work.empty()) {
+      const lvid_t v = work.back();
+      work.pop_back();
+      alive[v] = 0;
+      removed_at[v] = limit;
+      gx.mark_changed(v);
+      ++removed;
+      for (const lvid_t u : g.out_neighbors(v))
+        if (!g.is_ghost(u)) drop(u);
+      for (const lvid_t u : g.in_neighbors(v))
+        if (!g.is_ghost(u)) drop(u);
     }
+    alive_local -= removed;
     return removed;
   }
 
   /// Apply each newly dead ghost's incident edge occurrences as local
-  /// degree decrements (post-exchange half of a sweep).
+  /// degree decrements (post-exchange half of a round).
   void apply_flipped() {
     const std::uint64_t n_loc = g.n_loc();
     for (const lvid_t gl : flipped) {
       const std::uint64_t gi = gl - n_loc;
-      for (std::uint64_t e = inc_offs[gi]; e < inc_offs[gi + 1]; ++e) {
-        const lvid_t u = inc_verts[e];
-        if (alive[u] && deg[u] > 0) --deg[u];
-      }
+      for (std::uint64_t e = inc_offs[gi]; e < inc_offs[gi + 1]; ++e)
+        drop(inc_verts[e]);
     }
-  }
-
-  /// Alive mask restricted to local vertices (the BFS option view).
-  std::span<const std::uint8_t> local_alive() const {
-    return {alive.data(), static_cast<std::size_t>(g.n_loc())};
   }
 };
 
-/// ValueKernel: peel one stage (fixed degree limit) to its fixpoint.  The
-/// exchanged value is the alive flag; the engine's changed_ghosts output
-/// (newly dead replicas) drives the incidence-CSR degree decrements in the
-/// apply hook.  A stage converges on the first sweep that removes nothing
-/// anywhere — the engine's fused allreduce of the removal count replaces
-/// the old per-sweep allreduce_sum.
-template <typename F>
+/// ValueKernel: peel one stage to its fixpoint.  A round drains the worklist
+/// and exchanges alive flags; apply turns newly dead ghosts into decrements,
+/// which may queue more work, and reports the queued count, so the stage ends
+/// after the first round that leaves no rank with work pending.
 struct PeelKernel {
   using Value = std::uint8_t;
-  // Schedule-aware: non-static schedules run the two-phase mark/apply sweep
-  // (parallel candidate scan, serial chunk-order apply).  The peeling
-  // fixpoint is order-independent, so bound[]/core[] are bit-identical;
-  // only the unpinned per-stage sweep count may differ.
+  // The drain is one serial path under every schedule; opting in hands the
+  // schedule to the exchange's pack and scatter loops.
   static constexpr bool kScheduleAware = true;
 
   Peeler& p;
-  std::uint64_t limit;
-  F on_remove;
-  std::uint64_t removed_total = 0;  ///< global removals over the stage
 
-  Adjacency adjacency() const { return Adjacency::kBoth; }
+  dgraph::Adjacency adjacency() const { return dgraph::Adjacency::kBoth; }
   dgraph::GhostMode ghost_mode() const { return p.mode; }
   std::span<std::uint8_t> values() { return {p.alive}; }
   std::vector<lvid_t>* changed_ghosts() { return &p.flipped; }
-
-  void compute(engine::StepContext& ctx) {
-    if (ctx.schedule == Schedule::kStatic)
-      ctx.active_local = p.remove_below(limit, on_remove, *ctx.gx);
-    else
-      ctx.active_local = p.remove_below_scheduled(limit, on_remove, *ctx.gx,
-                                                  ctx.pool, ctx.schedule);
-    ctx.touched_local = p.g.n_loc();
+  void compute(engine::StepContext& ctx) { ctx.touched_local = p.drain(*ctx.gx); }
+  void apply(engine::StepContext& ctx) {
+    p.apply_flipped();
+    ctx.active_local = p.work.size();
   }
-
-  void apply(engine::StepContext&) { p.apply_flipped(); }
-
-  bool converged(std::uint64_t active_global, double) {
-    removed_total += active_global;
-    return active_global == 0;
+  bool converged(std::uint64_t pending_global, double) {
+    return pending_global == 0;
   }
 };
 
-/// Run one peel stage on the engine; returns (sweeps, global removals).
-template <typename F>
-std::pair<std::uint64_t, std::uint64_t> peel_stage(
-    Peeler& peel, Communicator& comm, const CommonOptions& opts,
-    std::uint64_t limit, F&& on_remove) {
-  PeelKernel<F> kernel{peel, limit, std::forward<F>(on_remove)};
+/// Peel one stage to the fixpoint of `limit` on the engine; returns the
+/// rounds it took.
+std::uint64_t peel_stage(Peeler& peel, Communicator& comm,
+                         const CommonOptions& opts, std::uint64_t limit) {
+  peel.seed(limit);
+  PeelKernel kernel{peel};
   engine::SuperstepEngine eng(peel.g, comm, engine_config(opts));
-  const engine::EngineResult er = eng.run_value(kernel);
-  return {er.supersteps, kernel.removed_total};
+  return eng.run_value(kernel).supersteps;
+}
+
+/// A stage's closing allreduce: the survivor count, their smallest degree
+/// (kcore_exact's next level) and the root of the stage's component — the
+/// survivor of largest remaining degree, smallest gid on ties.
+struct Survivors {
+  std::uint64_t alive = 0;
+  std::uint64_t min_deg = UINT64_MAX;
+  std::uint64_t root_deg = 0;
+  gvid_t root = kNullGvid;
+};
+
+Survivors survivors(const Peeler& peel, Communicator& comm) {
+  Survivors s{.alive = peel.alive_local};
+  for (lvid_t v = 0; v < peel.g.n_loc(); ++v) {
+    if (!peel.alive[v]) continue;
+    const std::uint64_t d = peel.deg[v];
+    s.min_deg = std::min(s.min_deg, d);
+    if (d > s.root_deg || (d == s.root_deg && peel.g.global_id(v) < s.root)) {
+      s.root_deg = d;
+      s.root = peel.g.global_id(v);
+    }
+  }
+  return comm.allreduce(s, [](Survivors a, Survivors b) {
+    const bool a_root =
+        a.root_deg != b.root_deg ? a.root_deg > b.root_deg : a.root <= b.root;
+    return Survivors{a.alive + b.alive, std::min(a.min_deg, b.min_deg),
+                     a_root ? a.root_deg : b.root_deg, a_root ? a.root : b.root};
+  });
+}
+
+/// Component phase: one masked MS-BFS from every stage's root.  A vertex
+/// removed at stage s (removed_at 2^s) is alive in stages 1 .. s-1, the bit
+/// prefix 2^(s-1) - 1; survivors of the last stage allow every root.
+/// Returns root j's global visited count, folded in one collective.
+std::vector<std::uint64_t> stage_components(const Peeler& peel,
+                                            Communicator& comm,
+                                            std::span<const gvid_t> roots,
+                                            const CommonOptions& opts) {
+  obs::Span span(obs::span_name::kKcoreComponents);
+  const std::uint64_t every = bits::low_mask(roots.size());
+  std::vector<std::uint64_t> allowed(peel.g.n_loc());
+  for (lvid_t v = 0; v < peel.g.n_loc(); ++v)
+    allowed[v] = peel.alive[v] ? every : (peel.removed_at[v] >> 1) - 1;
+
+  const MsBfsOptions mo{.dir = Dir::kBoth, .allowed = allowed, .common = opts};
+  using Counts = std::array<std::uint64_t, kMsBfsMaxBatch>;
+  Counts reached{};
+  msbfs_visit(peel.g, comm, roots, mo,
+              [&](std::int64_t, std::span<const std::uint64_t> newly,
+                  std::span<const gvid_t>, std::size_t) {
+                for (const std::uint64_t m : newly)
+                  bits::for_each_set_bit(m, [&](std::size_t j) { ++reached[j]; });
+              });
+  reached = comm.allreduce(reached, [](Counts a, const Counts& b) {
+    for (std::size_t j = 0; j < a.size(); ++j) a[j] += b[j];
+    return a;
+  });
+  return {reached.begin(), reached.begin() + roots.size()};
 }
 
 }  // namespace
 
 KCoreResult kcore_approx(const DistGraph& g, Communicator& comm,
                          const KCoreOptions& opts) {
+  HG_CHECK_MSG(opts.max_i <= kKCoreMaxStages,
+               "KCoreOptions::max_i must be at most "
+                   << kKCoreMaxStages << " (2^max_i thresholds and one root "
+                   << "per mask bit), got " << opts.max_i);
   KCoreResult res;
-  res.bound.assign(g.n_loc(), std::uint64_t{1} << opts.max_i);
-
   Peeler peel(g, opts.common);
 
+  // ---- Peel phase: every stage to its 2^i-core fixpoint, recording the
+  // root of each stage that has survivors. ----
+  std::vector<gvid_t> roots;
+  std::uint64_t alive_before = g.n_global();
   for (unsigned i = 1; i <= opts.max_i; ++i) {
-    const std::uint64_t threshold = std::uint64_t{1} << i;
     KCoreStage stage;
     stage.i = i;
-    stage.threshold = threshold;
+    stage.threshold = std::uint64_t{1} << i;
+    stage.peel_sweeps = static_cast<int>(
+        peel_stage(peel, comm, opts.common, stage.threshold));
 
-    // ---- Peel to the 2^i-core fixpoint. ----
-    const auto [sweeps, removed] = peel_stage(
-        peel, comm, opts.common, threshold,
-        [&](lvid_t v) { res.bound[v] = threshold; });
-    stage.peel_sweeps = static_cast<int>(sweeps);
-    stage.removed = removed;
-
-    stage.alive_after = comm.allreduce_sum(peel.alive_local);
-
-    // ---- Largest surviving component: one alive-masked BFS from the
-    // highest-degree survivor (the paper's per-stage BFS). ----
-    if (opts.track_components && stage.alive_after > 0) {
-      struct Cand {
-        std::uint64_t deg = 0;
-        gvid_t gid = kNullGvid;
-      };
-      Cand best;
-      for (lvid_t v = 0; v < g.n_loc(); ++v) {
-        if (!peel.alive[v]) continue;
-        if (peel.deg[v] > best.deg ||
-            (peel.deg[v] == best.deg && g.global_id(v) < best.gid))
-          best = {peel.deg[v], g.global_id(v)};
-      }
-      best = comm.allreduce(best, [](Cand a, Cand b) {
-        if (a.deg != b.deg) return a.deg > b.deg ? a : b;
-        return a.gid <= b.gid ? a : b;
-      });
-      BfsOptions bopts;
-      bopts.dir = Dir::kBoth;
-      bopts.alive = peel.local_alive();
-      bopts.common = opts.common;
-      const BfsResult cc = bfs(g, comm, best.gid, bopts);
-      stage.largest_cc = cc.visited;
-    }
+    const Survivors all = survivors(peel, comm);
+    stage.alive_after = all.alive;
+    stage.removed = alive_before - all.alive;
+    alive_before = all.alive;
+    if (opts.track_components && all.alive > 0) roots.push_back(all.root);
 
     res.stages.push_back(stage);
     if (stage.alive_after == 0) break;
   }
+
+  // ---- Component phase: each stage's surviving component of its root, in
+  // one sweep (the paper's per-stage BFS). ----
+  if (!roots.empty()) {
+    const std::vector<std::uint64_t> cc =
+        stage_components(peel, comm, roots, opts.common);
+    for (std::size_t j = 0; j < cc.size(); ++j) res.stages[j].largest_cc = cc[j];
+  }
+
+  // Removed vertices are bounded by the threshold they fell below,
+  // survivors of every stage by 2^max_i.
+  res.bound = std::move(peel.removed_at);
+  for (lvid_t v = 0; v < g.n_loc(); ++v)
+    if (peel.alive[v]) res.bound[v] = std::uint64_t{1} << opts.max_i;
   return res;
 }
 
 KCoreExactResult kcore_exact(const DistGraph& g, Communicator& comm,
                              const CommonOptions& opts) {
   KCoreExactResult res;
-  res.core.assign(g.n_loc(), 0);
-
   Peeler peel(g, opts);
 
   std::uint64_t k = 0;
-  while (comm.allreduce_sum(peel.alive_local) > 0) {
-    ++k;
+  for (;;) {
+    const Survivors all = survivors(peel, comm);
+    if (all.alive == 0) break;
+    // Levels up to the smallest survivor degree remove nothing: skip them.
+    k = std::max(k + 1, all.min_deg + 1);
     ++res.stages;
-    // Peel to the k-core fixpoint; every vertex removed here survived the
-    // (k-1)-core, so its coreness is exactly k-1.
-    peel_stage(peel, comm, opts, k, [&](lvid_t v) { res.core[v] = k - 1; });
+    peel_stage(peel, comm, opts, k);
   }
 
+  // Every vertex removed at level k survived the (k-1)-core, so its
+  // coreness is exactly k-1.
+  res.core = std::move(peel.removed_at);
+  for (std::uint64_t& c : res.core) --c;
   std::uint64_t max_local = 0;
   for (const std::uint64_t c : res.core) max_local = std::max(max_local, c);
   res.max_core = comm.allreduce_max(max_local);

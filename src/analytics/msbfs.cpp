@@ -19,7 +19,9 @@ namespace {
 
 /// One batch of <= kMsBfsMaxBatch roots.  Returns the number of frontier
 /// expansions executed; adds the batch's global (root, vertex) reach count
-/// to *visited.
+/// to *visited.  kMasked applies opts.allowed; it is a template parameter so
+/// the unmasked batch pays no per-vertex load or branch for it.
+template <bool kMasked>
 int run_batch(const DistGraph& g, Communicator& comm, GhostExchange& gx,
               std::span<const gvid_t> batch, std::size_t batch_begin,
               const MsBfsOptions& opts, ThreadPool& tp,
@@ -29,6 +31,7 @@ int run_batch(const DistGraph& g, Communicator& comm, GhostExchange& gx,
   const unsigned nt = tp.num_threads();
   const std::uint64_t full = bits::low_mask(batch.size());
   const Schedule sched = opts.common.schedule;
+  const std::span<const std::uint64_t> allowed = opts.allowed;
 
   const auto deg_dir = [&](lvid_t v) -> std::uint64_t {
     switch (opts.dir) {
@@ -51,6 +54,9 @@ int run_batch(const DistGraph& g, Communicator& comm, GhostExchange& gx,
     HG_CHECK(r < g.n_global());
     if (g.owner_of_global(r) != comm.rank()) continue;
     const lvid_t l = g.local_id_checked(r);
+    if constexpr (kMasked) {
+      if ((allowed[l] & bits::bit(j)) == 0) continue;
+    }
     if (frontier[l] == 0) act.push_back(l);
     seen[l] |= bits::bit(j);
     frontier[l] |= bits::bit(j);
@@ -111,7 +117,9 @@ int run_batch(const DistGraph& g, Communicator& comm, GhostExchange& gx,
                                           std::uint64_t hi) {
         for (std::uint64_t i = lo; i < hi; ++i) {
           const lvid_t v = static_cast<lvid_t>(i);
-          if ((~seen[v] & full) == 0) {  // already reached by every root
+          std::uint64_t open = ~seen[v] & full;
+          if constexpr (kMasked) open &= allowed[v];
+          if (open == 0) {  // already reached by every root allowed here
             next[v] = 0;
             continue;
           }
@@ -167,14 +175,16 @@ int run_batch(const DistGraph& g, Communicator& comm, GhostExchange& gx,
                 [](std::uint64_t a, std::uint64_t b) { return a | b; });
     }
 
-    // ---- Finalize the level: newly = next & ~seen, batch-wide at once. ----
+    // ---- Finalize the level: newly = next & ~seen [& allowed],
+    // batch-wide at once. ----
     for (auto& cv : cact) cv.clear();
     tp.for_chunks(fin_grid, sched,
                   [&](unsigned, std::uint64_t c, const Chunk& ck) {
                     auto& mine = cact[c];
                     for (std::uint64_t i = ck.begin; i < ck.end; ++i) {
                       const lvid_t v = static_cast<lvid_t>(i);
-                      const std::uint64_t nw = next[v] & ~seen[v];
+                      std::uint64_t nw = next[v] & ~seen[v];
+                      if constexpr (kMasked) nw &= allowed[v];
                       newly[v] = nw;
                       frontier[v] = nw;
                       if (nw != 0) {
@@ -202,7 +212,7 @@ int run_batch(const DistGraph& g, Communicator& comm, GhostExchange& gx,
     std::uint64_t local = 0;
     for (lvid_t v = 0; v < n_loc; ++v)
       local += static_cast<std::uint64_t>(std::popcount(seen[v]));
-    *visited += comm.allreduce_sum(local);
+    *visited += comm.allreduce_sum<std::uint64_t>(local);
   }
   return num_levels;
 }
@@ -217,6 +227,13 @@ MsBfsResult msbfs_visit(const DistGraph& g, Communicator& comm,
                "MS-BFS batch size must be in [1, 64], got "
                    << opts.batch_size);
   HG_CHECK(opts.dense_threshold >= 0.0);
+  const bool masked = !opts.allowed.empty();
+  HG_CHECK_MSG(!masked || opts.allowed.size() == g.n_loc(),
+               "MS-BFS allowed masks: need one per local vertex ("
+                   << g.n_loc() << "), got " << opts.allowed.size());
+  HG_CHECK_MSG(!masked || roots.size() <= opts.batch_size,
+               "MS-BFS allowed masks index one batch of at most "
+                   << opts.batch_size << " roots, got " << roots.size());
 
   ScopedPool pf(opts.common);
   ThreadPool& tp = pf.get();
@@ -230,8 +247,12 @@ MsBfsResult msbfs_visit(const DistGraph& g, Communicator& comm,
   res.n_roots = roots.size();
   for (std::size_t b = 0; b < roots.size(); b += opts.batch_size) {
     const std::size_t len = std::min(opts.batch_size, roots.size() - b);
-    const int levels = run_batch(g, comm, gx, roots.subspan(b, len), b, opts,
-                                 tp, visit, &res.visited);
+    const auto batch = roots.subspan(b, len);
+    const int levels =
+        masked ? run_batch<true>(g, comm, gx, batch, b, opts, tp, visit,
+                                 &res.visited)
+               : run_batch<false>(g, comm, gx, batch, b, opts, tp, visit,
+                                  &res.visited);
     res.num_levels = std::max(res.num_levels, levels);
   }
   return res;

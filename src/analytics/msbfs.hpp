@@ -14,6 +14,11 @@
 ///     next[u] |= frontier[v]        (push, per edge v->u)
 ///     newly    = next & ~seen       (per vertex, whole batch at once)
 ///
+/// With `MsBfsOptions::allowed` set, each vertex also carries a mask of the
+/// roots allowed to visit it, and `newly = next & ~seen & allowed`: one
+/// batch then runs 64 traversals over 64 different vertex subsets (k-core's
+/// nested cores).
+///
 /// This is the multi-source lever of Buluç & Madduri's distributed BFS work
 /// and GBBS's batched traversals: memory traffic over the CSR and the
 /// per-level latency of the collectives are both amortized 64-ways.
@@ -61,6 +66,15 @@ struct MsBfsOptions {
   /// schedule when the global count of frontier-active vertices exceeds
   /// dense_threshold * n_global; 1.0 forces pure push, 0.0 pure pull.
   double dense_threshold = 0.04;
+  /// Per-root visit restriction, one mask per local vertex (length n_loc):
+  /// bit j set means root j of the batch may visit the vertex.  A vertex
+  /// whose bit j is clear is never reached by root j, nor traversed through
+  /// by it, and a root whose own bit is clear visits nothing.  The masks
+  /// index the batch, so a masked call takes at most batch_size roots.
+  /// Empty (the default) restricts nothing.  k-core sweeps every stage's
+  /// core at once with it: root j is stage j's root, and a vertex's mask is
+  /// the prefix of the stages it survived.
+  std::span<const std::uint64_t> allowed;
   CommonOptions common;
 };
 

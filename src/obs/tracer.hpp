@@ -47,6 +47,9 @@ inline constexpr const char* kGhostReduce = "ghost.reduce";
 inline constexpr const char* kRoute = "frontier.route";
 inline constexpr const char* kGhostPlan = "ghost.plan";
 inline constexpr const char* kPoolSweep = "pool.sweep";
+inline constexpr const char* kKcoreSetup = "kcore.setup";  ///< incidence CSR
+/// k-core's one masked MS-BFS over every stage's core, allocations included.
+inline constexpr const char* kKcoreComponents = "kcore.components";
 inline constexpr const char* kCopy = "parcomm.copy";  ///< payload copy: comm
 inline constexpr const char* kWait = "parcomm.wait";  ///< barrier wait: idle
 inline constexpr const char* kCliRun = "cli.run";

@@ -180,7 +180,15 @@ double harmonic_centrality(const SeqGraph& g, gvid_t v) {
   return sum;
 }
 
-std::vector<std::uint64_t> kcore_approx(const SeqGraph& g, unsigned max_i) {
+namespace {
+
+/// The sequential 2^i peel behind kcore_approx and kcore_stages: stage i
+/// removes vertices of total degree < 2^i to the fixpoint, stamping bound
+/// 2^i on each, then calls on_stage(i, alive, deg).  Stops after the first
+/// stage that leaves nothing alive.
+template <typename F>
+std::vector<std::uint64_t> peel_powers(const SeqGraph& g, unsigned max_i,
+                                       F&& on_stage) {
   const gvid_t n = g.n();
   std::vector<std::uint64_t> bound(n, std::uint64_t{1} << max_i);
   std::vector<std::uint64_t> deg(n);
@@ -203,11 +211,56 @@ std::vector<std::uint64_t> kcore_approx(const SeqGraph& g, unsigned max_i) {
           if (alive[u] && deg[u] > 0) --deg[u];
       }
     }
+    on_stage(i, alive, deg);
     // Early out: everything removed.
     if (std::none_of(alive.begin(), alive.end(), [](bool a) { return a; }))
       break;
   }
   return bound;
+}
+
+}  // namespace
+
+std::vector<std::uint64_t> kcore_approx(const SeqGraph& g, unsigned max_i) {
+  return peel_powers(g, max_i, [](unsigned, const std::vector<bool>&,
+                                  const std::vector<std::uint64_t>&) {});
+}
+
+std::vector<KCoreStage> kcore_stages(const SeqGraph& g, unsigned max_i) {
+  std::vector<KCoreStage> stages;
+  std::uint64_t alive_before = g.n();
+  peel_powers(g, max_i, [&](unsigned i, const std::vector<bool>& alive,
+                            const std::vector<std::uint64_t>& deg) {
+    KCoreStage s;
+    s.i = i;
+    s.threshold = std::uint64_t{1} << i;
+    s.alive_after = static_cast<std::uint64_t>(
+        std::count(alive.begin(), alive.end(), true));
+    s.removed = alive_before - s.alive_after;
+    alive_before = s.alive_after;
+    for (gvid_t v = 0; v < g.n(); ++v)
+      if (alive[v] && (s.root == kNullGvid || deg[v] > deg[s.root])) s.root = v;
+    if (s.root != kNullGvid) {
+      std::vector<bool> seen(g.n(), false);
+      std::deque<gvid_t> q{s.root};
+      seen[s.root] = true;
+      while (!q.empty()) {
+        const gvid_t v = q.front();
+        q.pop_front();
+        ++s.largest_cc;
+        const auto visit = [&](gvid_t u) {
+          if (alive[u] && !seen[u]) {
+            seen[u] = true;
+            q.push_back(u);
+          }
+        };
+        for (const gvid_t u : g.out_neighbors(v)) visit(u);
+        for (const gvid_t u : g.in_neighbors(v)) visit(u);
+      }
+    }
+    stages.push_back(s);
+  });
+  return stages;
 }
 
 std::vector<std::uint64_t> kcore_exact(const SeqGraph& g) {

@@ -52,6 +52,24 @@ double harmonic_centrality(const SeqGraph& g, gvid_t v);
 std::vector<std::uint64_t> kcore_approx(const SeqGraph& g,
                                         unsigned max_i = 27);
 
+/// One stage of the approximate k-core, as kcore_stages reports it.
+struct KCoreStage {
+  unsigned i = 0;                ///< threshold = 2^i
+  std::uint64_t threshold = 0;
+  std::uint64_t removed = 0;     ///< vertices peeled at this stage
+  std::uint64_t alive_after = 0;
+  /// The survivor of largest remaining degree (smallest id on ties), or
+  /// kNullGvid when nothing survives.
+  gvid_t root = kNullGvid;
+  /// Vertices of root's component among the survivors (undirected view).
+  std::uint64_t largest_cc = 0;
+};
+
+/// The stage record of kcore_approx(g, max_i): the same peel, stopping after
+/// the first stage that leaves nothing alive, with each stage's root and
+/// its component found by an undirected BFS over the survivors.
+std::vector<KCoreStage> kcore_stages(const SeqGraph& g, unsigned max_i = 27);
+
 /// Exact coreness via standard peeling (extension beyond the paper's
 /// approximation; used to validate that approx bounds really are bounds).
 std::vector<std::uint64_t> kcore_exact(const SeqGraph& g);

@@ -444,6 +444,10 @@ SeedBfsTreeOut seed_bfs_tree(const DistGraph& g, parcomm::Communicator& comm,
 struct PinConfig {
   int nranks;
   Schedule sched;
+  // gtest prints a parameter's raw bytes into the test name, so the padding
+  // after `sched` is an explicit zeroed member: left implicit, it held heap
+  // garbage and the names changed from run to run.
+  std::uint8_t pad[3] = {};
   std::string label() const {
     return std::to_string(nranks) + "x" + schedule_label(sched);
   }

@@ -1,10 +1,12 @@
 // Distributed approximate k-core vs the sequential reference: exact bound
 // equality (the stage fixpoints are order-independent), upper-bound
-// property against exact coreness, and per-stage statistics.
+// property against exact coreness, and per-stage statistics against the
+// stage oracle.
 
 #include <gtest/gtest.h>
 
 #include "analytics/kcore.hpp"
+#include "dgraph/builder.hpp"
 #include "gen/rmat.hpp"
 #include "gen/webgraph.hpp"
 #include "ref/ref_analytics.hpp"
@@ -82,6 +84,48 @@ TEST_P(KcoreParam, StageStatisticsAreCoherent) {
   });
 }
 
+// Every stage field but peel_sweeps equals the sequential oracle: removed
+// and alive_after from the peel, largest_cc from an undirected BFS over the
+// survivors from the stage's root.  A wrong allowed-roots mask or a wrong
+// per-root count in the component sweep shows here.  The schedule and the
+// pool width may change only the rounds.
+TEST_P(KcoreParam, StagesMatchReference) {
+  gen::RmatParams rp;
+  rp.scale = 9;
+  rp.avg_degree = 8;
+  gen::WebGraphParams wp;
+  wp.n = 1 << 10;
+  for (const gen::EdgeList& el : {gen::rmat(rp), gen::webgraph(wp).graph}) {
+    const std::vector<ref::KCoreStage> want =
+        ref::kcore_stages(ref::SeqGraph::from(el));
+    with_dist_graph(el, GetParam(), [&](const DistGraph& g,
+                                        parcomm::Communicator& comm) {
+      for (const auto& [sched, nt] :
+           {std::pair{Schedule::kStatic, 1U}, std::pair{Schedule::kDynamic, 1U},
+            std::pair{Schedule::kDynamic, 4U},
+            std::pair{Schedule::kEdgeBalanced, 1U},
+            std::pair{Schedule::kEdgeBalanced, 4U}}) {
+        SCOPED_TRACE(el.name + " " + schedule_label(sched) + " nt=" +
+                     std::to_string(nt));
+        ThreadPool pool(nt);
+        KCoreOptions opts;
+        opts.common.pool = &pool;
+        opts.common.schedule = sched;
+        const KCoreResult res = kcore_approx(g, comm, opts);
+        ASSERT_EQ(res.stages.size(), want.size());
+        for (std::size_t j = 0; j < want.size(); ++j) {
+          const KCoreStage& got = res.stages[j];
+          EXPECT_EQ(got.i, want[j].i) << "stage " << j;
+          EXPECT_EQ(got.threshold, want[j].threshold) << "stage " << j;
+          EXPECT_EQ(got.removed, want[j].removed) << "stage " << j;
+          EXPECT_EQ(got.alive_after, want[j].alive_after) << "stage " << j;
+          EXPECT_EQ(got.largest_cc, want[j].largest_cc) << "stage " << j;
+        }
+      }
+    });
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Configs, KcoreParam, ::testing::ValuesIn(standard_configs()),
     [](const ::testing::TestParamInfo<DistConfig>& pinfo) {
@@ -132,6 +176,42 @@ TEST(Kcore, LargestCcTrackedPerStage) {
     EXPECT_EQ(res.stages[2].alive_after, 8u);
     EXPECT_EQ(res.stages[2].largest_cc, 8u);
   });
+}
+
+// 2^64 overflows the threshold and one 64-bit mask holds at most 63 stage
+// roots: max_i 64 is a named error on every rank, and max_i 63 runs.
+TEST(Kcore, MaxStagesIsANamedError) {
+  const gen::EdgeList el = tiny_graph();
+  for (const int p : {1, 3}) {
+    parcomm::CommWorld world(p);
+    try {
+      world.run([&](parcomm::Communicator& comm) {
+        const DistGraph g = dgraph::Builder::from_edge_list(
+            comm, el, dgraph::PartitionKind::kVertexBlock);
+        KCoreOptions opts;
+        opts.max_i = 64;
+        (void)kcore_approx(g, comm, opts);
+      });
+      ADD_FAILURE() << "max_i 64 must not run (" << p << " ranks)";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("max_i must be at most 63"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  with_dist_graph(el, {2, dgraph::PartitionKind::kVertexBlock},
+                  [&](const DistGraph& g, parcomm::Communicator& comm) {
+                    KCoreOptions opts;
+                    opts.max_i = 63;
+                    const KCoreResult res = kcore_approx(g, comm, opts);
+                    ASSERT_FALSE(res.stages.empty());
+                    EXPECT_EQ(res.stages.back().alive_after, 0u);
+                    for (lvid_t v = 0; v < g.n_loc(); ++v) {
+                      if (g.global_id(v) == 9) {
+                        EXPECT_EQ(res.bound[v], 2u);
+                      }
+                    }
+                  });
 }
 
 TEST(Kcore, IsolatedAndSelfLoopVertices) {
@@ -233,6 +313,28 @@ TEST(KcoreExact, CliqueCorenessExact) {
     for (lvid_t v = 0; v < g.n_loc(); ++v) ASSERT_EQ(res.core[v], 8u);
     EXPECT_EQ(res.max_core, 8u);
   });
+}
+
+// Levels below the smallest survivor degree remove nothing and are skipped:
+// directed K5 both ways (total degree 8) peels in one level, at k = 9, where
+// unit steps took nine.  Isolated vertices add the one level that removes
+// them and keep core 0.
+TEST(KcoreExact, SkipsLevelsThatRemoveNothing) {
+  for (const gvid_t isolated : {gvid_t{0}, gvid_t{3}}) {
+    gen::EdgeList el;
+    el.n = 5 + isolated;
+    for (gvid_t a = 0; a < 5; ++a)
+      for (gvid_t b = 0; b < 5; ++b)
+        if (a != b) el.edges.push_back({a, b});
+    with_dist_graph(el, {2, dgraph::PartitionKind::kVertexBlock},
+                    [&](const DistGraph& g, parcomm::Communicator& comm) {
+                      const KCoreExactResult res = kcore_exact(g, comm);
+                      for (lvid_t v = 0; v < g.n_loc(); ++v)
+                        ASSERT_EQ(res.core[v], g.global_id(v) < 5 ? 8u : 0u);
+                      EXPECT_EQ(res.max_core, 8u);
+                      EXPECT_EQ(res.stages, isolated == 0 ? 1 : 2);
+                    });
+  }
 }
 
 TEST(KcoreExact, RefinesApproximateBounds) {

@@ -9,6 +9,7 @@
 
 #include "analytics/bfs.hpp"
 #include "analytics/msbfs.hpp"
+#include "dgraph/builder.hpp"
 #include "gen/rmat.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
@@ -136,6 +137,56 @@ TEST_P(MsBfsParam, VisitedCountsMatchPerSourceSum) {
   });
 }
 
+// Per-vertex allowed-roots masks: root j of a masked batch must traverse
+// exactly like bfs() restricted to the vertices whose bit j is set — levels
+// and visited counts — under push only, pull only and the adaptive mix.
+// Roots whose own bit is clear visit nothing.
+TEST_P(MsBfsParam, AllowedMasksMatchMaskedBfs) {
+  gen::RmatParams rp;
+  rp.scale = 7;
+  rp.avg_degree = 6;
+  const gen::EdgeList el = gen::rmat(rp);
+  const std::vector<gvid_t> roots = draw_roots(el.n, 64, 0x5eedULL);
+
+  with_dist_graph(el, GetParam(), [&](const DistGraph& g,
+                                      parcomm::Communicator& comm) {
+    // A pure function of the global id, so every rank count sees the same
+    // masks; about three bits in four are set.
+    std::vector<std::uint64_t> allowed(g.n_loc());
+    for (lvid_t v = 0; v < g.n_loc(); ++v)
+      allowed[v] = splitmix64(g.global_id(v)) |
+                   splitmix64(g.global_id(v) + 0x9e37ULL);
+    for (const Dir dir : {Dir::kOut, Dir::kBoth}) {
+      std::vector<std::vector<std::int64_t>> want;
+      std::uint64_t want_visited = 0;
+      std::vector<std::uint8_t> alive(g.n_loc());
+      for (std::size_t j = 0; j < roots.size(); ++j) {
+        for (lvid_t v = 0; v < g.n_loc(); ++v)
+          alive[v] = (allowed[v] >> j) & 1U;
+        BfsOptions bo;
+        bo.dir = dir;
+        bo.alive = alive;
+        BfsResult r = bfs(g, comm, roots[j], bo);
+        want_visited += r.visited;
+        want.push_back(std::move(r.level));
+      }
+      for (const double thr : {1.0 /* push only */, 0.0 /* pull only */,
+                               MsBfsOptions{}.dense_threshold}) {
+        MsBfsOptions mo;
+        mo.dir = dir;
+        mo.dense_threshold = thr;
+        mo.allowed = allowed;
+        const MsBfsResult got = msbfs(g, comm, roots, mo);
+        const std::string what = "dir=" +
+                                 std::to_string(static_cast<int>(dir)) +
+                                 " threshold=" + std::to_string(thr);
+        expect_levels_match(g, got, want, what);
+        EXPECT_EQ(got.visited, want_visited) << what;
+      }
+    }
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Configs, MsBfsParam, ::testing::ValuesIn(msbfs_configs()),
     [](const ::testing::TestParamInfo<DistConfig>& pinfo) {
@@ -183,6 +234,43 @@ TEST(MsBfs, ValidatesBatchSize) {
                     EXPECT_THROW(msbfs(g, comm, roots, mo), CheckError);
                     comm.barrier();  // all ranks threw; resynchronize
                   });
+}
+
+// Masks index one batch, so a masked call must hold one mask per local
+// vertex and at most batch_size roots.  Either mistake is a named error out
+// of CommWorld::run; when only the last rank's span is short the others,
+// already inside the MS-BFS collectives, are released rather than hung.
+TEST(MsBfs, ValidatesAllowedMasks) {
+  const gen::EdgeList el = tiny_graph();
+  const std::vector<gvid_t> roots = {0, 5, 8};
+  for (const int p : {1, 2, 4}) {
+    for (const bool too_many_roots : {false, true}) {
+      SCOPED_TRACE(std::to_string(p) + " ranks" +
+                   (too_many_roots ? ", 3 roots in a batch of 2"
+                                   : ", short mask span"));
+      parcomm::CommWorld world(p);
+      try {
+        world.run([&](parcomm::Communicator& comm) {
+          const DistGraph g = dgraph::Builder::from_edge_list(
+              comm, el, dgraph::PartitionKind::kVertexBlock);
+          const bool short_span = !too_many_roots && comm.rank() == p - 1;
+          std::vector<std::uint64_t> allowed(g.n_loc(), ~std::uint64_t{0});
+          MsBfsOptions mo;
+          mo.allowed = std::span<const std::uint64_t>(allowed).first(
+              g.n_loc() - (short_span ? 1 : 0));
+          if (too_many_roots) mo.batch_size = 2;
+          (void)msbfs(g, comm, roots, mo);
+        });
+        ADD_FAILURE() << "invalid masks must not run";
+      } catch (const CheckError& e) {
+        const std::string want = too_many_roots
+                                     ? "at most 2 roots, got 3"
+                                     : "need one per local vertex";
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 // Every msbfs call on one graph exchanges over the graph's kBoth plan: three

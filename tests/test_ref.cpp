@@ -227,6 +227,37 @@ TEST(RefKcore, ApproxIsUpperBoundOfExact) {
     ASSERT_GE(approx[v], exact[v]) << "bound violated at " << v;
 }
 
+TEST(RefKcore, StagesOnTwoCliquesAndAPendant) {
+  // K8 on 0..7 (total degree 14), K4 on 8..11 (degree 6) and vertex 12 tied
+  // to vertex 0 by an edge each way (degree 2).  Stage 1 peels nothing and
+  // roots at 0 (degree 16), whose component holds K8 and 12; stage 2 peels
+  // 12; stage 3 the K4, leaving K8; stage 4 everything.
+  EdgeList el;
+  el.n = 13;
+  for (gvid_t a = 0; a < 8; ++a)
+    for (gvid_t b = 0; b < 8; ++b)
+      if (a != b) el.edges.push_back({a, b});
+  for (gvid_t a = 8; a < 12; ++a)
+    for (gvid_t b = 8; b < 12; ++b)
+      if (a != b) el.edges.push_back({a, b});
+  el.edges.push_back({12, 0});
+  el.edges.push_back({0, 12});
+  const std::vector<KCoreStage> st = kcore_stages(SeqGraph::from(el), 10);
+  ASSERT_EQ(st.size(), 4u);
+  const std::uint64_t removed[] = {0, 1, 4, 8};
+  const std::uint64_t alive[] = {13, 12, 8, 0};
+  const std::uint64_t cc[] = {9, 8, 8, 0};
+  for (std::size_t j = 0; j < st.size(); ++j) {
+    EXPECT_EQ(st[j].i, j + 1);
+    EXPECT_EQ(st[j].threshold, std::uint64_t{2} << j);
+    EXPECT_EQ(st[j].removed, removed[j]) << "stage " << j + 1;
+    EXPECT_EQ(st[j].alive_after, alive[j]) << "stage " << j + 1;
+    EXPECT_EQ(st[j].largest_cc, cc[j]) << "stage " << j + 1;
+  }
+  EXPECT_EQ(st[0].root, 0u);
+  EXPECT_EQ(st[3].root, kNullGvid);
+}
+
 TEST(RefKcore, ExactOnClique) {
   // K4 directed both ways: coreness (total-degree convention) = 6.
   EdgeList el;

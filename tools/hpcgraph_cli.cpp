@@ -322,7 +322,9 @@ int main(int argc, char** argv) {
       if (root_rank)
         for (const auto& s : res.stages)
           std::cout << "threshold " << s.threshold << ": removed "
-                    << s.removed << ", alive " << s.alive_after << "\n";
+                    << s.removed << ", alive " << s.alive_after
+                    << ", largest_cc " << s.largest_cc << ", sweeps "
+                    << s.peel_sweeps << "\n";
       if (!output.empty())
         write_tsv<std::uint64_t>(g, comm, res.bound, output, "coreness_ub");
     } else if (analytic == "kcore-exact") {
