@@ -5,13 +5,15 @@
 //   * ghost relabeling: flat-array access vs per-access hash lookup;
 //   * LabelCounter (the Algorithm-1 `lmap`) vs std::unordered_map counting;
 //   * Algorithm-3 thread-local queues vs one-atomic-per-item pushes;
-//   * retained vs rebuilt ghost-exchange queues (§III-D1);
+//   * retained vs rebuilt ghost-exchange queues (§III-D1), and the plan
+//     build that the rebuilt variant repeats;
 //   * Alltoallv payload throughput of the simulated runtime;
 //   * graph construction (Exchange + LConv of Table III) per input edge.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "dgraph/builder.hpp"
@@ -168,6 +170,16 @@ BENCHMARK(BM_MultiQueueSharedAtomicPush);
 
 // ---------- ghost exchange: retained vs rebuilt (§III-D1) ----------
 
+/// The synthetic web crawl at 2^16 vertices, generated once.
+const gen::EdgeList& web16() {
+  static const gen::EdgeList graph = [] {
+    gen::WebGraphParams wp;
+    wp.n = gvid_t{1} << 16;
+    return gen::webgraph(wp).graph;
+  }();
+  return graph;
+}
+
 struct GhostFixture {
   GhostFixture() {
     gen::RmatParams rp;
@@ -204,14 +216,41 @@ void BM_GhostExchangeRebuilt(benchmark::State& state) {
       std::vector<std::uint64_t> vals(g.n_total(), 1);
       for (int it = 0; it < 10; ++it) {
         // A fresh plan each time: the graph's cached one would be reused.
-        dgraph::GhostExchange gx(dgraph::GhostPlan::build(
-            g, comm, dgraph::Adjacency::kBoth, nullptr));
+        dgraph::GhostExchange gx(
+            dgraph::GhostPlan::build(g, comm, dgraph::Adjacency::kBoth));
         gx.exchange<std::uint64_t>(vals, comm);  // queues rebuilt each time
       }
     });
   }
 }
 BENCHMARK(BM_GhostExchangeRebuilt)->Unit(benchmark::kMillisecond);
+
+// GhostPlan::build alone on a webgraph at 2^16 with 4 ranks, one fresh
+// plan per iteration over graphs built once.  Arg 0: vertex-block, 1:
+// random partition.
+void BM_GhostPlanBuild(benchmark::State& state, dgraph::Adjacency adj) {
+  const auto kind = state.range(0) == 0 ? dgraph::PartitionKind::kVertexBlock
+                                        : dgraph::PartitionKind::kRandom;
+  state.SetLabel(dgraph::partition_label(kind));
+  parcomm::CommWorld world(4);
+  std::vector<std::optional<dgraph::DistGraph>> graphs(4);
+  world.run([&](parcomm::Communicator& comm) {
+    graphs[comm.rank()].emplace(
+        dgraph::Builder::from_edge_list(comm, web16(), kind));
+  });
+  for (auto _ : state) {
+    world.run([&](parcomm::Communicator& comm) {
+      benchmark::DoNotOptimize(
+          dgraph::GhostPlan::build(*graphs[comm.rank()], comm, adj));
+    });
+  }
+}
+BENCHMARK_CAPTURE(BM_GhostPlanBuild, out, dgraph::Adjacency::kOut)
+    ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(BM_GhostPlanBuild, in, dgraph::Adjacency::kIn)
+    ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(BM_GhostPlanBuild, both, dgraph::Adjacency::kBoth)
+    ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // ---------- Alltoallv throughput ----------
 
@@ -238,11 +277,7 @@ BENCHMARK(BM_Alltoallv)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 16);
 // Exchange and LConv stages without the file read, in wall time per input
 // edge (the `per_edge` counter).  Arg 0: vertex-block, 1: random partition.
 void BM_BuildFromEdgeList(benchmark::State& state) {
-  static const gen::EdgeList graph = [] {
-    gen::WebGraphParams wp;
-    wp.n = gvid_t{1} << 16;
-    return gen::webgraph(wp).graph;
-  }();
+  const gen::EdgeList& graph = web16();
   const auto kind = state.range(0) == 0 ? dgraph::PartitionKind::kVertexBlock
                                         : dgraph::PartitionKind::kRandom;
   state.SetLabel(dgraph::partition_label(kind));

@@ -216,11 +216,17 @@ class Partition {
       case PartitionKind::kExplicit: {
         HG_CHECK(payload.size() == n);
         auto owner = std::make_shared<std::vector<std::int32_t>>(n);
-        for (gvid_t v = 0; v < n; ++v)
+        for (gvid_t v = 0; v < n; ++v) {
+          HG_CHECK_MSG(payload[v] < static_cast<std::uint64_t>(nranks),
+                       "owner map entry " << v << " is " << payload[v]
+                                          << ", not a rank below " << nranks);
           (*owner)[v] = static_cast<std::int32_t>(payload[v]);
+        }
         part.owner_map_ = std::move(owner);
         break;
       }
+      default:
+        HG_CHECK_MSG(false, "unknown partition kind " << words[0]);
     }
     return part;
   }

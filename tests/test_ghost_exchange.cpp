@@ -406,6 +406,25 @@ INSTANTIATE_TEST_SUITE_P(
       return pinfo.param.label();
     });
 
+/// Per-task segments of a plan queue (`flat` cut by `counts`).
+std::vector<std::vector<lvid_t>> segments(
+    std::span<const lvid_t> flat, std::span<const std::uint64_t> counts) {
+  std::vector<std::vector<lvid_t>> out;
+  std::size_t at = 0;
+  for (const std::uint64_t c : counts) {
+    const std::size_t end = std::min<std::size_t>(at + c, flat.size());
+    out.emplace_back(flat.begin() + static_cast<std::ptrdiff_t>(at),
+                     flat.begin() + static_cast<std::ptrdiff_t>(end));
+    at = end;
+  }
+  EXPECT_EQ(at, flat.size()) << "counts do not cover the queue";
+  return out;
+}
+
+// The plan is a pure function of the graph: the graph's cached plan, built
+// for an exchange that runs on a 4-thread pool, and an independent build
+// hold the same arrays, order included, and the threaded exchange updates
+// every ghost.
 TEST(GhostExchange, ThreadedSetupMatchesSerial) {
   gen::RmatParams rp;
   rp.scale = 8;
@@ -416,20 +435,89 @@ TEST(GhostExchange, ThreadedSetupMatchesSerial) {
     const DistGraph g = Builder::from_edge_list(
         comm, el, PartitionKind::kVertexBlock);
     ThreadPool pool(4);
-    // Two independent builds, bypassing the graph's cached plan.
-    GhostExchange serial(GhostPlan::build(g, comm, Adjacency::kBoth, nullptr));
-    GhostExchange threaded(
-        GhostPlan::build(g, comm, Adjacency::kBoth, &pool), &pool);
-    ASSERT_NE(&serial.plan(), &threaded.plan());
-    EXPECT_EQ(serial.plan().send_entries(), threaded.plan().send_entries());
-    EXPECT_EQ(serial.plan().recv_entries(), threaded.plan().recv_entries());
-    // Both must produce correct ghost updates.
+    GhostExchange threaded(g, comm, Adjacency::kBoth, &pool);
+    GhostExchange serial(GhostPlan::build(g, comm, Adjacency::kBoth));
+    const GhostPlan& a = serial.plan();
+    const GhostPlan& b = threaded.plan();
+    ASSERT_NE(&a, &b);
+    EXPECT_EQ(segments(a.send_local(), a.send_counts()),
+              segments(b.send_local(), b.send_counts()));
+    EXPECT_EQ(segments(a.recv_local(), a.recv_counts()),
+              segments(b.recv_local(), b.recv_counts()));
+    EXPECT_EQ(a.entries_global(), b.entries_global());
     std::vector<std::uint64_t> vals(g.n_total(), 0);
     for (lvid_t v = 0; v < g.n_loc(); ++v) vals[v] = f(g.global_id(v));
     threaded.exchange<std::uint64_t>(vals, comm);
     for (lvid_t l = g.n_loc(); l < g.n_total(); ++l)
       ASSERT_EQ(vals[l], f(g.global_id(l)));
   });
+}
+
+/// One rank's queues as Algorithm 1's owner-side scan finds them: per task,
+/// the ascending local ids with a ghost neighbour that task owns along
+/// `adj` (send), and the ascending ghosts this rank reads along `adj` that
+/// the task owns (recv).
+struct ScanPlan {
+  std::vector<std::vector<lvid_t>> send, recv;
+};
+
+ScanPlan scan_plan(const DistGraph& g, Adjacency adj) {
+  const bool out = adj != Adjacency::kIn;  // values flow along out-edges
+  const bool in = adj != Adjacency::kOut;  // ... and/or along in-edges
+  const auto p = static_cast<std::size_t>(g.nranks());
+  ScanPlan s{std::vector<std::vector<lvid_t>>(p),
+             std::vector<std::vector<lvid_t>>(p)};
+  std::vector<std::uint8_t> read(g.n_total(), 0);
+  for (lvid_t v = 0; v < g.n_loc(); ++v) {
+    std::set<int> tasks;
+    for (const lvid_t u : g.out_neighbors(v)) {
+      if (!g.is_ghost(u)) continue;
+      if (out) tasks.insert(g.owner_of(u));
+      if (in) read[u] = 1;
+    }
+    for (const lvid_t u : g.in_neighbors(v)) {
+      if (!g.is_ghost(u)) continue;
+      if (in) tasks.insert(g.owner_of(u));
+      if (out) read[u] = 1;
+    }
+    for (const int t : tasks) s.send[t].push_back(v);
+  }
+  for (lvid_t l = g.n_loc(); l < g.n_total(); ++l)
+    if (read[l]) s.recv[g.owner_of(l)].push_back(l);
+  return s;
+}
+
+// The reader-side build yields the queues of the owner-side scan, on every
+// configuration and adjacency, whatever the pool of the exchange that first
+// asks the graph for its plan.
+TEST(GhostPlan, MatchesAdjacencyScan) {
+  gen::RmatParams rp;
+  rp.scale = 9;
+  rp.avg_degree = 6;
+  const gen::EdgeList el = gen::rmat(rp);
+  for (const DistConfig& cfg : standard_configs())
+    for (const unsigned threads : {1u, 4u})
+      with_dist_graph(el, cfg, [&](const DistGraph& g,
+                                   parcomm::Communicator& comm) {
+        ThreadPool pool(threads);
+        for (const Adjacency adj :
+             {Adjacency::kOut, Adjacency::kIn, Adjacency::kBoth}) {
+          SCOPED_TRACE(cfg.label() + ", " + std::to_string(threads) +
+                       " threads, adjacency " +
+                       std::to_string(static_cast<int>(adj)) + ", rank " +
+                       std::to_string(comm.rank()));
+          const GhostExchange gx(g, comm, adj, &pool);
+          const GhostPlan& plan = gx.plan();
+          const ScanPlan want = scan_plan(g, adj);
+          EXPECT_EQ(segments(plan.send_local(), plan.send_counts()),
+                    want.send);
+          EXPECT_EQ(segments(plan.recv_local(), plan.recv_counts()),
+                    want.recv);
+          std::uint64_t entries = 0;
+          for (const auto& seg : want.send) entries += seg.size();
+          EXPECT_EQ(plan.entries_global(), comm.allreduce_sum(entries));
+        }
+      });
 }
 
 // ---- The graph's plan cache. ----

@@ -10,7 +10,9 @@ timeline means for the paper's questions:
     max/mean imbalance across ranks for every round;
   * per-rank load — total busy time per (rank, thread) lane;
   * per-rank communication and idle time — the parcomm.copy and
-    parcomm.wait span totals, the paper's Figure 3 split.
+    parcomm.wait span totals, the paper's Figure 3 split — beside each
+    rank's ghost.plan builds (count and total time), the setup cost of the
+    retained-queue exchange.
 
 Modes:
   trace_report.py TRACE                      human-readable report
@@ -27,6 +29,8 @@ Exit status: 0 on success, 1 on failed validation/regression, 2 on usage.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -159,6 +163,15 @@ def comm_idle_by_rank(doc):
     return dict(out)
 
 
+def plans_by_rank(doc):
+    """pid -> [ghost.plan span count, total µs]: each rank's plan builds."""
+    out = defaultdict(lambda: [0, 0.0])
+    for e in spans(doc, GHOST_PLAN):
+        out[e["pid"]][0] += 1
+        out[e["pid"]][1] += e["dur"]
+    return dict(out)
+
+
 # ---------------------------------------------------------------- reports --
 
 def report(doc):
@@ -179,10 +192,16 @@ def report(doc):
         print(f"  {label(pid, tid):<24} {busy[(pid, tid)]:>12.1f}  "
               f"({count[(pid, tid)]} spans)")
 
-    print(f"\nper-rank communication ({COPY}) and idle ({WAIT}):")
-    print(f"  {'rank':>5} {'comm ms':>10} {'idle ms':>10}")
-    for pid, (comm, idle) in sorted(comm_idle_by_rank(doc).items()):
-        print(f"  {pid:>5} {comm / 1e3:>10.3f} {idle / 1e3:>10.3f}")
+    comm_idle, plans = comm_idle_by_rank(doc), plans_by_rank(doc)
+    print(f"\nper-rank communication ({COPY}), idle ({WAIT}) and ghost plan "
+          f"builds ({GHOST_PLAN}):")
+    print(f"  {'rank':>5} {'comm ms':>10} {'idle ms':>10} {'plans':>6} "
+          f"{'plan ms':>10}")
+    for pid in sorted(set(comm_idle) | set(plans)):
+        comm, idle = comm_idle.get(pid, [0.0, 0.0])
+        nplans, plan = plans.get(pid, [0, 0.0])
+        print(f"  {pid:>5} {comm / 1e3:>10.3f} {idle / 1e3:>10.3f} "
+              f"{nplans:>6} {plan / 1e3:>10.3f}")
 
     per_rank = supersteps_by_rank(doc)
     if not per_rank:
@@ -277,6 +296,7 @@ def selftest():
     problems = check(doc)
     assert not problems, problems
     assert comm_idle_by_rank(doc) == {0: [100, 200], 1: [100, 200]}
+    assert plans_by_rank(doc) == {0: [1, 5], 1: [1, 5]}
     # A rank missing a round fails the lockstep check, unless events were
     # dropped (the ring may have overwritten the span).
     skewed = _synthetic_trace()
@@ -307,7 +327,15 @@ def selftest():
         if e.get("name") == COMPUTE:
             e["dur"] *= 2
     assert diff(slow, _write_tmp(doc), max_regress=10.0) == 1
-    assert report(doc) == 0
+    # The report prints each rank's plan builds beside its comm/idle split.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert report(doc) == 0
+    rows = [line.split() for line in out.getvalue().splitlines()]
+    for pid in (0, 1):
+        assert [str(pid), "0.100", "0.200", "1", "0.005"] in rows, \
+            out.getvalue()
+    print(out.getvalue(), end="")
     print("selftest: OK")
     return 0
 
