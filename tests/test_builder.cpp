@@ -68,11 +68,22 @@ TEST_P(BuilderParam, TableIIScalarInvariants) {
 
 TEST_P(BuilderParam, MapAndUnmapAreInverse) {
   with_dist_graph(tiny_graph(), GetParam(), [&](const DistGraph& g,
-                                                parcomm::Communicator&) {
+                                                parcomm::Communicator& comm) {
     for (lvid_t l = 0; l < g.n_total(); ++l) {
       const gvid_t gid = g.global_id(l);
       ASSERT_EQ(g.local_id(gid), l);
       ASSERT_EQ(g.local_id_checked(gid), l);
+    }
+    // owned_local inverts global_id on the locals and finds nothing else:
+    // not the ghosts, not the vertices other ranks own, not n_global.
+    for (gvid_t v = 0; v <= g.n_global(); ++v) {
+      const bool mine =
+          v < g.n_global() && g.owner_of_global(v) == comm.rank();
+      const lvid_t l = g.owned_local(v);
+      ASSERT_EQ(l == kNullLvid, !mine) << "vertex " << v;
+      if (mine) {
+        ASSERT_EQ(g.global_id(l), v) << "vertex " << v;
+      }
     }
   });
 }
