@@ -17,31 +17,20 @@
 //   G. superstep-engine overhead: PageRank through the SuperstepEngine vs
 //      the pre-engine hand-rolled BSP loop, frozen here verbatim since the
 //      bespoke loops were deleted from src/analytics.
-//   I. intra-rank sweep schedule (DESIGN.md §10): static vs dynamic vs
-//      edge-balanced PageRank sweeps at 1/2/4/8 pool threads on a skewed
-//      R-MAT, with per-thread busy time and max/mean edges-per-thread
-//      imbalance from the scheduler telemetry, a bit-pattern checksum
-//      proving all schedules produce identical scores, and a hub-split
-//      micro-demo of the ChunkGrid::edges splitter.
-//   J. frontier representation (DESIGN.md §11): forced queue vs bitmap vs
-//      hybrid DistFrontier modes on SSSP and direction-optimizing BFS over
-//      the web crawl and R-MAT, with per-mode round counts (bitmap/pull
-//      rounds, crossovers, read from rank 0's traced round counters) and a
-//      checksum proving the representations compute identical results.
 //   K. runtime tracing overhead: the same PageRank region with the obs
 //      tracer off and on.
 //
-// `--sections LETTERS` restricts the run (e.g. --sections EI); `--json FILE`
-// writes section I, J and K measurements as machine-readable
-// hpcgraph-bench-v1.
+// Sections I (sweep schedules) and J (forced frontier representations)
+// measured mode axes that have since been removed; EXPERIMENTS.md keeps
+// their records.  `--sections LETTERS` restricts the run (e.g.
+// --sections EK); `--json FILE` writes section K's measurements as
+// machine-readable hpcgraph-bench-v1.
 
 #include <atomic>
-#include <bit>
 #include <cctype>
 #include <cmath>
 #include <iostream>
 #include <memory>
-#include <string_view>
 
 #include "analytics/analytics.hpp"
 #include "bench_common.hpp"
@@ -62,7 +51,7 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const unsigned scale = static_cast<unsigned>(cli.get_int("scale", 16));
   const int nranks = static_cast<int>(cli.get_int("ranks", 8));
-  std::string sections = cli.get("sections", "ABCDEFGIJK");
+  std::string sections = cli.get("sections", "ABCDEFGK");
   for (char& c : sections) c = static_cast<char>(std::toupper(c));
   const auto want = [&](char s) {
     return sections.find(s) != std::string::npos;
@@ -453,243 +442,6 @@ int main(int argc, char** argv) {
     t.print(std::cout);
   }
 
-  // ---- I. Intra-rank sweep schedule: static vs dynamic vs edge-balanced.
-  // ---- (DESIGN.md §10) ----
-  if (want('I')) {
-    // Degree-skewed workload: R-MAT hubs make equal-count static spans pay
-    // wildly different edge costs; the edge-balanced grid equalizes them.
-    // Ids stay unscrambled so vertex order correlates with degree (hubs at
-    // low ids), the same order/degree correlation real crawl-ordered graphs
-    // carry — scrambling would launder the hub mass evenly across the
-    // static spans and hide exactly the skew this section measures.
-    gen::RmatParams rp;
-    rp.scale = scale;
-    rp.avg_degree = 16;
-    rp.scramble_ids = false;
-    const gen::EdgeList rmat = gen::rmat(rp);
-    const int reps = static_cast<int>(cli.get_int("reps", 3));
-    const int iranks = static_cast<int>(cli.get_int("sched-ranks", 2));
-
-    TablePrinter t({"Schedule", "Threads", "Tpar med(s)", "stddev",
-                    "Edge imbal", "Meas imbal", "Checksum"});
-    for (const Schedule sched :
-         {Schedule::kStatic, Schedule::kDynamic, Schedule::kEdgeBalanced}) {
-      for (const unsigned nt : {1u, 2u, 4u, 8u}) {
-        std::vector<double> tpars;
-        std::uint64_t checksum = 0;
-        // Per-rank scheduler telemetry from the last rep (the grids don't
-        // change between reps, so neither do the work_* columns), plus the
-        // host-independent model of the PageRank gather grid — the loop
-        // that dominates the sweep and carries the degree skew.
-        std::vector<SweepStats> stats(static_cast<std::size_t>(iranks));
-        std::vector<double> gimb(static_cast<std::size_t>(iranks), 1.0);
-        for (int rep = 0; rep < reps; ++rep) {
-          std::atomic<std::uint64_t> sum{0};
-          const hb::RegionReport r = hb::run_region(
-              rmat, iranks, dgraph::PartitionKind::kVertexBlock,
-              [&](const dgraph::DistGraph& g, parcomm::Communicator& comm) {
-                ThreadPool pool(nt);
-                analytics::PageRankOptions o;
-                o.max_iterations = 10;
-                o.common.pool = &pool;
-                o.common.schedule = sched;
-                const auto res = analytics::pagerank(g, comm, o);
-                // Bit-pattern sum: the schedules must agree bit-for-bit,
-                // not just to tolerance.
-                std::uint64_t local = 0;
-                for (const double s : res.scores)
-                  local += std::bit_cast<std::uint64_t>(s);
-                const std::uint64_t total = comm.allreduce_sum(local);
-                if (comm.rank() == 0) sum = total;
-                const std::size_t me =
-                    static_cast<std::size_t>(comm.rank());
-                stats[me] = pool.sweep_stats();
-                gimb[me] = grid_imbalance(
-                    make_grid(sched, g.n_loc(), g.in_index(), nt), sched,
-                    nt);
-              });
-          tpars.push_back(r.tpar);
-          checksum = sum.load();
-        }
-        // Edge imbal: max/mean edges-per-thread from the deterministic
-        // chunk->thread model (see grid_imbalance) — host-independent.
-        // Meas imbal: the pool's realized per-thread weight split, which
-        // collapses to ~nthreads on machines with fewer cores than pool
-        // threads (one core drains the shared chunk counter).
-        double edge_imbal = 1.0, meas_imbal = 1.0;
-        for (std::size_t rk = 0; rk < stats.size(); ++rk) {
-          edge_imbal = std::max(edge_imbal, gimb[rk]);
-          meas_imbal = std::max(meas_imbal, stats[rk].imbalance(nt));
-        }
-        const double med = hb::median_of(tpars);
-        const double sd = hb::stddev_of(tpars);
-        t.add_row({schedule_label(sched), TablePrinter::fmt_int(nt),
-                   TablePrinter::fmt(med, 3), TablePrinter::fmt(sd, 3),
-                   TablePrinter::fmt(edge_imbal, 2),
-                   TablePrinter::fmt(meas_imbal, 2),
-                   std::to_string(checksum)});
-        hb::BenchRecord br;
-        br.name = std::string("I.pagerank.") + schedule_label(sched);
-        br.ranks = iranks;
-        br.threads = static_cast<int>(nt);
-        br.median_s = med;
-        br.stddev_s = sd;
-        br.extra = {{"edge_imbalance", edge_imbal},
-                    {"measured_imbalance", meas_imbal},
-                    {"checksum", static_cast<double>(checksum)}};
-        bench_json.add(std::move(br));
-      }
-    }
-    std::cout << "\nI. Intra-rank sweep schedule (PageRank x10 on R-MAT, "
-              << iranks << " ranks):\n";
-    t.print(std::cout);
-
-    // Hub-split micro-demo: the same skewed degree prefix chunked with and
-    // without hub splitting — splitting caps the heaviest chunk near the
-    // grain even when one hub owns a large share of all edges.
-    std::vector<std::uint64_t> prefix(rmat.n + 1, 0);
-    for (const gen::Edge& e : rmat.edges) ++prefix[e.src + 1];
-    for (std::size_t v = 1; v <= rmat.n; ++v) prefix[v] += prefix[v - 1];
-    const ChunkGrid whole = ChunkGrid::edges(prefix);
-    const ChunkGrid split = ChunkGrid::edges(prefix, 0, /*split_hubs=*/true);
-    TablePrinter h({"Hub handling", "Chunks", "Max chunk edges",
-                    "Max/grain"});
-    const double grain = static_cast<double>(whole.weight_total()) /
-                         static_cast<double>(ChunkGrid::kTargetChunks);
-    for (const auto* g2 : {&whole, &split})
-      h.add_row({g2 == &whole ? "whole hubs" : "split hubs",
-                 TablePrinter::fmt_int(static_cast<long long>(g2->size())),
-                 TablePrinter::fmt_int(
-                     static_cast<long long>(g2->max_chunk_weight())),
-                 TablePrinter::fmt(
-                     static_cast<double>(g2->max_chunk_weight()) / grain,
-                     2)});
-    std::cout << "\nHub splitting (ChunkGrid::edges over the same R-MAT "
-                 "out-degree prefix):\n";
-    h.print(std::cout);
-  }
-
-  // ---- J. Frontier representation: queue vs bitmap vs hybrid. ----
-  if (want('J')) {
-    gen::RmatParams rp;
-    rp.scale = scale >= 2 ? scale - 2 : scale;  // SSSP runs many rounds;
-    rp.avg_degree = 8;                          // keep J quick
-    const gen::EdgeList rmat = gen::rmat(rp);
-    const int reps = static_cast<int>(cli.get_int("reps", 3));
-
-    // R-MAT ids are scrambled, so pick the heaviest hub as the root —
-    // vertex 0 may be isolated.
-    std::vector<std::uint32_t> odeg(rmat.n, 0);
-    for (const gen::Edge& e : rmat.edges) ++odeg[e.src];
-    const gvid_t rmat_root = static_cast<gvid_t>(
-        std::max_element(odeg.begin(), odeg.end()) - odeg.begin());
-
-    struct JWorkload {
-      std::string label;
-      const gen::EdgeList* graph;
-      gvid_t root;
-    };
-    const std::vector<JWorkload> jwork = {
-        {"WC", &wc.graph, wc.core.begin},
-        {"RMAT", &rmat, rmat_root},
-    };
-
-    TablePrinter t({"Analytic", "Graph", "Mode", "Tpar med(s)", "stddev",
-                    "Rounds", "Bitmap/Pull/Xover", "Checksum"});
-    const auto run_one = [&](const JWorkload& w, bool is_sssp,
-                             engine::FrontierMode mode) {
-      std::vector<double> tpars;
-      std::uint64_t checksum = 0, rounds = 0;
-      std::uint64_t bitmap_rounds = 0, pull_rounds = 0, crossovers = 0;
-      for (int rep = 0; rep < reps; ++rep) {
-        obs::Tracer tracer;
-        tracer.install();  // before run_region spawns rank threads
-        std::atomic<std::uint64_t> sum{0};
-        const hb::RegionReport r = hb::run_region(
-            *w.graph, nranks, dgraph::PartitionKind::kVertexBlock,
-            [&](const dgraph::DistGraph& g, parcomm::Communicator& comm) {
-              std::uint64_t local = 0;
-              if (is_sssp) {
-                analytics::SsspOptions o;
-                o.common.frontier = mode;
-                const auto res = analytics::sssp(g, comm, w.root, o);
-                // The distances are exact min-plus integers: every mode
-                // must produce the identical array.
-                for (const std::uint64_t d : res.dist)
-                  local += d == analytics::kInfDistance ? 1 : d;
-              } else {
-                analytics::BfsOptions o;
-                o.direction_optimizing = true;
-                o.common.frontier = mode;
-                const auto res = analytics::bfs(g, comm, w.root, o);
-                for (const std::int64_t lv : res.level)
-                  local += lv < 0 ? 1 : static_cast<std::uint64_t>(lv);
-              }
-              const std::uint64_t total = comm.allreduce_sum(local);
-              if (comm.rank() == 0) sum = total;
-            });
-        obs::Tracer::uninstall();
-        tpars.push_back(r.tpar);
-        checksum = sum.load();
-        // Every round stamps frontier.pull, then frontier.bitmap; a
-        // crossover is a round whose (pull, bitmap) pair differs from the
-        // previous round's.
-        rounds = bitmap_rounds = pull_rounds = crossovers = 0;
-        double pull = 0, prev_pull = 0, prev_bitmap = 0;
-        for (const obs::Event& e : tracer.rank_events(0)) {
-          if (e.kind != obs::EventKind::kCounter) continue;
-          if (std::string_view(e.name) == obs::counter_name::kFrontierPull)
-            pull = e.value;
-          if (std::string_view(e.name) != obs::counter_name::kFrontierBitmap)
-            continue;
-          if (rounds > 0 && (pull != prev_pull || e.value != prev_bitmap))
-            ++crossovers;
-          ++rounds;
-          pull_rounds += pull != 0;
-          bitmap_rounds += e.value != 0;
-          prev_pull = pull;
-          prev_bitmap = e.value;
-        }
-      }
-      const double med = hb::median_of(tpars);
-      const double sd = hb::stddev_of(tpars);
-      const char* analytic = is_sssp ? "SSSP" : "BFS diropt";
-      t.add_row({analytic, w.label, engine::frontier_mode_label(mode),
-                 TablePrinter::fmt(med, 3), TablePrinter::fmt(sd, 3),
-                 TablePrinter::fmt_int(static_cast<long long>(rounds)),
-                 TablePrinter::fmt_int(static_cast<long long>(bitmap_rounds)) +
-                     "/" +
-                     TablePrinter::fmt_int(
-                         static_cast<long long>(pull_rounds)) +
-                     "/" +
-                     TablePrinter::fmt_int(static_cast<long long>(crossovers)),
-                 std::to_string(checksum)});
-      hb::BenchRecord br;
-      br.name = std::string("J.") + (is_sssp ? "sssp" : "bfs_diropt") + "." +
-                w.label + "." + engine::frontier_mode_label(mode);
-      br.ranks = nranks;
-      br.threads = 1;
-      br.median_s = med;
-      br.stddev_s = sd;
-      br.extra = {{"rounds", static_cast<double>(rounds)},
-                  {"bitmap_rounds", static_cast<double>(bitmap_rounds)},
-                  {"pull_rounds", static_cast<double>(pull_rounds)},
-                  {"crossovers", static_cast<double>(crossovers)},
-                  {"checksum", static_cast<double>(checksum)}};
-      bench_json.add(std::move(br));
-    };
-
-    for (const JWorkload& w : jwork)
-      for (const bool is_sssp : {true, false})
-        for (const engine::FrontierMode mode :
-             {engine::FrontierMode::kQueue, engine::FrontierMode::kBitmap,
-              engine::FrontierMode::kHybrid})
-          run_one(w, is_sssp, mode);
-    std::cout << "\nJ. Frontier representation (DistFrontier queue vs bitmap\n"
-                 "vs hybrid; DESIGN.md §11):\n";
-    t.print(std::cout);
-  }
-
   // ---- K. Tracing overhead (EXPERIMENTS.md §K). ----
   // The obs layer is always compiled and runtime-gated: with no tracer
   // installed every Span is a thread-local load and a branch, with no clock
@@ -769,17 +521,6 @@ int main(int argc, char** argv) {
          "serve all 64 roots) and win on wall/Tpar; the top-1 score must\n"
          "agree between engines up to FP summation order.  (G) the engine\n"
          "reproduces the hand-rolled schedule, so both rows should land\n"
-         "within run-to-run noise of each other.  (I) checksums must\n"
-         "match across all schedules and thread counts; on the\n"
-         "unscrambled R-MAT (hubs at low ids) the static spans exceed 2x\n"
-         "max/mean edges-per-thread at >= 4 threads while the dynamic and\n"
-         "edge-balanced grids stay near 1 (Edge imbal, the deterministic\n"
-         "chunk->thread model); Meas imbal is the realized split and only\n"
-         "tracks the model when the host has >= `threads` cores.  Hub\n"
-         "splitting caps the heaviest chunk near the grain.  (J) checksums\n"
-         "must match across all three modes within each (analytic, graph)\n"
-         "row — the representations are interchangeable; forced queue pins\n"
-         "push (0 pull rounds) while bitmap/hybrid let the diropt BFS cross\n"
-         "over, and SSSP under hybrid stays on the queue (order-sensitive).\n";
+         "within run-to-run noise of each other.\n";
   return 0;
 }

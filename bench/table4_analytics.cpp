@@ -14,7 +14,6 @@
 
 #include "analytics/analytics.hpp"
 #include "bench_common.hpp"
-#include "engine/frontier.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/rmat.hpp"
 #include "gen/webgraph.hpp"
@@ -43,16 +42,6 @@ int main(int argc, char** argv) {
   const int nranks = static_cast<int>(cli.get_int("ranks", 8));
   const double d_avg = cli.get_double("avg-degree", 16);
   const unsigned kcore_max_i = static_cast<unsigned>(cli.get_int("kcore-i", 16));
-  Schedule sched = Schedule::kStatic;
-  if (!parse_schedule(cli.get("schedule", "static"), &sched)) {
-    std::cerr << "unknown --schedule (static|dynamic|edge)\n";
-    return 2;
-  }
-  engine::FrontierMode fmode = engine::FrontierMode::kHybrid;
-  if (!engine::parse_frontier_mode(cli.get("frontier", "hybrid"), &fmode)) {
-    std::cerr << "unknown --frontier (queue|bitmap|hybrid)\n";
-    return 2;
-  }
   if (const auto unknown = cli.unknown_flags(); !unknown.empty()) {
     std::cerr << "unknown flag --" << unknown[0] << "\n";
     return 2;
@@ -91,48 +80,38 @@ int main(int argc, char** argv) {
 
   const std::vector<AnalyticRow> rows = {
       {"PageRank (10 it)",
-       [sched](const dgraph::DistGraph& g, parcomm::Communicator& comm) {
+       [](const dgraph::DistGraph& g, parcomm::Communicator& comm) {
          analytics::PageRankOptions o;
          o.max_iterations = 10;
-         o.common.schedule = sched;
          (void)analytics::pagerank(g, comm, o);
        }},
       {"Label Prop (10 it)",
-       [sched](const dgraph::DistGraph& g, parcomm::Communicator& comm) {
+       [](const dgraph::DistGraph& g, parcomm::Communicator& comm) {
          analytics::LabelPropOptions o;
          o.iterations = 10;
-         o.common.schedule = sched;
          (void)analytics::label_propagation(g, comm, o);
        }},
       {"WCC (Multistep)",
-       [sched](const dgraph::DistGraph& g, parcomm::Communicator& comm) {
+       [](const dgraph::DistGraph& g, parcomm::Communicator& comm) {
          analytics::WccOptions o;
-         o.common.schedule = sched;
          (void)analytics::wcc(g, comm, o);
        }},
       {"Harmonic Cent. (1 vtx)",
-       [sched, fmode](const dgraph::DistGraph& g,
-                      parcomm::Communicator& comm) {
+       [](const dgraph::DistGraph& g, parcomm::Communicator& comm) {
          const gvid_t hot = analytics::max_degree_vertex(g, comm);
          analytics::HarmonicOptions o;
-         o.common.schedule = sched;
-         o.common.frontier = fmode;
          (void)analytics::harmonic_centrality(g, comm, hot, o);
        }},
       {"k-core (2^i sweep)",
-       [kcore_max_i, sched](const dgraph::DistGraph& g,
-                            parcomm::Communicator& comm) {
+       [kcore_max_i](const dgraph::DistGraph& g,
+                     parcomm::Communicator& comm) {
          analytics::KCoreOptions o;
          o.max_i = kcore_max_i;
-         o.common.schedule = sched;
          (void)analytics::kcore_approx(g, comm, o);
        }},
       {"SCC (FW-BW)",
-       [sched, fmode](const dgraph::DistGraph& g,
-                      parcomm::Communicator& comm) {
+       [](const dgraph::DistGraph& g, parcomm::Communicator& comm) {
          analytics::SccOptions o;
-         o.common.schedule = sched;
-         o.common.frontier = fmode;
          (void)analytics::largest_scc(g, comm, o);
        }},
   };

@@ -41,8 +41,8 @@ constexpr std::int64_t kUnset = -1;
 /// frontier of each level is recorded for the backward pass.
 ///
 /// Order-independent: sigma values are integer shortest-path counts stored
-/// in doubles, so contributions sum exactly in any order — the hybrid
-/// policy may freely switch representation without perturbing scores.
+/// in doubles, so contributions sum exactly in any order — the engine may
+/// freely switch representation without perturbing scores.
 struct BrandesForwardKernel {
   const DistGraph& g;
   std::vector<std::int64_t>& level;

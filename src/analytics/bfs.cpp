@@ -73,8 +73,8 @@ class AtomicStatus {
   std::vector<std::atomic<std::int64_t>> s_;  // lint:allow(raw-sync: intra-rank frontier claims)
 };
 
-/// Traversal-direction degree of v (frontier edge weight for grids and the
-/// direction-optimizing mode decision).
+/// Traversal-direction degree of v (the frontier-degree sum behind the
+/// engine's representation and direction decisions).
 std::uint64_t dir_degree(const DistGraph& g, Dir dir, lvid_t v) {
   switch (dir) {
     case Dir::kOut: return g.out_degree(v);
@@ -84,26 +84,14 @@ std::uint64_t dir_degree(const DistGraph& g, Dir dir, lvid_t v) {
   return 0;
 }
 
-/// Degree prefix (size q.size()+1) over the frontier, in traversal
-/// direction — the weight array for edge-balanced expansion grids.
-std::vector<std::uint64_t> frontier_degree_prefix(const DistGraph& g, Dir dir,
-                                                  std::span<const lvid_t> q) {
-  std::vector<std::uint64_t> p(q.size() + 1, 0);
-  for (std::size_t i = 0; i < q.size(); ++i)
-    p[i + 1] = p[i] + dir_degree(g, dir, q[i]);
-  return p;
-}
-
 /// FrontierKernel: one level of the paper's Algorithm-2 traversal.  Threads
 /// expand disjoint frontier spans, claiming neighbours through the status
 /// array; ghost claims route to the owners through the frontier layer's
 /// sharded Algorithm-3 producer.  Level stamps and frontier membership are
-/// claim-order independent, so any chunking — and either frontier
+/// claim-order independent, so any pool width — and either frontier
 /// representation — produces identical level[] outputs.
 template <typename Status>
 struct BfsLevelKernel {
-  static constexpr bool kScheduleAware = true;
-
   const DistGraph& g;
   const BfsOptions& opts;
   Status status;
@@ -132,11 +120,10 @@ struct BfsLevelKernel {
     const std::int64_t level = static_cast<std::int64_t>(ctx.superstep);
     const std::span<const lvid_t> q = cur.as_list();
 
-    // ---- Expansion: pop the frontier, stamp levels, claim neighbours.
-    // The edge-balanced grid weighs chunks by frontier degree (rebuilt per
-    // level — the frontier changes every level).  ----
-    const auto expand_span = [&](unsigned tid, std::uint64_t lo,
-                                 std::uint64_t hi) {
+    // ---- Expansion: pop the frontier, stamp levels, claim neighbours;
+    // one equal-count frontier span per thread. ----
+    ctx.pool.for_range(0, q.size(), [&](unsigned tid, std::uint64_t lo,
+                                        std::uint64_t hi) {
       std::vector<lvid_t>& my_next = nexts[tid];
       std::vector<lvid_t>& my_send = sends[tid];
       for (std::uint64_t i = lo; i < hi; ++i) {
@@ -156,17 +143,7 @@ struct BfsLevelKernel {
         if (opts.dir == Dir::kIn || opts.dir == Dir::kBoth)
           for (const lvid_t u : g.in_neighbors(v)) explore(u);
       }
-    };
-    if (ctx.schedule == Schedule::kStatic) {
-      ctx.pool.for_range(0, q.size(), expand_span);
-    } else {
-      std::vector<std::uint64_t> fprefix;
-      if (ctx.schedule == Schedule::kEdgeBalanced)
-        fprefix = frontier_degree_prefix(g, opts.dir, q);
-      const ChunkGrid grid =
-          make_grid(ctx.schedule, q.size(), fprefix, ctx.pool.num_threads());
-      ctx.pool.for_ranges(grid, ctx.schedule, expand_span);
-    }
+    });
 
     // ---- Ship claimed ghosts to their owners (Algorithm 2 lines 26-31):
     // concurrent per-thread Sinks; receivers are claim-based, so segment
@@ -204,18 +181,15 @@ struct BfsLevelKernel {
 /// on the fused-allreduce degree sum; a pull round publishes the dense
 /// frontier over the ghost-exchange wire and scans for flagged parents.
 /// Statuses are stamped with the level at frontier *insertion* time (both
-/// modes), so the two schedules interleave freely and produce levels
+/// directions), so the two interleave freely and produce levels
 /// identical to the reference traversal.
 struct BfsDiroptKernel {
-  static constexpr bool kScheduleAware = true;
-
   const DistGraph& g;
   const BfsOptions& opts;
   dgraph::GhostExchange gx;
   PlainStatus status;
   std::vector<std::uint8_t> flags;
   engine::DistFrontier cur, next;
-  ChunkGrid bu_grid;  // bottom-up parent-scan grid (built on first use)
 
   BfsDiroptKernel(const DistGraph& g_, const BfsOptions& o,
                   Communicator& comm)
@@ -258,7 +232,6 @@ struct BfsDiroptKernel {
     const std::int64_t level = static_cast<std::int64_t>(ctx.superstep);
     const std::span<const lvid_t> q = cur.as_list();
     ThreadPool& tp = ctx.pool;
-    const Schedule sched = ctx.schedule;
 
     next.clear();
     const auto accept = [&](lvid_t v) {
@@ -268,23 +241,20 @@ struct BfsDiroptKernel {
     if (ctx.dir == engine::FrontierDir::kPull) {
       // ---- Bottom-up: publish frontier flags, unvisited vertices look
       // for a flagged parent. ----
-      tp.for_range(0, flags.size(), sched,
-                   [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
-                     std::fill(flags.begin() + static_cast<std::ptrdiff_t>(lo),
-                               flags.begin() + static_cast<std::ptrdiff_t>(hi),
-                               std::uint8_t{0});
-                   });
-      tp.for_range(0, q.size(), sched,  // frontier is distinct: no races
-                   [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
-                     for (std::uint64_t i = lo; i < hi; ++i) flags[q[i]] = 1;
-                   });
+      tp.for_ranges(0, flags.size(),
+                    [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+                      std::fill(flags.begin() + static_cast<std::ptrdiff_t>(lo),
+                                flags.begin() + static_cast<std::ptrdiff_t>(hi),
+                                std::uint8_t{0});
+                    });
+      tp.for_ranges(0, q.size(),  // frontier is distinct: no races
+                    [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+                      for (std::uint64_t i = lo; i < hi; ++i) flags[q[i]] = 1;
+                    });
       gx.exchange<std::uint8_t>(flags, ctx.comm);
 
-      // Parent scan: each vertex touches only its own status slot and reads
-      // the (fixed) flags array, so the scan chunks freely.  Per-chunk
-      // accept lists concatenated in chunk order reproduce the serial
-      // ascending-vertex next frontier exactly — the traversal is
-      // bit-identical across schedules and thread counts.
+      // Serial parent scan in ascending vertex order: the next frontier is
+      // the ascending list of newly reached vertices.
       const auto scan_one = [&](lvid_t v) {
         if (status.load(v) != kUnvisited || !alive(v)) return false;
         // Parents sit in the *reverse* adjacency of the traversal.
@@ -298,37 +268,11 @@ struct BfsDiroptKernel {
         }
         return false;
       };
-      if (sched == Schedule::kStatic) {
-        // Serial reference scan (the hybrid schedule's legacy path).
-        for (lvid_t v = 0; v < g.n_loc(); ++v) {
-          if (scan_one(v)) {
-            status.store(v, level + 1);
-            accept(v);
-          }
+      for (lvid_t v = 0; v < g.n_loc(); ++v) {
+        if (scan_one(v)) {
+          status.store(v, level + 1);
+          accept(v);
         }
-      } else {
-        if (bu_grid.empty() && g.n_loc() > 0) {
-          // Scan cost is bounded by reverse-adjacency degree.
-          const std::vector<std::uint64_t> rev =
-              opts.dir == Dir::kBoth ? both_degree_prefix(g)
-              : opts.dir == Dir::kOut
-                  ? std::vector<std::uint64_t>(g.in_index().begin(),
-                                               g.in_index().end())
-                  : std::vector<std::uint64_t>(g.out_index().begin(),
-                                               g.out_index().end());
-          bu_grid = make_grid(sched, g.n_loc(), rev, tp.num_threads());
-        }
-        std::vector<std::vector<lvid_t>> accepted(bu_grid.size());
-        tp.for_chunks(bu_grid, sched,
-                      [&](unsigned, std::uint64_t c, const Chunk& ck) {
-                        for (std::uint64_t v = ck.begin; v < ck.end; ++v) {
-                          if (!scan_one(static_cast<lvid_t>(v))) continue;
-                          status.store(v, level + 1);
-                          accepted[c].push_back(static_cast<lvid_t>(v));
-                        }
-                      });
-        for (const std::vector<lvid_t>& list : accepted)
-          for (const lvid_t v : list) accept(v);
       }
     } else {
       // ---- Top-down: as Algorithm 2, stamping at insertion. ----
@@ -420,10 +364,9 @@ BfsResult bfs(const DistGraph& g, Communicator& comm, gvid_t root,
   ScopedPool pf(opts.common);
   ThreadPool& tp = pf.get();
   if (opts.direction_optimizing) {
-    // The hybrid schedule expands top-down frontiers sequentially within a
-    // rank; the pooled loops (flag fills, degree sums, and the bottom-up
-    // parent scan under non-static schedules) each touch disjoint per-vertex
-    // slots, so the plain status policy suffices.
+    // The hybrid traversal expands top-down frontiers and scans bottom-up
+    // parents sequentially within a rank; its pooled loops (the flag fills)
+    // each touch disjoint slots, so the plain status policy suffices.
     return bfs_diropt_impl(g, comm, root, opts);
   }
   if (tp.num_threads() == 1)

@@ -15,10 +15,8 @@ namespace {
 /// engine::route_to_owners; the first claimer wins in rank order.
 ///
 /// Order-sensitive: the parent array is first-claimer-wins in frontier
-/// iteration order, so the hybrid policy pins the queue representation to
-/// keep default runs bit-identical with the pre-frontier-layer loop.
-/// Forcing kBitmap yields a valid BFS tree with possibly different
-/// order-derived parent ties.
+/// iteration order, so the policy pins the queue representation to keep
+/// runs bit-identical with the pre-frontier-layer loop.
 struct BfsTreeKernel {
   const DistGraph& g;
   const BfsOptions& opts;

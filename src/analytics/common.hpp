@@ -28,12 +28,10 @@ enum class Dir {
 struct CommonOptions {
   /// Intra-rank worker pool (null = pool of HPCGRAPH_POOL_THREADS, default
   /// 1 thread).  Honoured by the loops with data-parallel structure: BFS,
-  /// PageRank, Label Propagation, and the ghost-exchange setup.  Of the
-  /// sweep-to-fixpoint analytics, WCC coloring switches to a deterministic
-  /// chunk-parallel sweep variant under a non-static `schedule`; its default
-  /// in-place serial sweep is what makes it converge fast, and rank-level
-  /// parallelism is the paper's primary axis.  k-core peels from a serial
-  /// worklist under every schedule.
+  /// MS-BFS, PageRank, Label Propagation and the ghost exchange's pack and
+  /// scatter.  WCC coloring keeps its in-place serial sweep, which is what
+  /// makes HashMin converge fast, and k-core peels from a serial worklist:
+  /// rank-level parallelism is the paper's primary axis.
   ThreadPool* pool = nullptr;
   std::size_t qsize = kDefaultQSize;  ///< Algorithm-3 thread-queue capacity
   /// Ghost-exchange wire format for the convergent analytics (Label
@@ -42,45 +40,16 @@ struct CommonOptions {
   /// per round; PageRank ignores this (every rank value changes every
   /// iteration, so dense is always cheapest).
   dgraph::GhostMode ghost_mode = dgraph::GhostMode::kAdaptive;
-  /// Intra-rank loop schedule for schedule-aware sweeps (see Schedule and
-  /// DESIGN.md §10): kStatic keeps the legacy equal-count split, kDynamic
-  /// work-steals over a uniform chunk grid, kEdgeBalanced places chunk
-  /// boundaries along the CSR degree prefix.  Analytics outputs are
-  /// bit-identical across all three; must be set the same on every rank.
-  Schedule schedule = Schedule::kStatic;
-  /// Frontier representation for the BFS-like analytics (see
-  /// engine/frontier.hpp and DESIGN.md §11): kQueue/kBitmap force the
-  /// sparse or dense representation, kHybrid (default) crosses over on the
-  /// global frontier-degree sum.  Order-sensitive analytics (BFS parent
-  /// trees, SSSP) pin the hybrid default to the queue so default runs
-  /// reproduce the pre-frontier-layer outputs bit-for-bit; forcing kBitmap
-  /// re-breaks their order-derived ties (documented per analytic).  Must be
-  /// set the same on every rank.
-  engine::FrontierMode frontier = engine::FrontierMode::kHybrid;
 };
 
-/// Engine knobs shared by the ported analytics: pool, schedule and frontier
-/// mode from the common options, and an optional iteration cutoff.
+/// Engine knobs shared by the ported analytics: the pool from the common
+/// options, and an optional iteration cutoff.
 inline engine::EngineConfig engine_config(
     const CommonOptions& o, std::uint64_t max_supersteps = UINT64_MAX) {
   engine::EngineConfig cfg;
   cfg.pool = o.pool;
   cfg.max_supersteps = max_supersteps;
-  cfg.schedule = o.schedule;
-  cfg.frontier = o.frontier;
   return cfg;
-}
-
-/// Elementwise sum of the out- and in-CSR prefix arrays: a weight prefix
-/// over combined degree for edge-balanced grids on kBoth sweeps (the sum of
-/// two prefix arrays is the prefix array of the summed degrees).
-inline std::vector<std::uint64_t> both_degree_prefix(
-    const dgraph::DistGraph& g) {
-  const auto out = g.out_index();
-  const auto in = g.in_index();
-  std::vector<std::uint64_t> p(out.size());
-  for (std::size_t i = 0; i < out.size(); ++i) p[i] = out[i] + in[i];
-  return p;
 }
 
 /// The pool-or-inline fallback every analytic needs: resolves the options'

@@ -115,9 +115,6 @@ struct Peeler {
 /// after the first round that leaves no rank with work pending.
 struct PeelKernel {
   using Value = std::uint8_t;
-  // The drain is one serial path under every schedule; opting in hands the
-  // schedule to the exchange's pack and scatter loops.
-  static constexpr bool kScheduleAware = true;
 
   Peeler& p;
 

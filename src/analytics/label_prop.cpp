@@ -1,5 +1,7 @@
 #include "analytics/label_prop.hpp"
 
+#include <vector>
+
 #include "engine/superstep.hpp"
 #include "util/atomics.hpp"
 #include "util/label_counter.hpp"
@@ -13,6 +15,17 @@ using engine::StepContext;
 
 namespace {
 
+/// Elementwise sum of the out- and in-CSR prefix arrays: the weight prefix
+/// of the sweep's span grid (the sum of two prefix arrays is the prefix
+/// array of the summed degrees).
+std::vector<std::uint64_t> both_degree_prefix(const DistGraph& g) {
+  const auto out = g.out_index();
+  const auto in = g.in_index();
+  std::vector<std::uint64_t> p(out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) p[i] = out[i] + in[i];
+  return p;
+}
+
 /// ValueKernel: one label-update sweep (paper Algorithm 1).  Exchanged value
 /// is the per-vertex label; changed vertices are marked on the engine's
 /// exchange plan to feed the sparse/adaptive wire format.
@@ -24,12 +37,6 @@ struct LabelPropKernel {
   ChunkGrid grid;                     // degree-weighted (built lazily)
 
   using Value = std::uint64_t;
-  // Schedule-aware in the default Jacobi mode: every vertex's new label is a
-  // pure function of the pre-round snapshot, so labels are bit-identical
-  // under any chunk grid.  The in-place Gauss-Seidel sweep is
-  // order-dependent (later vertices read earlier updates), so it vetoes.
-  static constexpr bool kScheduleAware = true;
-  bool schedule_ok() const { return !opts.in_place; }
 
   LabelPropKernel(const DistGraph& g_, const LabelPropOptions& o)
       : g(g_), opts(o), labels(g_.n_total()) {
@@ -70,12 +77,14 @@ struct LabelPropKernel {
       if (changed_chunk) changed.add(changed_chunk);
     };
     if (jacobi) {
-      // Per-vertex sweep cost is out+in degree, so the grid is weighted by
+      // Every vertex's new label is a pure function of the pre-round
+      // snapshot, so labels are bit-identical at every pool width.  The
+      // per-vertex cost is out+in degree, so the span grid is weighted by
       // the combined-degree prefix.
       if (grid.empty() && g.n_loc() > 0)
-        grid = make_grid(ctx.schedule, g.n_loc(), both_degree_prefix(g),
+        grid = span_grid(g.n_loc(), both_degree_prefix(g),
                          ctx.pool.num_threads());
-      ctx.pool.for_ranges(grid, ctx.schedule, sweep);
+      ctx.pool.for_ranges(grid, sweep);
     } else {
       // Gauss-Seidel reads labels this same sweep writes, so pool threads
       // would race on them: it runs serially on the rank thread.

@@ -30,17 +30,7 @@ int run_batch(const DistGraph& g, Communicator& comm, GhostExchange& gx,
   const std::size_t n_total = g.n_total();
   const unsigned nt = tp.num_threads();
   const std::uint64_t full = bits::low_mask(batch.size());
-  const Schedule sched = opts.common.schedule;
   const std::span<const std::uint64_t> allowed = opts.allowed;
-
-  const auto deg_dir = [&](lvid_t v) -> std::uint64_t {
-    switch (opts.dir) {
-      case Dir::kOut: return g.out_degree(v);
-      case Dir::kIn: return g.in_degree(v);
-      case Dir::kBoth: return g.out_degree(v) + g.in_degree(v);
-    }
-    return 0;
-  };
 
   // Per-vertex visit masks over locals + ghosts; bit j belongs to batch[j].
   std::vector<std::uint64_t> seen(n_total, 0);
@@ -64,10 +54,10 @@ int run_batch(const DistGraph& g, Communicator& comm, GhostExchange& gx,
   }
   if (!act.empty()) visit(0, newly, batch, batch_begin);
 
-  // Finalize grid: chunk geometry over the locals; per-chunk active lists
-  // concatenated in chunk order keep act[] (and hence every downstream
-  // collective payload) bit-identical across schedules and thread counts.
-  const ChunkGrid fin_grid = make_grid(sched, n_loc, {}, nt);
+  // Finalize grid: span geometry over the locals; per-span active lists
+  // concatenated in span order keep act[] (and hence every downstream
+  // collective payload) bit-identical at every pool width.
+  const ChunkGrid fin_grid = span_grid(n_loc, {}, nt);
   std::vector<std::vector<lvid_t>> cact(fin_grid.size());
   ChunkGrid pull_grid;  // reverse-degree weighted, built on first pull level
   std::uint64_t active_global = comm.allreduce_sum<std::uint64_t>(act.size());
@@ -76,11 +66,9 @@ int run_batch(const DistGraph& g, Communicator& comm, GhostExchange& gx,
 
   // Push/pull crossover through the frontier layer's shared decision
   // function: the MS-BFS density rule on allreduced state — a pure function
-  // evaluated identically on every rank, so the schedule stays lockstep.
-  // The masks are the dense representation already; a forced --frontier
-  // queue pins the push (scatter) path.
+  // evaluated identically on every rank, so the levels stay lockstep.  The
+  // masks are the dense representation already.
   engine::FrontierPolicy policy;
-  policy.mode = opts.common.frontier;
   policy.allow_pull = true;
   policy.pull_density = opts.dense_threshold;
   engine::FrontierDir dir = engine::FrontierDir::kPush;
@@ -111,10 +99,10 @@ int run_batch(const DistGraph& g, Communicator& comm, GhostExchange& gx,
             d += g.out_degree(v);
           rev[v + 1] = rev[v] + d;
         }
-        pull_grid = make_grid(sched, n_loc, rev, nt);
+        pull_grid = span_grid(n_loc, rev, nt);
       }
-      tp.for_ranges(pull_grid, sched, [&](unsigned, std::uint64_t lo,
-                                          std::uint64_t hi) {
+      tp.for_ranges(pull_grid, [&](unsigned, std::uint64_t lo,
+                                   std::uint64_t hi) {
         for (std::uint64_t i = lo; i < hi; ++i) {
           const lvid_t v = static_cast<lvid_t>(i);
           std::uint64_t open = ~seen[v] & full;
@@ -136,25 +124,15 @@ int run_batch(const DistGraph& g, Communicator& comm, GhostExchange& gx,
       // ---- Sparse (push): scatter active masks along the traversal
       // adjacency; bits for remote vertices accumulate on ghost replicas
       // and OR-merge into the owners through the reverse exchange. ----
-      tp.for_range(0, n_total, sched,
-                   [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
-                     std::fill(next.begin() + static_cast<std::ptrdiff_t>(lo),
-                               next.begin() + static_cast<std::ptrdiff_t>(hi),
-                               std::uint64_t{0});
-                   });
+      tp.for_ranges(0, n_total,
+                    [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+                      std::fill(next.begin() + static_cast<std::ptrdiff_t>(lo),
+                                next.begin() + static_cast<std::ptrdiff_t>(hi),
+                                std::uint64_t{0});
+                    });
       const bool concurrent = nt > 1;
-      // Scatter cost is the active vertex's traversal degree; the frontier
-      // changes every level, so the edge-balanced grid is rebuilt per level.
-      std::vector<std::uint64_t> aprefix;
-      if (sched == Schedule::kEdgeBalanced) {
-        aprefix.resize(act.size() + 1);
-        aprefix[0] = 0;
-        for (std::size_t i = 0; i < act.size(); ++i)
-          aprefix[i + 1] = aprefix[i] + deg_dir(act[i]);
-      }
-      const ChunkGrid sgrid = make_grid(sched, act.size(), aprefix, nt);
-      tp.for_ranges(sgrid, sched, [&](unsigned, std::uint64_t lo,
-                                      std::uint64_t hi) {
+      tp.for_ranges(0, act.size(), [&](unsigned, std::uint64_t lo,
+                                       std::uint64_t hi) {
         for (std::uint64_t i = lo; i < hi; ++i) {
           const lvid_t v = act[i];
           const std::uint64_t m = frontier[v];
@@ -178,7 +156,7 @@ int run_batch(const DistGraph& g, Communicator& comm, GhostExchange& gx,
     // ---- Finalize the level: newly = next & ~seen [& allowed],
     // batch-wide at once. ----
     for (auto& cv : cact) cv.clear();
-    tp.for_chunks(fin_grid, sched,
+    tp.for_chunks(fin_grid,
                   [&](unsigned, std::uint64_t c, const Chunk& ck) {
                     auto& mine = cact[c];
                     for (std::uint64_t i = ck.begin; i < ck.end; ++i) {
@@ -241,7 +219,6 @@ MsBfsResult msbfs_visit(const DistGraph& g, Communicator& comm,
   // Every batch, and every call on this graph, runs over the graph's kBoth
   // plan (built on its first request).
   GhostExchange gx(g, comm, dgraph::Adjacency::kBoth, opts.common.pool);
-  gx.set_schedule(opts.common.schedule);
 
   MsBfsResult res;
   res.n_roots = roots.size();

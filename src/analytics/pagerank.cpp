@@ -20,10 +20,6 @@ namespace {
 /// global residual.
 struct PageRankKernel {
   using Value = double;
-  // Schedule-aware: every sweep writes pure per-vertex values (bit-identical
-  // under any chunking) and the L1 residual reduces per-chunk partials in
-  // chunk order, so scores match across schedules and thread counts.
-  static constexpr bool kScheduleAware = true;
 
   const DistGraph& g;
   const PageRankOptions& opts;
@@ -57,8 +53,8 @@ struct PageRankKernel {
     const double dangling = ctx.comm.allreduce_sum(dangling_local);
     base = (1.0 - opts.damping) / n + opts.damping * dangling / n;
 
-    ctx.pool.for_range(0, g.n_loc(), ctx.schedule,
-                       [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+    ctx.pool.for_ranges(0, g.n_loc(),
+                        [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
       for (std::uint64_t v = lo; v < hi; ++v) {
         const std::uint64_t d = g.out_degree(static_cast<lvid_t>(v));
         contrib[v] = d ? opts.damping * rank[v] / static_cast<double>(d) : 0.0;
@@ -67,17 +63,16 @@ struct PageRankKernel {
   }
 
   void apply(StepContext& ctx) {
-    // The in-neighbour gather is the skew-sensitive loop: its cost per
-    // vertex is in-degree, so the grid is built over the in-CSR prefix (one
-    // hub-heavy static chunk otherwise serializes the sweep).  next[v] is a
-    // pure per-vertex function — bit-identical under any chunking — and the
-    // L1 delta folds per-chunk partials in chunk order, making the residual
-    // a pure function of the grid.
+    // The in-neighbour gather costs in-degree per vertex, so its span grid
+    // is weighted by the in-CSR prefix (the sweep telemetry counts edges).
+    // next[v] is a pure per-vertex function — bit-identical at every pool
+    // width — and the L1 delta folds per-span partials in span order,
+    // making the residual a pure function of the grid.
     if (gather_grid.empty() && g.n_loc() > 0)
-      gather_grid = make_grid(ctx.schedule, g.n_loc(), g.in_index(),
-                              ctx.pool.num_threads());
+      gather_grid =
+          span_grid(g.n_loc(), g.in_index(), ctx.pool.num_threads());
     const double delta_local = ctx.pool.reduce_chunks(
-        gather_grid, ctx.schedule, [&](const Chunk& ck) {
+        gather_grid, [&](const Chunk& ck) {
           double delta_chunk = 0;
           for (std::uint64_t v = ck.begin; v < ck.end; ++v) {
             double sum = base;

@@ -98,7 +98,7 @@ void canonicalize_and_count(const DistGraph& g, Communicator& comm,
 /// vertex reached joins the root's SCC.  Remote visits carry (gid, color)
 /// and route through engine::route_to_owners.  Assignments are
 /// order-independent (each alive vertex has exactly one color per round),
-/// so the hybrid policy may freely switch representation.
+/// so the engine may freely switch representation.
 struct CollectKernel {
   const DistGraph& g;
   std::span<const gvid_t> color;

@@ -17,9 +17,8 @@ namespace {
 ///
 /// Order-sensitive: the distance fixpoint is order-independent (exact
 /// integer minima), but the *round count* depends on the relax order within
-/// a round, so the hybrid policy pins the queue representation to keep
-/// default runs bit-identical.  Forcing kBitmap keeps dist/reached exact
-/// and may change `rounds`.
+/// a round, so the policy pins the queue representation to keep runs
+/// bit-identical with the pre-frontier-layer loop.
 struct SsspKernel {
   const DistGraph& g;
   const SsspOptions& opts;

@@ -5,7 +5,6 @@
 #include "analytics/bfs.hpp"
 #include "dgraph/ghost_exchange.hpp"
 #include "engine/superstep.hpp"
-#include "util/atomics.hpp"
 #include "engine/frontier.hpp"
 
 namespace hpcgraph::analytics {
@@ -34,19 +33,12 @@ struct DegVertex {
 struct WccColorKernel {
   using Value = gvid_t;
   static constexpr bool kSeedExchange = true;
-  // Schedule-aware: HashMin converges to the unique per-component minimum
-  // regardless of sweep order, so the non-static schedules switch to a
-  // chunk-parallel Jacobi min-sweep over a snapshot — possibly different
-  // iteration counts than the serial in-place sweep, same fixpoint.
-  static constexpr bool kScheduleAware = true;
 
   const DistGraph& g;
   const WccOptions& opts;
   std::span<const std::int64_t> level;  // giant membership (BFS level >= 0)
   gvid_t giant_min;
   std::vector<gvid_t> color;
-  std::vector<gvid_t> prev;  // pre-round snapshot (Jacobi variant reads it)
-  ChunkGrid grid;            // degree-weighted (built lazily)
 
   WccColorKernel(const DistGraph& g_, const WccOptions& o,
                  std::span<const std::int64_t> lvl, gvid_t gmin)
@@ -67,54 +59,23 @@ struct WccColorKernel {
   }
 
   void compute(engine::StepContext& ctx) {
+    // Serial in-place min-sweep: the in-place updates are what make HashMin
+    // converge fast; rank-level parallelism is the primary axis (see
+    // CommonOptions).
     ctx.touched_local = g.n_loc();
-    if (ctx.schedule == Schedule::kStatic) {
-      // Serial min-sweep: the in-place updates are what make HashMin
-      // converge fast; rank-level parallelism is the primary axis (see
-      // CommonOptions).
-      std::uint64_t changed = 0;
-      for (lvid_t v = 0; v < g.n_loc(); ++v) {
-        if (level[v] >= 0) continue;  // giant members are settled
-        gvid_t m = color[v];
-        for (const lvid_t u : g.out_neighbors(v)) m = std::min(m, color[u]);
-        for (const lvid_t u : g.in_neighbors(v)) m = std::min(m, color[u]);
-        if (m < color[v]) {
-          color[v] = m;
-          ctx.gx->mark_changed(v);
-          ++changed;
-        }
+    std::uint64_t changed = 0;
+    for (lvid_t v = 0; v < g.n_loc(); ++v) {
+      if (level[v] >= 0) continue;  // giant members are settled
+      gvid_t m = color[v];
+      for (const lvid_t u : g.out_neighbors(v)) m = std::min(m, color[u]);
+      for (const lvid_t u : g.in_neighbors(v)) m = std::min(m, color[u]);
+      if (m < color[v]) {
+        color[v] = m;
+        ctx.gx->mark_changed(v);
+        ++changed;
       }
-      ctx.active_local = changed;
-      return;
     }
-
-    // Non-static schedules: deterministic chunk-parallel Jacobi min-sweep.
-    // Every vertex reads the pre-round snapshot, so chunks are independent
-    // (no Gauss-Seidel propagation within a round — possibly more rounds to
-    // the same fixpoint).
-    prev.assign(color.begin(), color.end());
-    if (grid.empty() && g.n_loc() > 0)
-      grid = make_grid(ctx.schedule, g.n_loc(), both_degree_prefix(g),
-                       ctx.pool.num_threads());
-    RelaxedCounter changed;
-    ctx.pool.for_ranges(grid, ctx.schedule,
-                        [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
-      std::uint64_t chg = 0;
-      for (std::uint64_t vi = lo; vi < hi; ++vi) {
-        const lvid_t v = static_cast<lvid_t>(vi);
-        if (level[v] >= 0) continue;  // giant members are settled
-        gvid_t m = prev[v];
-        for (const lvid_t u : g.out_neighbors(v)) m = std::min(m, prev[u]);
-        for (const lvid_t u : g.in_neighbors(v)) m = std::min(m, prev[u]);
-        if (m < color[v]) {
-          color[v] = m;
-          ctx.gx->mark_changed(v);
-          ++chg;
-        }
-      }
-      if (chg) changed.add(chg);
-    });
-    ctx.active_local = changed.load();
+    ctx.active_local = changed;
   }
 
   bool converged(std::uint64_t active_global, double) const {

@@ -75,7 +75,7 @@ std::shared_ptr<const GhostPlan> GhostPlan::build(const DistGraph& g,
 
   // Fixed chunk grid over the retained slots: the sparse count/pack passes
   // key their cursors by chunk id, so the wire payload is independent of
-  // schedule and thread count (see exchange_sparse).
+  // the pool width (see exchange_sparse).
   plan->slot_grid_ = ChunkGrid::items(plan->send_local_.size());
   plan->entries_global_ = comm.allreduce_sum(
       static_cast<std::uint64_t>(plan->send_local_.size()));
@@ -132,7 +132,7 @@ std::uint64_t GhostExchange::count_changed(ThreadPool& tp) {
   // Pass 1 of the count/fill scheme: per-chunk per-destination dirty counts
   // over the fixed slot grid.  Each chunk writes only its own row, so any
   // thread may run any chunk.
-  tp.for_chunks(plan_->slot_grid_, sched_,
+  tp.for_chunks(plan_->slot_grid_,
                 [&](unsigned, std::uint64_t c, const Chunk& ck) {
                   std::uint64_t* counts = &chg_chunk_counts_[c * p];
                   std::fill(counts, counts + p, 0);
@@ -160,12 +160,12 @@ std::uint64_t GhostExchange::count_changed(ThreadPool& tp) {
 }
 
 void GhostExchange::clear_dirty(ThreadPool& tp) {
-  tp.for_range(0, dirty_.size(), sched_,
-               [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
-                 std::fill(dirty_.begin() + static_cast<std::ptrdiff_t>(lo),
-                           dirty_.begin() + static_cast<std::ptrdiff_t>(hi),
-                           std::uint8_t{0});
-               });
+  tp.for_ranges(0, dirty_.size(),
+                [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+                  std::fill(dirty_.begin() + static_cast<std::ptrdiff_t>(lo),
+                            dirty_.begin() + static_cast<std::ptrdiff_t>(hi),
+                            std::uint8_t{0});
+                });
 }
 
 }  // namespace hpcgraph::dgraph

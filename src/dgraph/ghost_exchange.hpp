@@ -19,8 +19,8 @@
 /// shared by every analytic, engine run and BFS call on it
 /// (`DistGraph::ghost_plan`), so the paper's "retain, don't rebuild" holds
 /// across analytics, not only across iterations.  A `GhostExchange` is the
-/// cheap per-run half over a shared plan: dirty flags, the payload buffer,
-/// the sparse cursors and the loop schedule.
+/// cheap per-run half over a shared plan: dirty flags, the payload buffer
+/// and the sparse cursors.
 ///
 /// Per iteration: only the value payload is refreshed and exchanged — the
 /// paper's two optimizations verbatim ("we first cut the size of data being
@@ -47,15 +47,14 @@
 ///   * A **dense round** ships the full payload exactly as before.
 ///   * `GhostMode::kAdaptive` picks the cheaper format **globally** each
 ///     call: one `allreduce` sums the per-rank changed-slot counts and every
-///     rank evaluates the same byte-cost predicate
+///     rank evaluates the same exact byte-cost predicate
 ///
-///         changed_global * sizeof(SlotVal<T>)  <  c * entries_global * sizeof(T)
+///         changed_global * sizeof(SlotVal<T>)  <  entries_global * sizeof(T)
 ///
-///     with crossover factor `c` (default 1.0 — the exact byte model; the
-///     effective changed-fraction crossover is then derived from sizeof(T):
-///     sparse wins below sizeof(T)/sizeof(SlotVal<T>) changed).  Because the
-///     decision is a pure function of allreduced values, all ranks take the
-///     same branch and collective lockstep is preserved.
+///     so sparse wins below a sizeof(T)/sizeof(SlotVal<T>) changed
+///     fraction.  Because the decision is a pure function of allreduced
+///     values, all ranks take the same branch and collective lockstep is
+///     preserved.
 ///
 /// Sparse correctness contract: a receiver applies only the transmitted
 /// pairs, so every *unmarked* vertex's ghost replica must already mirror the
@@ -65,17 +64,15 @@
 /// before the next exchange.  Every exchange() call — any mode — clears the
 /// dirty set on return.
 ///
-/// ## Combine hook and reverse (reduce) exchange
+/// ## Reverse (reduce) exchange
 ///
-/// The classic apply step *overwrites* each ghost slot with the owner's
-/// value.  `exchange_combining` generalizes it (dense and sparse wire alike)
-/// to `vals[ghost] = combine(vals[ghost], incoming)` — the hook the
-/// bit-parallel multi-source BFS engine needs so partial visit masks merge
-/// instead of clobbering each other.  `reduce` runs the retained queues
-/// *backwards*: every rank ships its ghost slots' values to the owners,
-/// and each owner folds the (possibly many, one per holding rank) incoming
-/// values into its own slot with `combine`.  Because the reverse payload per
-/// source rank is exactly what that rank originally received at setup, the
+/// The forward exchange *overwrites* each ghost slot with the owner's
+/// value.  `reduce` runs the retained queues *backwards*: every rank ships
+/// its ghost slots' values to the owners, and each owner folds the
+/// (possibly many, one per holding rank) incoming values into its own slot
+/// with `combine` — the OR-merge of the bit-parallel multi-source BFS
+/// engine's pushed visit masks.  Because the reverse payload per source
+/// rank is exactly what that rank originally received at setup, the
 /// receive side aligns 1:1 with the retained send queue — no extra plan
 /// state, no hash map.
 ///
@@ -136,14 +133,6 @@ template <typename T>
 struct SlotVal {
   std::uint32_t slot;
   T value;
-};
-
-/// Default apply policy: the incoming value replaces the stored one.
-struct OverwriteCombine {
-  template <typename T>
-  T operator()(const T&, const T& incoming) const {
-    return incoming;
-  }
 };
 
 /// The immutable half of a retained-queue exchange: per-destination send
@@ -240,27 +229,6 @@ class GhostExchange {
     return n;
   }
 
-  /// Loop schedule for the pack/scatter staging loops (see Schedule).  The
-  /// sparse count/pack passes run over a fixed slot chunk grid built at
-  /// setup, so the wire payload stays slot-ordered — bit-identical — under
-  /// every schedule and thread count.  kEdgeBalanced degrades to kDynamic
-  /// here (retained slots are uniform-weight; there is no CSR prefix to
-  /// balance against).  Set by the superstep engine alongside the kernel's
-  /// schedule; harmless to leave at the kStatic default.
-  void set_schedule(Schedule s) { sched_ = s; }
-  Schedule schedule() const { return sched_; }
-
-  /// Crossover factor `c` of the adaptive byte-cost model: a round goes
-  /// sparse iff changed_global * sizeof(SlotVal<T>) < c * dense_bytes.
-  /// 1.0 (default) = exact byte model; lower biases toward dense (e.g. to
-  /// price in the scatter's random-access cost).  Must be in (0, 1].
-  void set_sparse_crossover(double c) {
-    HG_CHECK_MSG(c > 0.0 && c <= 1.0,
-                 "sparse crossover must be in (0, 1], got " << c);
-    sparse_crossover_ = c;
-  }
-  double sparse_crossover() const { return sparse_crossover_; }
-
   // ---- Per-iteration exchange. ----
 
   /// Collective.  Push current values of boundary local vertices to the
@@ -271,22 +239,37 @@ class GhostExchange {
   /// the dirty set, and every call clears it).  If `changed_ghosts` is
   /// non-null it receives the local ids of ghost slots whose stored value
   /// actually differed from the incoming one (compared with operator!=) —
-  /// the same *set* in every mode, in unspecified order.
+  /// the same *set* in every mode; the order depends on the mode but not on
+  /// the pool width.
   template <typename T>
   void exchange(std::span<T> vals, parcomm::Communicator& comm,
                 GhostMode mode = GhostMode::kDense,
                 std::vector<lvid_t>* changed_ghosts = nullptr) {
-    exchange_impl(vals, comm, mode, changed_ghosts, OverwriteCombine{});
-  }
+    static_assert(std::is_trivially_copyable_v<T>);
+    HG_CHECK_MSG(vals.size() >= plan_->n_total_,
+                 "value array must cover locals + ghosts");
+    ThreadPool& tp = pf_.get();
+    if (changed_ghosts) changed_ghosts->clear();
 
-  /// Collective.  As exchange(), but each incoming update is *merged* into
-  /// the ghost slot: vals[ghost] = combine(vals[ghost], owner_value).  The
-  /// combine must be the same pure function on every rank.  Works on every
-  /// wire format — a sparse round simply merges the changed slots only.
-  template <typename T, typename F>
-  void exchange_combining(std::span<T> vals, parcomm::Communicator& comm,
-                          F&& combine, GhostMode mode = GhostMode::kDense) {
-    exchange_impl(vals, comm, mode, nullptr, std::forward<F>(combine));
+    bool sparse = false;
+    std::uint64_t changed_local = 0;
+    if (mode != GhostMode::kDense) {
+      changed_local = count_changed(tp);
+      if (mode == GhostMode::kSparse) {
+        sparse = true;
+      } else {
+        const std::uint64_t changed_global = comm.allreduce_sum(changed_local);
+        sparse = changed_global * sizeof(SlotVal<T>) <
+                 plan_->entries_global_ * sizeof(T);
+      }
+    }
+
+    if (sparse) {
+      exchange_sparse(vals, comm, tp, changed_local, changed_ghosts);
+    } else {
+      exchange_dense(vals, comm, tp, changed_ghosts);
+    }
+    clear_dirty(tp);
   }
 
   /// Collective.  Reverse flow: every rank sends the current value of each
@@ -309,11 +292,11 @@ class GhostExchange {
     T* send = reinterpret_cast<T*>(payload_bytes_.data());
     {
       obs::Span sp(obs::span_name::kGhostPack);
-      tp.for_range(0, plan_->recv_local_.size(), sched_,
-                   [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
-                     for (std::uint64_t i = lo; i < hi; ++i)
-                       send[i] = vals[plan_->recv_local_[i]];
-                   });
+      tp.for_ranges(0, plan_->recv_local_.size(),
+                    [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+                      for (std::uint64_t i = lo; i < hi; ++i)
+                        send[i] = vals[plan_->recv_local_[i]];
+                    });
     }
     obs::counter(obs::counter_name::kWireBytes,
                  static_cast<double>(payload_bytes_.size()));
@@ -340,53 +323,20 @@ class GhostExchange {
   const GhostPlan& plan() const { return *plan_; }
 
  private:
-  template <typename T, typename F>
-  void exchange_impl(std::span<T> vals, parcomm::Communicator& comm,
-                     GhostMode mode, std::vector<lvid_t>* changed_ghosts,
-                     F&& combine) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    HG_CHECK_MSG(vals.size() >= plan_->n_total_,
-                 "value array must cover locals + ghosts");
-    ThreadPool& tp = pf_.get();
-    if (changed_ghosts) changed_ghosts->clear();
-
-    bool sparse = false;
-    std::uint64_t changed_local = 0;
-    if (mode != GhostMode::kDense) {
-      changed_local = count_changed(tp);
-      if (mode == GhostMode::kSparse) {
-        sparse = true;
-      } else {
-        const std::uint64_t changed_global = comm.allreduce_sum(changed_local);
-        sparse = static_cast<double>(changed_global * sizeof(SlotVal<T>)) <
-                 sparse_crossover_ *
-                     static_cast<double>(plan_->entries_global_ * sizeof(T));
-      }
-    }
-
-    if (sparse) {
-      exchange_sparse(vals, comm, tp, changed_local, changed_ghosts, combine);
-    } else {
-      exchange_dense(vals, comm, tp, changed_ghosts, combine);
-    }
-    clear_dirty(tp);
-  }
-
   // Dense round: refresh the full payload queue (ids are retained).
-  template <typename T, typename F>
+  template <typename T>
   void exchange_dense(std::span<T> vals, parcomm::Communicator& comm,
-                      ThreadPool& tp, std::vector<lvid_t>* changed_ghosts,
-                      F&& combine) {
+                      ThreadPool& tp, std::vector<lvid_t>* changed_ghosts) {
     static_assert(std::is_trivially_copyable_v<T>);
     payload_bytes_.resize(plan_->send_local_.size() * sizeof(T));
     T* send = reinterpret_cast<T*>(payload_bytes_.data());
     {
       obs::Span sp(obs::span_name::kGhostPack);
-      tp.for_range(0, plan_->send_local_.size(), sched_,
-                   [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
-                     for (std::uint64_t i = lo; i < hi; ++i)
-                       send[i] = vals[plan_->send_local_[i]];
-                   });
+      tp.for_ranges(0, plan_->send_local_.size(),
+                    [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+                      for (std::uint64_t i = lo; i < hi; ++i)
+                        send[i] = vals[plan_->send_local_[i]];
+                    });
     }
     obs::counter(obs::counter_name::kWireBytes,
                  static_cast<double>(payload_bytes_.size()));
@@ -395,34 +345,27 @@ class GhostExchange {
         pool_);
     {
       obs::Span sp(obs::span_name::kGhostScatter);
-      // Race-free under combine: each ghost slot has exactly one owner, so
-      // it appears at most once in the receive map.
+      // Race-free: each ghost slot has exactly one owner, so it appears at
+      // most once in the receive map.
       if (!changed_ghosts) {
-        tp.for_range(0, recv.size(), sched_,
-                     [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
-                       for (std::uint64_t i = lo; i < hi; ++i) {
-                         T& dst = vals[plan_->recv_local_[i]];
-                         dst = combine(dst, recv[i]);
-                       }
-                     });
-      } else {
-        // Per-chunk changed lists concatenated in chunk order: the reported
-        // list is deterministic under every schedule and thread count.
-        const ChunkGrid grid =
-            make_grid(sched_, recv.size(), {}, tp.num_threads());
-        std::vector<std::vector<lvid_t>> cchg(grid.size());
-        tp.for_chunks(grid, sched_,
-                      [&](unsigned, std::uint64_t c, const Chunk& ck) {
-                        auto& out = cchg[c];
-                        for (std::uint64_t i = ck.begin; i < ck.end; ++i) {
-                          const lvid_t l = plan_->recv_local_[i];
-                          const T nv = combine(vals[l], recv[i]);
-                          if (vals[l] != nv) out.push_back(l);
-                          vals[l] = nv;
-                        }
+        tp.for_ranges(0, recv.size(),
+                      [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+                        for (std::uint64_t i = lo; i < hi; ++i)
+                          vals[plan_->recv_local_[i]] = recv[i];
                       });
-        for (const auto& c : cchg)
-          changed_ghosts->insert(changed_ghosts->end(), c.begin(), c.end());
+      } else {
+        // Per-chunk changed lists concatenated in chunk order.
+        const ChunkGrid grid = span_grid(recv.size(), {}, tp.num_threads());
+        std::vector<std::vector<lvid_t>> cchg(grid.size());
+        tp.for_chunks(grid, [&](unsigned, std::uint64_t c, const Chunk& ck) {
+          auto& out = cchg[c];
+          for (std::uint64_t i = ck.begin; i < ck.end; ++i) {
+            const lvid_t l = plan_->recv_local_[i];
+            if (vals[l] != recv[i]) out.push_back(l);
+            vals[l] = recv[i];
+          }
+        });
+        concat_chunk_lists(cchg, *changed_ghosts);
       }
     }
     ++comm.stats().ghost_rounds_dense;
@@ -431,10 +374,10 @@ class GhostExchange {
   // Sparse round: ship (slot, value) pairs for the `changed_local` marked
   // slots counted by count_changed() (which also filled the per-chunk
   // counts and cursor bases over the fixed slot grid).
-  template <typename T, typename F>
+  template <typename T>
   void exchange_sparse(std::span<T> vals, parcomm::Communicator& comm,
                        ThreadPool& tp, std::uint64_t changed_local,
-                       std::vector<lvid_t>* changed_ghosts, F&& combine) {
+                       std::vector<lvid_t>* changed_ghosts) {
     using Pair = SlotVal<T>;
     static_assert(std::is_trivially_copyable_v<Pair>);
     const std::size_t p = plan_->send_counts_.size();
@@ -446,10 +389,10 @@ class GhostExchange {
     // (sdispl[d] plus every lower chunk's count, precomputed serially by
     // count_changed), so pairs land slot-ordered per destination regardless
     // of which thread runs which chunk — the wire payload is bit-identical
-    // under every schedule and thread count.
+    // at every pool width.
     {
       obs::Span sp(obs::span_name::kGhostPack);
-      tp.for_chunks(plan_->slot_grid_, sched_,
+      tp.for_chunks(plan_->slot_grid_,
                     [&](unsigned, std::uint64_t c, const Chunk& ck) {
                       std::vector<std::uint64_t> cur(
                           chg_chunk_base_.begin() +
@@ -481,11 +424,9 @@ class GhostExchange {
       obs::Span sp(obs::span_name::kGhostScatter);
       const std::vector<std::uint64_t> rdispl =
           csr_offsets(std::span<const std::uint64_t>(rcounts));
-      const ChunkGrid grid =
-          make_grid(sched_, recv.size(), {}, tp.num_threads());
+      const ChunkGrid grid = span_grid(recv.size(), {}, tp.num_threads());
       std::vector<std::vector<lvid_t>> cchg(changed_ghosts ? grid.size() : 0);
-      tp.for_chunks(grid, sched_,
-                    [&](unsigned, std::uint64_t c, const Chunk& ck) {
+      tp.for_chunks(grid, [&](unsigned, std::uint64_t c, const Chunk& ck) {
         std::size_t s =
             static_cast<std::size_t>(
                 std::upper_bound(rdispl.begin(), rdispl.end(), ck.begin) -
@@ -497,15 +438,12 @@ class GhostExchange {
           const std::uint64_t pos = plan_->recv_displs_[s] + pr.slot;
           HG_DCHECK(pos < plan_->recv_displs_[s + 1]);
           const lvid_t l = plan_->recv_local_[pos];
-          const T nv = combine(vals[l], pr.value);
-          if (changed_ghosts && vals[l] != nv) cchg[c].push_back(l);
-          vals[l] = nv;
+          if (changed_ghosts && vals[l] != pr.value) cchg[c].push_back(l);
+          vals[l] = pr.value;
         }
       });
       // Chunk-order concatenation keeps the reported list deterministic.
-      if (changed_ghosts)
-        for (const auto& c : cchg)
-          changed_ghosts->insert(changed_ghosts->end(), c.begin(), c.end());
+      if (changed_ghosts) concat_chunk_lists(cchg, *changed_ghosts);
     }
 
     auto& st = comm.stats();
@@ -539,8 +477,6 @@ class GhostExchange {
   std::vector<std::uint64_t> chg_counts_;        // per-dest changed
   ThreadPool* pool_ = nullptr;
   PoolFallback pf_{nullptr};                // persistent pool-or-inline
-  Schedule sched_ = Schedule::kStatic;      // pack/scatter loop schedule
-  double sparse_crossover_ = 1.0;           // adaptive byte-cost factor
 };
 
 /// Collective.  One-shot ghost refresh through a *freshly built*, uncached

@@ -1,21 +1,6 @@
 #include "engine/frontier.hpp"
 
-#include <string>
-
 namespace hpcgraph::engine {
-
-bool parse_frontier_mode(const std::string& s, FrontierMode* out) {
-  if (s == "queue") {
-    *out = FrontierMode::kQueue;
-  } else if (s == "bitmap") {
-    *out = FrontierMode::kBitmap;
-  } else if (s == "hybrid") {
-    *out = FrontierMode::kHybrid;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 FrontierDecision frontier_decide(const FrontierPolicy& policy,
                                  FrontierDir prev_dir,
@@ -25,11 +10,10 @@ FrontierDecision frontier_decide(const FrontierPolicy& policy,
                                  std::uint64_t m_global) {
   FrontierDecision d;
 
-  // ---- Direction.  A pull round needs the dense flag publication, so a
-  // forced queue mode pins push; otherwise the rules are the pre-refactor
-  // direction-optimizing BFS formulas verbatim (enter pull on `>`, stay on
-  // `>=` — the asymmetry is Beamer's hysteresis). ----
-  if (policy.allow_pull && policy.mode != FrontierMode::kQueue) {
+  // ---- Direction: the pre-refactor direction-optimizing BFS formulas
+  // verbatim (enter pull on `>`, stay on `>=` — the asymmetry is Beamer's
+  // hysteresis). ----
+  if (policy.allow_pull) {
     if (policy.pull_density >= 0.0) {
       d.dir = static_cast<double>(active_global) >
                       policy.pull_density * static_cast<double>(n_global)
@@ -48,27 +32,17 @@ FrontierDecision frontier_decide(const FrontierPolicy& policy,
     }
   }
 
-  // ---- Representation.  Pull implies dense; push follows the mode, with
-  // hybrid crossing over on the global frontier-degree sum (kernels that
-  // report no degree sum stay sparse).  Order-sensitive analytics pin the
-  // hybrid default to the queue so their insertion-order tie-breaks — and
-  // hence their outputs — match the pre-refactor loops bit-for-bit. ----
-  if (d.dir == FrontierDir::kPull) {
-    d.rep = FrontierRep::kBitmap;
-  } else {
-    switch (policy.mode) {
-      case FrontierMode::kQueue: d.rep = FrontierRep::kQueue; break;
-      case FrontierMode::kBitmap: d.rep = FrontierRep::kBitmap; break;
-      case FrontierMode::kHybrid:
-        d.rep = !policy.order_sensitive &&
-                        static_cast<double>(degree_global) >
-                            static_cast<double>(m_global) /
-                                policy.rep_fraction
-                    ? FrontierRep::kBitmap
-                    : FrontierRep::kQueue;
-        break;
-    }
-  }
+  // ---- Representation.  Pull implies dense; push crosses over on the
+  // global frontier-degree sum (kernels that report no degree sum stay
+  // sparse).  Order-sensitive analytics keep the queue so their
+  // insertion-order tie-breaks — and hence their outputs — match the
+  // pre-refactor loops bit-for-bit. ----
+  d.rep = d.dir == FrontierDir::kPull ||
+                  (!policy.order_sensitive &&
+                   static_cast<double>(degree_global) >
+                       static_cast<double>(m_global) / policy.rep_fraction)
+              ? FrontierRep::kBitmap
+              : FrontierRep::kQueue;
   return d;
 }
 

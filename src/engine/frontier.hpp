@@ -22,11 +22,11 @@
 /// order (and collapses duplicates); bitmap → queue yields the ascending
 /// vertex list.  Analytics whose outputs depend on frontier order (BFS
 /// parent trees, SSSP round counts) declare `order_sensitive` in their
-/// `FrontierPolicy`, which pins the hybrid mode to the queue representation;
-/// an explicit `--frontier bitmap` override still forces the dense path
-/// (outputs stay correct, order-derived tie-breaks may differ).
+/// `FrontierPolicy`, which pins their push rounds to the queue
+/// representation.
 ///
-/// The representation / direction crossover (`frontier_decide`) is a pure
+/// The engine picks each round's representation and direction itself; no
+/// option overrides it.  The crossover (`frontier_decide`) is a pure
 /// function of globally-allreduced values — the frontier size and
 /// frontier-degree sum the engine fuses into its convergence allreduce — so
 /// every rank takes the same branch and the decision is bit-identical
@@ -34,7 +34,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -54,13 +53,6 @@ enum class FrontierRep : std::uint8_t {
   kBitmap,  ///< packed bit per vertex over locals+ghosts, ascending order
 };
 
-/// User-facing representation policy (`--frontier` flag).
-enum class FrontierMode : std::uint8_t {
-  kQueue,   ///< force the sparse queue representation (and push direction)
-  kBitmap,  ///< force the dense bitmap representation
-  kHybrid,  ///< crossover on the global frontier-degree sum (default)
-};
-
 /// Traversal direction of one frontier expansion round.
 enum class FrontierDir : std::uint8_t {
   kPush,  ///< top-down: frontier scatters to neighbours
@@ -70,26 +62,13 @@ enum class FrontierDir : std::uint8_t {
 inline const char* frontier_rep_label(FrontierRep r) {
   return r == FrontierRep::kQueue ? "queue" : "bitmap";
 }
-inline const char* frontier_mode_label(FrontierMode m) {
-  switch (m) {
-    case FrontierMode::kQueue: return "queue";
-    case FrontierMode::kBitmap: return "bitmap";
-    case FrontierMode::kHybrid: return "hybrid";
-  }
-  return "?";
-}
-
-/// Parse a `--frontier` flag value.  Returns false on unknown input.
-bool parse_frontier_mode(const std::string& s, FrontierMode* out);
 
 /// Per-kernel crossover policy.  Defaults describe a push-only analytic
 /// that tolerates either representation.
 struct FrontierPolicy {
-  FrontierMode mode = FrontierMode::kHybrid;
   /// Outputs depend on frontier iteration order (BFS-tree parents, SSSP
-  /// round counts): hybrid resolves to the queue representation so default
-  /// runs reproduce the pre-refactor loops bit-for-bit.  An explicit
-  /// kQueue/kBitmap mode still wins.
+  /// round counts): push rounds keep the queue representation so runs
+  /// reproduce the pre-refactor loops bit-for-bit.
   bool order_sensitive = false;
   /// The analytic implements a pull (bottom-up) expansion.  Off for
   /// kernels with push-only semantics.
@@ -102,7 +81,7 @@ struct FrontierPolicy {
   /// Alternative pull rule (MS-BFS): pull when the global frontier is
   /// denser than this fraction of n.  Negative = use alpha/beta instead.
   double pull_density = -1.0;
-  /// Hybrid representation crossover: go dense when the global
+  /// Representation crossover of push rounds: go dense when the global
   /// frontier-degree sum exceeds m / rep_fraction.
   double rep_fraction = 64.0;
 };
@@ -118,7 +97,9 @@ struct FrontierDecision {
 /// replicate the pre-refactor direction-optimizing BFS exactly: from push,
 /// switch to pull when degree_global > m/alpha; once pulling, keep pulling
 /// while active_global >= n/beta.  `pull_density >= 0` swaps in the MS-BFS
-/// density rule (pull iff active_global > pull_density * n).
+/// density rule (pull iff active_global > pull_density * n).  Pull rounds
+/// are dense; push rounds go dense past m / rep_fraction unless the policy
+/// is order_sensitive.
 FrontierDecision frontier_decide(const FrontierPolicy& policy,
                                  FrontierDir prev_dir,
                                  std::uint64_t active_global,

@@ -68,7 +68,7 @@
 ///   * `engine::FrontierPolicy frontier_policy()`  crossover rules (order
 ///                                           sensitivity, pull support,
 ///                                           alpha/beta/density thresholds);
-///                                           default: push-only hybrid
+///                                           default: push only
 ///   * `engine::DistFrontier* frontier()`    expose the active set so the
 ///                                           engine converts its
 ///                                           representation to each round's
@@ -120,11 +120,6 @@ struct StepContext {
                                        ///< kernels that route their own)
   std::uint64_t superstep = 0;         ///< 0-based round within this run
 
-  /// Loop-scheduling strategy resolved by the engine for this run (the
-  /// config's schedule when the kernel declares `kScheduleAware`, else
-  /// kStatic).  Kernels pass it to the pool's scheduled loops.
-  Schedule schedule = Schedule::kStatic;
-
   // Kernel -> engine outputs, reset before each round and folded into the
   // fused allreduce after it.
   std::uint64_t active_local = 0;   ///< changed / newly-frontier vertices
@@ -156,18 +151,6 @@ struct EngineResult {
 struct EngineConfig {
   ThreadPool* pool = nullptr;     ///< worker pool (null = inline 1-thread)
   std::uint64_t max_supersteps = UINT64_MAX;  ///< iteration cutoff
-  /// Loop schedule for the kernel's parallel sweeps and the exchange's
-  /// pack/scatter loops.  Takes effect only for kernels that declare
-  /// `static constexpr bool kScheduleAware = true`; everything else keeps
-  /// kStatic.  Must be set identically on every rank: the schedule can
-  /// change which sweep variant a kernel runs, and mismatched variants would
-  /// diverge the collective sequence.
-  Schedule schedule = Schedule::kStatic;
-  /// Frontier representation override for run_frontier kernels
-  /// (`--frontier`): kQueue/kBitmap force one representation, kHybrid
-  /// (default) lets the engine cross over on the global frontier-degree
-  /// sum.  Must be set identically on every rank.
-  FrontierMode frontier = FrontierMode::kHybrid;
 };
 
 /// One finished round as the trace records it.  The counts and the residual
@@ -268,23 +251,7 @@ class SuperstepEngine {
       }
     };
 
-    // Schedule opt-in: kernels whose sweeps are written against the
-    // deterministic chunk-grid contract declare kScheduleAware
-    // (with an optional runtime veto `schedule_ok()` — e.g. LP's in-place
-    // Gauss-Seidel sweep is order-dependent); everything else keeps the
-    // legacy static split.
-    Schedule sched = Schedule::kStatic;
-    if constexpr (requires { K::kScheduleAware; }) {
-      if constexpr (K::kScheduleAware) {
-        sched = cfg_.schedule;
-        if constexpr (requires { kernel.schedule_ok(); })
-          if (!kernel.schedule_ok()) sched = Schedule::kStatic;
-      }
-    }
-    gx.set_schedule(sched);
-
     StepContext ctx{g_, comm_, tp, &gx};
-    ctx.schedule = sched;
     if constexpr (requires { kernel.init(ctx); }) {
       kernel.init(ctx);
       if constexpr (requires { K::kSeedExchange; }) {
@@ -341,21 +308,12 @@ class SuperstepEngine {
     dgraph::GhostExchange* gx = nullptr;
     if constexpr (requires { kernel.ghosts(); }) gx = kernel.ghosts();
 
-    Schedule sched = Schedule::kStatic;
-    if constexpr (requires { K::kScheduleAware; }) {
-      if constexpr (K::kScheduleAware) sched = cfg_.schedule;
-    }
-    if (gx) gx->set_schedule(sched);
-
-    // Crossover policy: the kernel's pins + thresholds, the config's
-    // user-facing mode override.
+    // Crossover policy: the kernel's pins and thresholds.
     FrontierPolicy policy;
     if constexpr (requires { kernel.frontier_policy(); })
       policy = kernel.frontier_policy();
-    policy.mode = cfg_.frontier;
 
     FrontierStepContext ctx{{g_, comm_, tp, gx}};
-    ctx.schedule = sched;
     if constexpr (requires { kernel.init(ctx); }) kernel.init(ctx);
 
     EngineResult res;

@@ -1,6 +1,6 @@
 #pragma once
 /// \file parallel_for.hpp
-/// Intra-rank (shared-memory) worker pool and degree-aware loop scheduler.
+/// Intra-rank (shared-memory) worker pool and its one loop schedule.
 ///
 /// Substitutes for the paper's OpenMP threading: each MPI-style rank can run
 /// its vertex loops over several threads.  The pool is persistent (threads
@@ -8,29 +8,24 @@
 /// enter a parallel region every iteration and thread spawn cost would
 /// dominate at small scale.
 ///
-/// On scale-free inputs an equal-count static split serializes every sweep
-/// behind the chunk that drew the hubs, so loops can instead run over a
-/// deterministic ChunkGrid under one of three Schedule strategies:
+/// Every recorded sweep runs over a deterministic ChunkGrid, and the pool
+/// assigns chunks statically: contiguous blocks of chunks per thread.  A
+/// kernel sweep's grid is `span_grid` — one equal-count span per thread,
+/// weighted by a CSR prefix where the caller passes one — so chunk c runs on
+/// thread c, the split of Algorithm 3's thread-local queues.
 ///
-///   kStatic        equal-count contiguous spans, one per thread (legacy).
-///   kDynamic       fixed grain grid, chunks claimed via an atomic counter.
-///   kEdgeBalanced  chunk boundaries walked along a CSR prefix array so each
-///                  chunk carries ~equal edges; oversized hubs may be split
-///                  into edge-slice sub-chunks.
-///
-/// Determinism contract: a grid is a pure function of (range, grain, prefix)
-/// — never of which thread claims which chunk — and floating-point kernels
-/// reduce per-chunk partials in chunk order (reduce_chunks), so results are
-/// bit-identical across runs and across thread counts for the dynamic and
-/// edge-balanced grids (whose geometry is thread-count independent).  The
-/// static grid keeps the legacy one-chunk-per-thread geometry and is the
-/// documented exception: deterministic per thread count, not across them.
-/// See DESIGN.md §10.
+/// Determinism contract: a grid is a pure function of its inputs, and
+/// floating-point kernels reduce per-chunk partials in chunk order
+/// (reduce_chunks), so results are bit-identical across runs.  A span grid
+/// depends on the thread count, so a reduction over it is deterministic per
+/// pool width; per-vertex outputs do not depend on the split and are pinned
+/// across pool widths.  Grids built without the thread count (the fixed
+/// `ChunkGrid::items` slot grid of the sparse ghost wire) give bit-identical
+/// results at every pool width.  See DESIGN.md §10.
 ///
 /// With one thread the pool degenerates to inline execution in chunk order
-/// with zero synchronization, which is the configuration used by default on
-/// this single-core reproduction machine; multi-thread paths are exercised
-/// by the test suite (and by CI with HPCGRAPH_POOL_THREADS=4).
+/// with zero synchronization; multi-thread paths are exercised by the test
+/// suite (and by CI with HPCGRAPH_POOL_THREADS=4).
 
 #include <algorithm>
 #include <atomic>
@@ -42,7 +37,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -51,44 +45,14 @@
 
 namespace hpcgraph {
 
-/// Loop-scheduling strategy, selectable per parallel sweep.
-enum class Schedule : std::uint8_t {
-  kStatic = 0,        ///< equal-count spans, one contiguous block per thread
-  kDynamic = 1,       ///< fixed grain grid + atomic chunk counter
-  kEdgeBalanced = 2,  ///< CSR-prefix-balanced chunks + atomic chunk counter
-};
-
-inline const char* schedule_label(Schedule s) {
-  switch (s) {
-    case Schedule::kStatic: return "static";
-    case Schedule::kDynamic: return "dynamic";
-    case Schedule::kEdgeBalanced: return "edge";
-  }
-  return "?";
-}
-
-/// Parses "static" / "dynamic" / "edge" (alias "edge-balanced").
-/// Returns false on unknown input, leaving *out untouched.
-inline bool parse_schedule(std::string_view text, Schedule* out) {
-  if (text == "static") { *out = Schedule::kStatic; return true; }
-  if (text == "dynamic") { *out = Schedule::kDynamic; return true; }
-  if (text == "edge" || text == "edge-balanced") {
-    *out = Schedule::kEdgeBalanced;
-    return true;
-  }
-  return false;
-}
-
-/// One schedulable unit: items [begin, end) carrying `weight()` units of
-/// work.  For an edge-balanced grid built over a CSR prefix, w_begin/w_end
-/// are edge offsets; a `partial` chunk covers an edge sub-range
-/// [w_begin, w_end) of the single hub item `begin` (end == begin + 1).
+/// One unit of a sweep: items [begin, end) carrying `weight()` units of
+/// work.  For a grid built over a CSR prefix, w_begin/w_end are edge
+/// offsets; otherwise they equal begin/end.
 struct Chunk {
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
   std::uint64_t w_begin = 0;
   std::uint64_t w_end = 0;
-  bool partial = false;
 
   std::uint64_t items() const { return end - begin; }
   std::uint64_t weight() const { return w_end - w_begin; }
@@ -100,10 +64,10 @@ struct Chunk {
 /// pool width — yields element-wise identical chunks.
 class ChunkGrid {
  public:
-  /// Auto-grain target: enough chunks for dynamic stealing to smooth load at
-  /// any plausible thread count, few enough that per-chunk overhead stays
-  /// negligible.  Grids are *not* sized from nthreads — that would leak the
-  /// thread count into the geometry and break cross-thread determinism.
+  /// Auto-grain target of items(): enough chunks that a pool of any
+  /// plausible width gets a share of them, few enough that per-chunk
+  /// overhead stays negligible.  The auto grid is *not* sized from nthreads,
+  /// so anything keyed by its chunk ids is the same at every pool width.
   static constexpr std::uint64_t kTargetChunks = 256;
 
   ChunkGrid() = default;
@@ -116,7 +80,7 @@ class ChunkGrid {
     const std::uint64_t step = grain ? grain : auto_grain(n);
     for (std::uint64_t lo = 0; lo < n; lo += step) {
       const std::uint64_t hi = std::min(n, lo + step);
-      g.chunks_.push_back({lo, hi, lo, hi, false});
+      g.chunks_.push_back({lo, hi, lo, hi});
     }
     g.finish();
     return g;
@@ -134,43 +98,7 @@ class ChunkGrid {
     const std::uint64_t step = grain ? grain : auto_grain(n);
     for (std::uint64_t lo = 0; lo < n; lo += step) {
       const std::uint64_t hi = std::min(n, lo + step);
-      g.chunks_.push_back({lo, hi, prefix[lo], prefix[hi], false});
-    }
-    g.finish();
-    return g;
-  }
-
-  /// Edge-balanced chunks over the CSR prefix array (size n+1, prefix[0] may
-  /// be nonzero for sub-range prefixes): boundaries are placed so each chunk
-  /// carries <= grain edges (auto: ~total/kTargetChunks), with an item cap of
-  /// ~n/kTargetChunks so stretches of zero-degree vertices still split.  When
-  /// split_hubs is set, an item heavier than the grain becomes ceil(w/grain)
-  /// partial sub-chunks over its edge range — callers must then handle
-  /// Chunk::partial (plain item sweeps keep split_hubs=false).
-  static ChunkGrid edges(std::span<const std::uint64_t> prefix,
-                         std::uint64_t grain = 0, bool split_hubs = false) {
-    HG_CHECK(!prefix.empty());
-    const std::uint64_t n = prefix.size() - 1;
-    ChunkGrid g;
-    if (n == 0) return g;
-    const std::uint64_t total = prefix[n] - prefix[0];
-    const std::uint64_t gr = grain ? grain : auto_grain(total);
-    const std::uint64_t item_cap = auto_grain(n);
-    std::uint64_t v = 0;
-    while (v < n) {
-      std::uint64_t u = v + 1;  // at least one item per chunk
-      while (u < n && prefix[u + 1] - prefix[v] <= gr && (u - v) < item_cap)
-        ++u;
-      const std::uint64_t w = prefix[u] - prefix[v];
-      if (split_hubs && u == v + 1 && w > gr) {
-        // Hub heavier than the grain: emit edge-slice sub-chunks.
-        for (std::uint64_t e = prefix[v]; e < prefix[u]; e += gr)
-          g.chunks_.push_back(
-              {v, u, e, std::min(prefix[u], e + gr), true});
-      } else {
-        g.chunks_.push_back({v, u, prefix[v], prefix[u], false});
-      }
-      v = u;
+      g.chunks_.push_back({lo, hi, prefix[lo], prefix[hi]});
     }
     g.finish();
     return g;
@@ -181,8 +109,6 @@ class ChunkGrid {
   const Chunk& operator[](std::size_t i) const { return chunks_[i]; }
   std::uint64_t items_total() const { return items_total_; }
   std::uint64_t weight_total() const { return weight_total_; }
-  std::uint64_t max_chunk_weight() const { return max_weight_; }
-  bool has_partial() const { return has_partial_; }
   friend bool operator==(const ChunkGrid&, const ChunkGrid&) = default;
 
  private:
@@ -193,51 +119,31 @@ class ChunkGrid {
 
   void finish() {
     for (const Chunk& c : chunks_) {
-      if (!c.partial) items_total_ += c.items();
+      items_total_ += c.items();
       weight_total_ += c.weight();
-      max_weight_ = std::max(max_weight_, c.weight());
-      has_partial_ = has_partial_ || c.partial;
     }
   }
 
   std::vector<Chunk> chunks_;
   std::uint64_t items_total_ = 0;
   std::uint64_t weight_total_ = 0;
-  std::uint64_t max_weight_ = 0;
-  bool has_partial_ = false;
 };
 
-/// Builds the grid for `sched` over [0, n) with optional CSR weights.
-///
-///   kStatic        nthreads equal-count spans (legacy geometry; weighted
-///                  when a prefix is supplied so telemetry reports edges).
-///   kDynamic       auto-grain uniform grid — nthreads-independent.
-///   kEdgeBalanced  edge-balanced grid over the prefix (falls back to the
-///                  dynamic grid when no prefix is available).
-inline ChunkGrid make_grid(Schedule sched, std::uint64_t n,
+/// The span grid of a kernel sweep over [0, n): one equal-count span per
+/// thread (fewer when n < nthreads), weighted by the CSR prefix (size n+1)
+/// when one is passed, so the sweep telemetry counts edges.
+inline ChunkGrid span_grid(std::uint64_t n,
                            std::span<const std::uint64_t> prefix,
-                           unsigned nthreads, std::uint64_t grain = 0) {
+                           unsigned nthreads) {
   HG_DCHECK(prefix.empty() || prefix.size() == n + 1);
-  switch (sched) {
-    case Schedule::kStatic: {
-      const std::uint64_t g =
-          grain ? grain
-                : std::max<std::uint64_t>(1, (n + nthreads - 1) / nthreads);
-      return prefix.empty() ? ChunkGrid::items(n, g)
-                            : ChunkGrid::items_weighted(prefix, g);
-    }
-    case Schedule::kDynamic:
-      return prefix.empty() ? ChunkGrid::items(n, grain)
-                            : ChunkGrid::items_weighted(prefix, grain);
-    case Schedule::kEdgeBalanced:
-      return prefix.empty() ? ChunkGrid::items(n, grain)
-                            : ChunkGrid::edges(prefix, grain);
-  }
-  return ChunkGrid::items(n, grain);
+  const std::uint64_t g =
+      std::max<std::uint64_t>(1, (n + nthreads - 1) / nthreads);
+  return prefix.empty() ? ChunkGrid::items(n, g)
+                        : ChunkGrid::items_weighted(prefix, g);
 }
 
-/// Per-pool imbalance telemetry, accumulated over every scheduled loop run
-/// since construction / the last snapshot.  busy_* are wall-seconds spent
+/// Per-pool sweep telemetry, accumulated over every recorded loop run since
+/// construction / the last snapshot.  busy_* are wall-seconds spent
 /// inside loop bodies; work_* count chunk weight (edges when the grid was
 /// built over a CSR prefix, items otherwise).
 struct SweepStats {
@@ -245,15 +151,7 @@ struct SweepStats {
   double busy_total = 0.0;  ///< sum over loops of total busy time
   std::uint64_t work_max = 0;    ///< sum over loops of max per-thread weight
   std::uint64_t work_total = 0;  ///< sum over loops of total weight
-  std::uint64_t loops = 0;       ///< scheduled loops executed
-
-  /// max/mean work per thread: 1.0 == perfectly balanced.
-  double imbalance(unsigned nthreads) const {
-    if (work_total == 0 || nthreads == 0) return 1.0;
-    const double mean =
-        static_cast<double>(work_total) / static_cast<double>(nthreads);
-    return static_cast<double>(work_max) / mean;
-  }
+  std::uint64_t loops = 0;       ///< recorded loops executed
 
   SweepStats operator-(const SweepStats& o) const {
     return {busy_max - o.busy_max, busy_total - o.busy_total,
@@ -262,48 +160,11 @@ struct SweepStats {
   }
 };
 
-/// Host-independent max/mean weight-per-thread for a grid executed under
-/// `sched` with `nthreads` workers.  A pure function of the grid geometry:
-///
-///   kStatic        chunk c runs on thread c (the one-span-per-thread
-///                  legacy assignment), so per-thread load IS the chunk
-///                  weight — this is the true edge imbalance of the span
-///                  split.
-///   kDynamic /     each chunk (in chunk order) goes to the currently
-///   kEdgeBalanced  least-loaded thread — the load the atomic chunk-counter
-///                  executor converges to when all workers make equal
-///                  progress.
-///
-/// The pool's SweepStats report the *realized* assignment, which on hosts
-/// with fewer cores than pool threads degenerates (one core drains the whole
-/// chunk queue before the others are ever scheduled); this model is what the
-/// ablation and tests pin because it does not depend on the machine the
-/// suite happens to run on.
-inline double grid_imbalance(const ChunkGrid& grid, Schedule sched,
-                             unsigned nthreads) {
-  if (nthreads == 0 || grid.empty() || grid.weight_total() == 0) return 1.0;
-  std::vector<std::uint64_t> load(nthreads, 0);
-  if (sched == Schedule::kStatic) {
-    // make_grid(kStatic) emits at most `nthreads` chunks, chunk c -> thread
-    // c; clamp anyway so hand-built grids cannot index out of range.
-    for (std::size_t c = 0; c < grid.size(); ++c)
-      load[std::min<std::size_t>(c, nthreads - 1)] += grid[c].weight();
-  } else {
-    for (std::size_t c = 0; c < grid.size(); ++c)
-      *std::min_element(load.begin(), load.end()) += grid[c].weight();
-  }
-  const std::uint64_t mx = *std::max_element(load.begin(), load.end());
-  const double mean = static_cast<double>(grid.weight_total()) /
-                      static_cast<double>(nthreads);
-  return static_cast<double>(mx) / mean;
-}
-
 /// Chunk-order emission assembly: append per-chunk output lists to `out`
-/// in chunk order.  Because the grid is a pure function of (range, grain,
-/// prefix) — never of the thread count — the concatenation is bit-identical
-/// across thread counts and schedules; this is the deterministic frontier/
-/// accept-list idiom used by the frontier layer, MS-BFS and the bottom-up
-/// BFS scan.
+/// in chunk order.  Each chunk's list is in item order, so the
+/// concatenation is the serial item-order list whatever the grid and the
+/// thread count; this is the deterministic frontier/accept-list idiom used
+/// by the frontier layer and MS-BFS.
 template <typename T>
 inline void concat_chunk_lists(const std::vector<std::vector<T>>& chunk_lists,
                                std::vector<T>& out) {
@@ -392,7 +253,7 @@ class ThreadPool {
     job_ = nullptr;
   }
 
-  /// Statically-chunked parallel loop over [begin, end).
+  /// Unrecorded parallel loop over [begin, end) in equal-count spans.
   /// fn(thread_id, i) is invoked for each index.
   template <typename F>
   void for_each(std::uint64_t begin, std::uint64_t end, F&& fn) {
@@ -402,10 +263,11 @@ class ThreadPool {
               });
   }
 
-  /// Statically-chunked parallel loop; fn(thread_id, lo, hi) gets one
-  /// contiguous sub-range per thread.  Empty ranges return without calling
+  /// Unrecorded parallel loop; fn(thread_id, lo, hi) gets one contiguous
+  /// equal-count sub-range per thread.  Empty ranges return without calling
   /// fn, and threads whose span would be zero-width (n < nthreads) are
-  /// skipped rather than handed an empty [lo, hi).
+  /// skipped rather than handed an empty [lo, hi).  Sweeps that belong in
+  /// sweep_stats() use for_ranges instead.
   template <typename F>
   void for_range(std::uint64_t begin, std::uint64_t end, F&& fn) {
     const std::uint64_t n = end - begin;
@@ -424,81 +286,54 @@ class ThreadPool {
     });
   }
 
-  /// Scheduled parallel loop over the chunks of a pre-built grid.
-  /// fn(thread_id, chunk_id, chunk) is invoked once per chunk.  Assignment
-  /// of chunks to threads follows `sched` (kStatic: contiguous chunk blocks;
-  /// otherwise: atomic chunk counter), but the grid itself — and therefore
-  /// any chunk-indexed result — is independent of the assignment.
-  /// Per-thread busy time and executed weight are folded into sweep_stats().
+  /// Recorded parallel loop over the chunks of a pre-built grid.
+  /// fn(thread_id, chunk_id, chunk) is invoked once per chunk.  Thread t
+  /// runs the t-th contiguous block of ceil(chunks / nthreads) chunks, so on
+  /// a span_grid chunk c runs on thread c; any chunk-indexed result depends
+  /// on the grid alone.  Per-thread busy time and executed weight are
+  /// folded into sweep_stats().
   template <typename F>
-  void for_chunks(const ChunkGrid& grid, Schedule sched, F&& fn) {
+  void for_chunks(const ChunkGrid& grid, F&& fn) {
     const std::uint64_t nc = grid.size();
     if (nc == 0) return;
-    if (nthreads_ == 1) {
+    const std::uint64_t per = (nc + nthreads_ - 1) / nthreads_;
+    const auto block = [&](unsigned tid) {
       Timer t;
+      const std::uint64_t lo = std::min<std::uint64_t>(nc, tid * per);
+      const std::uint64_t hi = std::min<std::uint64_t>(nc, lo + per);
       std::uint64_t w = 0;
-      for (std::uint64_t c = 0; c < nc; ++c) {
-        fn(0u, c, grid[c]);
+      for (std::uint64_t c = lo; c < hi; ++c) {
+        fn(tid, c, grid[c]);
         w += grid[c].weight();
       }
       const double busy = t.elapsed();
-      sweep_scratch_[0] = {busy, w};
-      notify_sweep(0, nc, w, busy);
-      fold_sweep_scratch();
-      return;
-    }
-    std::atomic<std::uint64_t> next{0};
-    run([&](unsigned tid) {
-      Timer t;
-      std::uint64_t w = 0;
-      std::uint64_t done = 0;
-      if (sched == Schedule::kStatic) {
-        const std::uint64_t per = (nc + nthreads_ - 1) / nthreads_;
-        const std::uint64_t lo = std::min<std::uint64_t>(nc, tid * per);
-        const std::uint64_t hi = std::min<std::uint64_t>(nc, lo + per);
-        for (std::uint64_t c = lo; c < hi; ++c) {
-          fn(tid, c, grid[c]);
-          w += grid[c].weight();
-        }
-        done = hi - lo;
-      } else {
-        for (;;) {
-          const std::uint64_t c = next.fetch_add(1, std::memory_order_relaxed);
-          if (c >= nc) break;
-          fn(tid, c, grid[c]);
-          w += grid[c].weight();
-          ++done;
-        }
-      }
-      const double busy = t.elapsed();
       sweep_scratch_[tid] = {busy, w};
-      notify_sweep(tid, done, w, busy);
-    });
+      notify_sweep(tid, hi - lo, w, busy);
+    };
+    if (nthreads_ == 1) {
+      block(0);
+    } else {
+      run(block);
+    }
     fold_sweep_scratch();
   }
 
-  /// Scheduled loop adapter presenting each (non-partial) chunk as a
-  /// contiguous [lo, hi) item span: fn(thread_id, lo, hi).
+  /// Recorded loop adapter presenting each chunk as a contiguous [lo, hi)
+  /// item span: fn(thread_id, lo, hi).
   template <typename F>
-  void for_ranges(const ChunkGrid& grid, Schedule sched, F&& fn) {
-    HG_DCHECK(!grid.has_partial());
-    for_chunks(grid, sched, [&fn](unsigned tid, std::uint64_t /*chunk*/,
-                                  const Chunk& c) {
-      fn(tid, c.begin, c.end);
-    });
+  void for_ranges(const ChunkGrid& grid, F&& fn) {
+    for_chunks(grid, [&fn](unsigned tid, std::uint64_t /*chunk*/,
+                           const Chunk& c) { fn(tid, c.begin, c.end); });
   }
 
-  /// Scheduled parallel loop over [begin, end) with no weight information:
-  /// builds the matching grid internally (kStatic reproduces the legacy
-  /// equal-count spans; kDynamic/kEdgeBalanced degrade to the uniform
-  /// auto-grain grid).  fn(thread_id, lo, hi).
+  /// Recorded parallel loop over [begin, end) in the span grid of the pool
+  /// (no weights): fn(thread_id, lo, hi).  The same spans as for_range, but
+  /// the sweep lands in sweep_stats() and the trace.
   template <typename F>
-  void for_range(std::uint64_t begin, std::uint64_t end, Schedule sched,
-                 F&& fn) {
+  void for_ranges(std::uint64_t begin, std::uint64_t end, F&& fn) {
     const std::uint64_t n = end - begin;
     if (n == 0) return;
-    const ChunkGrid grid = make_grid(sched, n, {}, nthreads_);
-    for_ranges(grid, sched,
+    for_ranges(span_grid(n, {}, nthreads_),
                [&fn, begin](unsigned tid, std::uint64_t lo, std::uint64_t hi) {
                  fn(tid, begin + lo, begin + hi);
                });
@@ -506,22 +341,21 @@ class ThreadPool {
 
   /// Deterministic floating-point reduction: fn(chunk) returns the chunk's
   /// partial; partials are folded serially in chunk order, so the result
-  /// depends only on the grid — not on thread count or chunk assignment.
-  /// With one thread and a single-chunk grid this is plain sequential
+  /// depends only on the grid — not on which thread ran which chunk.  With
+  /// one thread and a single-chunk grid this is plain sequential
   /// accumulation.
   template <typename F>
-  double reduce_chunks(const ChunkGrid& grid, Schedule sched, F&& fn) {
+  double reduce_chunks(const ChunkGrid& grid, F&& fn) {
     if (grid.empty()) return 0.0;
     std::vector<double> partial(grid.size(), 0.0);
-    for_chunks(grid, sched,
-               [&fn, &partial](unsigned /*tid*/, std::uint64_t c,
-                               const Chunk& ck) { partial[c] = fn(ck); });
+    for_chunks(grid, [&fn, &partial](unsigned /*tid*/, std::uint64_t c,
+                                     const Chunk& ck) { partial[c] = fn(ck); });
     double sum = 0.0;
     for (const double p : partial) sum += p;
     return sum;
   }
 
-  /// Cumulative scheduled-loop telemetry (see SweepStats).  Read on the
+  /// Cumulative recorded-loop telemetry (see SweepStats).  Read on the
   /// calling thread after loops complete; callers snapshot-and-subtract to
   /// attribute stats to a region.
   const SweepStats& sweep_stats() const { return stats_; }
@@ -563,10 +397,10 @@ class ThreadPool {
 
   // Bounded spin on a predicate before the caller falls back to a blocking
   // condition-variable wait.  A cv wakeup can cost upwards of a millisecond
-  // on a loaded host — longer than an entire dynamic sweep — which would
-  // serialize every short loop onto whichever thread noticed the job first.
-  // Analytics issue loops back-to-back, so the next job almost always lands
-  // within the spin window and workers join at full speed.
+  // on a loaded host — longer than an entire short sweep — and every sweep
+  // waits for its slowest thread's span.  Analytics run their loops
+  // back-to-back, so the next job almost always lands within the spin
+  // window and workers join at full speed.
   template <typename Pred>
   static void spin_until(Pred&& pred) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -619,16 +453,27 @@ class ThreadPool {
   const void* obs_ctx_ = nullptr;
 };
 
+/// Parses a pool width as HPCGRAPH_POOL_THREADS spells it: a whole decimal
+/// integer, clamped to [1, 64].  Any other text ("four", "4x", "") is a
+/// CheckError naming the variable and the text, so a typo cannot silently
+/// change the width.
+inline unsigned parse_pool_threads(const char* text) {
+  char* end = nullptr;
+  const long v = std::strtol(text, &end, 10);
+  HG_CHECK_MSG(end != text && *end == '\0',
+               "HPCGRAPH_POOL_THREADS must be a whole number, got \""
+                   << text << "\"");
+  return static_cast<unsigned>(std::clamp<long>(v, 1, 64));
+}
+
 /// Pool width used when no explicit pool is supplied: the
-/// HPCGRAPH_POOL_THREADS environment variable (clamped to [1, 64]), default
+/// HPCGRAPH_POOL_THREADS environment variable (parse_pool_threads), default
 /// 1.  Lets CI run the whole test suite with fallback pools at 4 threads
 /// without touching every call site.
 inline unsigned default_pool_threads() {
   static const unsigned cached = [] {
     const char* env = std::getenv("HPCGRAPH_POOL_THREADS");
-    if (!env) return 1u;
-    const long v = std::strtol(env, nullptr, 10);
-    return static_cast<unsigned>(std::clamp<long>(v, 1, 64));
+    return env ? parse_pool_threads(env) : 1u;
   }();
   return cached;
 }

@@ -2,8 +2,8 @@
 // immediate convergence, empty-frontier exit), per-round telemetry (one
 // superstep span and one sample of each round counter per round, on every
 // rank), and the engine-port equivalence matrix —
-// all five ported analytics bit-for-bit identical across rank counts and
-// ghost wire formats against the single-rank dense baseline.
+// all five ported analytics bit-for-bit identical across rank counts, ghost
+// wire formats and pool widths against the single-thread dense baseline.
 
 #include <gtest/gtest.h>
 
@@ -247,8 +247,7 @@ struct GlobalResults {
 };
 
 GlobalResults run_all(const gen::EdgeList& el, const DistConfig& cfg,
-                      GhostMode mode, Schedule sched = Schedule::kStatic,
-                      unsigned nthreads = 1) {
+                      GhostMode mode, unsigned nthreads = 1) {
   GlobalResults r;
   r.pr.assign(el.n, 0.0);
   r.lp.assign(el.n, 0);
@@ -260,7 +259,6 @@ GlobalResults run_all(const gen::EdgeList& el, const DistConfig& cfg,
     analytics::PageRankOptions po;
     po.max_iterations = 10;
     po.common.pool = &pool;
-    po.common.schedule = sched;
     const auto pr = analytics::pagerank(g, comm, po);
     // Engine port vs frozen pre-engine loop, same config: bit-for-bit.
     const std::vector<double> old_pr = handrolled_pagerank(g, comm, 10);
@@ -274,20 +272,17 @@ GlobalResults run_all(const gen::EdgeList& el, const DistConfig& cfg,
     lo.iterations = 10;
     lo.common.ghost_mode = mode;
     lo.common.pool = &pool;
-    lo.common.schedule = sched;
     const auto lp = analytics::label_propagation(g, comm, lo);
 
     analytics::WccOptions wo;
     wo.common.ghost_mode = mode;
     wo.common.pool = &pool;
-    wo.common.schedule = sched;
     const auto wc = analytics::wcc(g, comm, wo);
 
     analytics::KCoreOptions ko;
     ko.max_i = 6;
     ko.common.ghost_mode = mode;
     ko.common.pool = &pool;
-    ko.common.schedule = sched;
     const auto kc = analytics::kcore_approx(g, comm, ko);
 
     const auto ss = analytics::sssp(g, comm, 0);
@@ -345,38 +340,30 @@ TEST(EngineEquivalence, BitIdenticalAcrossRanksAndWireFormats) {
   }
 }
 
-TEST(EngineEquivalence, BitIdenticalAcrossSchedules) {
+TEST(EngineEquivalence, BitIdenticalAcrossThreadCounts) {
   gen::RmatParams rp;
   rp.scale = 8;
   rp.avg_degree = 8;
-  rp.scramble_ids = false;  // hubs clustered at low ids: skewed chunks
+  rp.scramble_ids = false;  // hubs clustered at low ids: skewed spans
   const gen::EdgeList el = gen::rmat(rp);
   const GlobalResults ref =
       run_all(el, {2, dgraph::PartitionKind::kVertexBlock}, GhostMode::kDense);
-  for (const Schedule sched : {Schedule::kDynamic, Schedule::kEdgeBalanced}) {
-    for (const unsigned nt : {1u, 4u}) {
-      SCOPED_TRACE(std::string("sched=") + schedule_label(sched) +
-                   " nt=" + std::to_string(nt));
-      const GlobalResults got =
-          run_all(el, {2, dgraph::PartitionKind::kVertexBlock},
-                  GhostMode::kDense, sched, nt);
-      // Same rank count, so even PageRank is pinned bit-for-bit: the
-      // per-vertex gather order and the cross-rank reductions are
-      // schedule-independent.
-      EXPECT_EQ(std::memcmp(got.pr.data(), ref.pr.data(),
-                            ref.pr.size() * sizeof(double)),
-                0);
-      EXPECT_EQ(got.lp, ref.lp);
-      EXPECT_EQ(got.wcc_comp, ref.wcc_comp);
-      EXPECT_EQ(got.kcore, ref.kcore);
-      EXPECT_EQ(got.sssp, ref.sssp);
-      EXPECT_EQ(got.wcc_largest, ref.wcc_largest);
-      // wcc_coloring / sssp_rounds are deliberately NOT compared: the
-      // non-static WCC sweep is a Jacobi pass over the previous round's
-      // labels (no in-sweep propagation), so it may converge in a
-      // different number of rounds while producing the same components.
-    }
-  }
+  const GlobalResults got = run_all(
+      el, {2, dgraph::PartitionKind::kVertexBlock}, GhostMode::kDense, 4);
+  // Same rank count, so even PageRank is pinned bit-for-bit: the per-vertex
+  // gather order and the cross-rank reductions do not depend on the pool
+  // width.  Every sweep keeps its serial semantics, so the round counts
+  // match too.
+  EXPECT_EQ(std::memcmp(got.pr.data(), ref.pr.data(),
+                        ref.pr.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(got.lp, ref.lp);
+  EXPECT_EQ(got.wcc_comp, ref.wcc_comp);
+  EXPECT_EQ(got.kcore, ref.kcore);
+  EXPECT_EQ(got.sssp, ref.sssp);
+  EXPECT_EQ(got.wcc_largest, ref.wcc_largest);
+  EXPECT_EQ(got.wcc_coloring, ref.wcc_coloring);
+  EXPECT_EQ(got.sssp_rounds, ref.sssp_rounds);
 }
 
 TEST(EngineEquivalence, RandomPartitionMatchesBlockBaseline) {

@@ -3,7 +3,7 @@
 // chunk-order emission, owner routing, and — the refactor contract —
 // frozen copies of the pre-refactor SSSP / BFS-tree loops pinned
 // bit-for-bit against the DistFrontier-based implementations across rank
-// counts, schedules and forced representation modes.
+// counts.
 
 #include <gtest/gtest.h>
 
@@ -11,10 +11,8 @@
 #include <numeric>
 #include <string_view>
 
-#include "analytics/betweenness.hpp"
 #include "analytics/bfs.hpp"
 #include "analytics/bfs_tree.hpp"
-#include "analytics/harmonic.hpp"
 #include "analytics/scc.hpp"
 #include "analytics/sssp.hpp"
 #include "engine/frontier.hpp"
@@ -113,25 +111,8 @@ TEST(DistFrontier, ClearAndSwap) {
 }
 
 // ---------------------------------------------------------------------------
-// Crossover decision: pure, forced modes, hysteresis
+// Crossover decision: pure, hysteresis
 // ---------------------------------------------------------------------------
-
-TEST(FrontierDecide, ForcedModesPinTheRepresentation) {
-  FrontierPolicy p;
-  p.allow_pull = true;
-  p.mode = FrontierMode::kQueue;
-  // Queue mode pins push even at full density (a pull round needs the
-  // dense publication).
-  const auto dq = frontier_decide(p, FrontierDir::kPush, 1000, 100000, 1000,
-                                  100000);
-  EXPECT_EQ(dq.rep, FrontierRep::kQueue);
-  EXPECT_EQ(dq.dir, FrontierDir::kPush);
-
-  p.mode = FrontierMode::kBitmap;
-  const auto db = frontier_decide(p, FrontierDir::kPush, 1, 1, 1000, 100000);
-  EXPECT_EQ(db.rep, FrontierRep::kBitmap);
-  EXPECT_EQ(db.dir, FrontierDir::kPush);  // sparse frontier still pushes
-}
 
 TEST(FrontierDecide, BeamerHysteresis) {
   FrontierPolicy p;
@@ -192,36 +173,30 @@ TEST(FrontierDecide, PureFunction) {
 // ---------------------------------------------------------------------------
 
 TEST(DistFrontier, ChunkOrderEmissionIsThreadCountInvariant) {
-  // Emit every third vertex from a parallel sweep; assembling the per-chunk
-  // lists in chunk order must give the same frontier for 1..8 threads and
-  // every schedule.
+  // Emit every third vertex from a parallel sweep over the span grid;
+  // assembling the per-chunk lists in chunk order must give the same
+  // frontier for 1..8 threads, although the spans differ with the width.
   const std::uint64_t n = 5000;
   std::vector<std::uint64_t> prefix(n + 1, 0);
   for (std::uint64_t i = 0; i < n; ++i)
     prefix[i + 1] = prefix[i] + 1 + (i % 17);  // skewed "degrees"
-  for (const Schedule sched :
-       {Schedule::kStatic, Schedule::kDynamic, Schedule::kEdgeBalanced}) {
-    std::vector<lvid_t> baseline;
-    for (unsigned nt = 1; nt <= 8; ++nt) {
-      ThreadPool tp(nt);
-      const ChunkGrid grid = make_grid(sched, n, prefix, nt);
-      std::vector<std::vector<lvid_t>> chunk_lists(grid.size());
-      tp.for_chunks(grid, sched,
-                    [&](unsigned, std::uint64_t c, const Chunk& ck) {
-                      for (std::uint64_t i = ck.begin; i < ck.end; ++i)
-                        if (i % 3 == 0)
-                          chunk_lists[c].push_back(static_cast<lvid_t>(i));
-                    });
-      DistFrontier f(n, FrontierRep::kQueue);
-      f.append_chunks(chunk_lists);
-      const auto l = f.as_list();
-      std::vector<lvid_t> got(l.begin(), l.end());
-      if (nt == 1) {
-        baseline = got;
-      } else {
-        ASSERT_EQ(got, baseline)
-            << schedule_label(sched) << " nt=" << nt;
-      }
+  std::vector<lvid_t> baseline;
+  for (unsigned nt = 1; nt <= 8; ++nt) {
+    ThreadPool tp(nt);
+    const ChunkGrid grid = span_grid(n, prefix, nt);
+    std::vector<std::vector<lvid_t>> chunk_lists(grid.size());
+    tp.for_chunks(grid, [&](unsigned, std::uint64_t c, const Chunk& ck) {
+      for (std::uint64_t i = ck.begin; i < ck.end; ++i)
+        if (i % 3 == 0) chunk_lists[c].push_back(static_cast<lvid_t>(i));
+    });
+    DistFrontier f(n, FrontierRep::kQueue);
+    f.append_chunks(chunk_lists);
+    const auto l = f.as_list();
+    std::vector<lvid_t> got(l.begin(), l.end());
+    if (nt == 1) {
+      baseline = got;
+    } else {
+      ASSERT_EQ(got, baseline) << "nt=" << nt;
     }
   }
 }
@@ -441,54 +416,24 @@ SeedBfsTreeOut seed_bfs_tree(const DistGraph& g, parcomm::Communicator& comm,
   return out;
 }
 
-struct PinConfig {
-  int nranks;
-  Schedule sched;
-  // gtest prints a parameter's raw bytes into the test name, so the padding
-  // after `sched` is an explicit zeroed member: left implicit, it held heap
-  // garbage and the names changed from run to run.
-  std::uint8_t pad[3] = {};
-  std::string label() const {
-    return std::to_string(nranks) + "x" + schedule_label(sched);
-  }
-};
-
-std::vector<PinConfig> pin_configs() {
-  std::vector<PinConfig> out;
-  for (const int p : {1, 2, 4})
-    for (const Schedule s :
-         {Schedule::kStatic, Schedule::kDynamic, Schedule::kEdgeBalanced})
-      out.push_back({p, s});
-  return out;
-}
-
-class FrontierPin : public ::testing::TestWithParam<PinConfig> {};
+/// Parameter: the rank count.
+class FrontierPin : public ::testing::TestWithParam<int> {};
 
 TEST_P(FrontierPin, SsspMatchesSeedBitForBit) {
   gen::RmatParams rp;
   rp.scale = 8;
   rp.avg_degree = 8;
   const gen::EdgeList el = gen::rmat(rp);
-  with_dist_graph(el, {GetParam().nranks, dgraph::PartitionKind::kRandom},
+  with_dist_graph(el, {GetParam(), dgraph::PartitionKind::kRandom},
                   [&](const DistGraph& g, parcomm::Communicator& comm) {
     analytics::SsspOptions opts;
-    opts.common.schedule = GetParam().sched;
     const SeedSsspOut want =
         seed_sssp(g, comm, 3, opts.max_weight, opts.common.qsize);
-    // The default (hybrid) run reproduces the seed loop bit-for-bit:
-    // SSSP is order-sensitive, so hybrid pins the queue representation.
+    // The run reproduces the seed loop bit-for-bit: SSSP is order-sensitive,
+    // so its push rounds keep the queue representation.
     const analytics::SsspResult res = analytics::sssp(g, comm, 3, opts);
     ASSERT_EQ(res.dist, want.dist);
     EXPECT_EQ(res.rounds, want.rounds);
-    // Forced representations keep the distances (exact min-plus values);
-    // only round counts may differ under the bitmap's reordering.
-    for (const FrontierMode m : {FrontierMode::kQueue, FrontierMode::kBitmap}) {
-      analytics::SsspOptions forced = opts;
-      forced.common.frontier = m;
-      const analytics::SsspResult r2 = analytics::sssp(g, comm, 3, forced);
-      ASSERT_EQ(r2.dist, want.dist) << frontier_mode_label(m);
-      EXPECT_EQ(r2.reached, res.reached);
-    }
   });
 }
 
@@ -497,10 +442,9 @@ TEST_P(FrontierPin, BfsTreeMatchesSeedBitForBit) {
   rp.scale = 8;
   rp.avg_degree = 8;
   const gen::EdgeList el = gen::rmat(rp);
-  with_dist_graph(el, {GetParam().nranks, dgraph::PartitionKind::kVertexBlock},
+  with_dist_graph(el, {GetParam(), dgraph::PartitionKind::kVertexBlock},
                   [&](const DistGraph& g, parcomm::Communicator& comm) {
     analytics::BfsOptions opts;
-    opts.common.schedule = GetParam().sched;
     const SeedBfsTreeOut want = seed_bfs_tree(g, comm, 0, opts.common.qsize);
     const analytics::BfsTreeResult res =
         analytics::bfs_tree(g, comm, 0, opts);
@@ -510,19 +454,19 @@ TEST_P(FrontierPin, BfsTreeMatchesSeedBitForBit) {
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, FrontierPin, ::testing::ValuesIn(pin_configs()),
-    [](const ::testing::TestParamInfo<PinConfig>& pinfo) {
-      return pinfo.param.label();
-    });
+INSTANTIATE_TEST_SUITE_P(Ranks, FrontierPin, ::testing::Values(1, 2, 4),
+                         [](const ::testing::TestParamInfo<int>& pinfo) {
+                           return "p" + std::to_string(pinfo.param);
+                         });
 
 // ---------------------------------------------------------------------------
-// Forced-mode output equivalence for the remaining refactored analytics
+// Outputs of the engine-chosen (hybrid) frontier
 // ---------------------------------------------------------------------------
 
-class FrontierModes : public ::testing::TestWithParam<FrontierMode> {};
-
-TEST_P(FrontierModes, BfsLevelsInvariant) {
+// Both BFS kinds cross between representations (and the direction-
+// optimizing one between directions) as the engine decides; their levels
+// must equal the sequential oracle's.
+TEST(FrontierModes, BfsLevelsInvariant) {
   gen::RmatParams rp;
   rp.scale = 8;
   rp.avg_degree = 8;
@@ -534,7 +478,6 @@ TEST_P(FrontierModes, BfsLevelsInvariant) {
                     [&](const DistGraph& g, parcomm::Communicator& comm) {
       analytics::BfsOptions opts;
       opts.direction_optimizing = diropt;
-      opts.common.frontier = GetParam();
       const analytics::BfsResult res = analytics::bfs(g, comm, 0, opts);
       for (lvid_t v = 0; v < g.n_loc(); ++v) {
         const gvid_t gid = g.global_id(v);
@@ -547,7 +490,7 @@ TEST_P(FrontierModes, BfsLevelsInvariant) {
   }
 }
 
-TEST_P(FrontierModes, SccMembershipInvariant) {
+TEST(FrontierModes, SccMembershipInvariant) {
   gen::RmatParams rp;
   rp.scale = 8;
   rp.avg_degree = 8;
@@ -556,7 +499,6 @@ TEST_P(FrontierModes, SccMembershipInvariant) {
   with_dist_graph(el, {2, dgraph::PartitionKind::kVertexBlock},
                   [&](const DistGraph& g, parcomm::Communicator& comm) {
     analytics::SccOptions opts;
-    opts.common.frontier = GetParam();
     const analytics::SccResult res = analytics::largest_scc(g, comm, opts);
     const auto member =
         analytics::gather_global<std::uint8_t>(g, comm, res.member);
@@ -565,83 +507,16 @@ TEST_P(FrontierModes, SccMembershipInvariant) {
   ASSERT_FALSE(want.empty());
   with_dist_graph(el, {4, dgraph::PartitionKind::kRandom},
                   [&](const DistGraph& g, parcomm::Communicator& comm) {
-    analytics::SccOptions opts;  // default hybrid, different layout
+    analytics::SccOptions opts;  // different layout
     const analytics::SccResult res = analytics::largest_scc(g, comm, opts);
     for (lvid_t v = 0; v < g.n_loc(); ++v)
       ASSERT_EQ(res.member[v], want[g.global_id(v)]);
   });
 }
 
-TEST_P(FrontierModes, BetweennessScoresBitIdentical) {
-  gen::RmatParams rp;
-  rp.scale = 7;
-  rp.avg_degree = 6;
-  const gen::EdgeList el = gen::rmat(rp);
-  std::vector<double> want;
-  with_dist_graph(el, {2, dgraph::PartitionKind::kVertexBlock},
-                  [&](const DistGraph& g, parcomm::Communicator& comm) {
-    analytics::BetweennessOptions opts;
-    opts.num_sources = 8;
-    const analytics::BetweennessResult res =
-        analytics::betweenness(g, comm, opts);
-    const auto score = analytics::gather_global<double>(g, comm, res.score);
-    if (comm.rank() == 0) want = score;
-  });
-  ASSERT_FALSE(want.empty());
-  with_dist_graph(el, {2, dgraph::PartitionKind::kVertexBlock},
-                  [&](const DistGraph& g, parcomm::Communicator& comm) {
-    analytics::BetweennessOptions opts;
-    opts.num_sources = 8;
-    opts.common.frontier = GetParam();
-    const analytics::BetweennessResult res =
-        analytics::betweenness(g, comm, opts);
-    // Sigma counts are exact integers in doubles and the backward pass
-    // accumulates in a representation-independent order, so the scores are
-    // bit-identical, not just close.
-    for (lvid_t v = 0; v < g.n_loc(); ++v)
-      ASSERT_EQ(res.score[v], want[g.global_id(v)]);
-  });
-}
-
-TEST_P(FrontierModes, HarmonicTopKInvariant) {
-  gen::RmatParams rp;
-  rp.scale = 8;
-  rp.avg_degree = 8;
-  const gen::EdgeList el = gen::rmat(rp);
-  std::vector<analytics::ScoredVertex> want;
-  with_dist_graph(el, {2, dgraph::PartitionKind::kVertexBlock},
-                  [&](const DistGraph& g, parcomm::Communicator& comm) {
-    const auto top = analytics::harmonic_top_k(g, comm, 8);
-    if (comm.rank() == 0) want = top;
-  });
-  ASSERT_FALSE(want.empty());
-  // Same layout: only the frontier mode changes, so scores must be
-  // bit-identical (a different rank layout would reorder the per-level
-  // floating-point sums).
-  with_dist_graph(el, {2, dgraph::PartitionKind::kVertexBlock},
-                  [&](const DistGraph& g, parcomm::Communicator& comm) {
-    analytics::HarmonicOptions opts;
-    opts.common.frontier = GetParam();
-    const auto top = analytics::harmonic_top_k(g, comm, 8, opts);
-    ASSERT_EQ(top.size(), want.size());
-    for (std::size_t i = 0; i < top.size(); ++i) {
-      EXPECT_EQ(top[i].gid, want[i].gid) << i;
-      EXPECT_EQ(top[i].score, want[i].score) << i;
-    }
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Modes, FrontierModes,
-    ::testing::Values(FrontierMode::kQueue, FrontierMode::kBitmap,
-                      FrontierMode::kHybrid),
-    [](const ::testing::TestParamInfo<FrontierMode>& pinfo) {
-      return frontier_mode_label(pinfo.param);
-    });
-
 // Every rank stamps the round's direction: a direction-optimizing BFS from
-// an R-MAT hub crosses over to pull under the forced bitmap representation,
-// and each rank's lane shows it.
+// an R-MAT hub crosses over to pull under the engine's own decision, and
+// each rank's lane shows it.
 TEST(FrontierCounters, DiroptBfsStampsPullOnEveryRank) {
   gen::RmatParams rp;
   rp.scale = 10;
@@ -660,7 +535,6 @@ TEST(FrontierCounters, DiroptBfsStampsPullOnEveryRank) {
     obs::RankGuard guard(comm.rank());
     analytics::BfsOptions opts;
     opts.direction_optimizing = true;
-    opts.common.frontier = FrontierMode::kBitmap;
     (void)analytics::bfs(g, comm, hub, opts);
   });
   obs::Tracer::uninstall();

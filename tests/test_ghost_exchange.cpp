@@ -278,41 +278,6 @@ TEST_P(GhostExchangeParam, SparseQuietRoundSavesBytes) {
   });
 }
 
-// exchange_combining must merge incoming owner values into ghost slots
-// instead of clobbering them, identically on the dense and sparse wires.
-TEST_P(GhostExchangeParam, CombiningMergesIntoGhostSlots) {
-  gen::RmatParams rp;
-  rp.scale = 8;
-  rp.avg_degree = 6;
-  const gen::EdgeList el = gen::rmat(rp);
-  with_dist_graph(el, GetParam(), [&](const DistGraph& g,
-                                      parcomm::Communicator& comm) {
-    GhostExchange gxd(g, comm, Adjacency::kBoth);
-    GhostExchange gxs(g, comm, Adjacency::kBoth);
-    const auto orr = [](std::uint64_t a, std::uint64_t b) { return a | b; };
-
-    // Ghost slots pre-seeded with a sentinel bit pattern that the merge
-    // must preserve; owners hold f(gid).
-    std::vector<std::uint64_t> vd(g.n_total()), vs(g.n_total());
-    for (lvid_t l = 0; l < g.n_total(); ++l)
-      vd[l] = vs[l] = l < g.n_loc() ? f(g.global_id(l)) : 0x8000000000000001ULL;
-
-    gxd.exchange_combining<std::uint64_t>(vd, comm, orr, GhostMode::kDense);
-    gxs.mark_all_changed();
-    gxs.exchange_combining<std::uint64_t>(vs, comm, orr, GhostMode::kSparse);
-
-    for (lvid_t l = g.n_loc(); l < g.n_total(); ++l) {
-      const std::uint64_t want = 0x8000000000000001ULL | f(g.global_id(l));
-      ASSERT_EQ(vd[l], want) << "dense ghost " << g.global_id(l);
-      ASSERT_EQ(vs[l], want) << "sparse ghost " << g.global_id(l);
-    }
-    for (lvid_t v = 0; v < g.n_loc(); ++v) {
-      ASSERT_EQ(vd[v], f(g.global_id(v)));  // owner slots untouched
-      ASSERT_EQ(vs[v], f(g.global_id(v)));
-    }
-  });
-}
-
 // reduce() runs the retained queues backwards: every ghost replica's value
 // folds into the owner slot, once per holding rank.  With owner = 0 and
 // every ghost = 1 under `plus`, the owner ends up with its exact number of
@@ -385,18 +350,6 @@ TEST_P(GhostExchangeParam, ReduceThenExchangeConvergesReplicas) {
       }
     }
   });
-}
-
-TEST(GhostExchange, SparseCrossoverValidated) {
-  const gen::EdgeList el = hpcgraph::testing::tiny_graph();
-  with_dist_graph(el, {2, PartitionKind::kVertexBlock},
-                  [&](const DistGraph& g, parcomm::Communicator& comm) {
-                    GhostExchange gx(g, comm, Adjacency::kBoth);
-                    EXPECT_THROW(gx.set_sparse_crossover(0.0), CheckError);
-                    EXPECT_THROW(gx.set_sparse_crossover(1.5), CheckError);
-                    gx.set_sparse_crossover(0.25);
-                    EXPECT_EQ(gx.sparse_crossover(), 0.25);
-                  });
 }
 
 INSTANTIATE_TEST_SUITE_P(

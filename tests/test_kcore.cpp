@@ -87,8 +87,8 @@ TEST_P(KcoreParam, StageStatisticsAreCoherent) {
 // Every stage field but peel_sweeps equals the sequential oracle: removed
 // and alive_after from the peel, largest_cc from an undirected BFS over the
 // survivors from the stage's root.  A wrong allowed-roots mask or a wrong
-// per-root count in the component sweep shows here.  The schedule and the
-// pool width may change only the rounds.
+// per-root count in the component sweep shows here.  The pool width may
+// change only the rounds.
 TEST_P(KcoreParam, StagesMatchReference) {
   gen::RmatParams rp;
   rp.scale = 9;
@@ -100,17 +100,11 @@ TEST_P(KcoreParam, StagesMatchReference) {
         ref::kcore_stages(ref::SeqGraph::from(el));
     with_dist_graph(el, GetParam(), [&](const DistGraph& g,
                                         parcomm::Communicator& comm) {
-      for (const auto& [sched, nt] :
-           {std::pair{Schedule::kStatic, 1U}, std::pair{Schedule::kDynamic, 1U},
-            std::pair{Schedule::kDynamic, 4U},
-            std::pair{Schedule::kEdgeBalanced, 1U},
-            std::pair{Schedule::kEdgeBalanced, 4U}}) {
-        SCOPED_TRACE(el.name + " " + schedule_label(sched) + " nt=" +
-                     std::to_string(nt));
+      for (const unsigned nt : {1U, 4U}) {
+        SCOPED_TRACE(el.name + " nt=" + std::to_string(nt));
         ThreadPool pool(nt);
         KCoreOptions opts;
         opts.common.pool = &pool;
-        opts.common.schedule = sched;
         const KCoreResult res = kcore_approx(g, comm, opts);
         ASSERT_EQ(res.stages.size(), want.size());
         for (std::size_t j = 0; j < want.size(); ++j) {

@@ -123,11 +123,11 @@ TEST(Tracer, PoolWorkersGetTheirOwnLanes) {
   {
     RankGuard guard(0);
     ThreadPool tp(3);  // constructed under the guard -> observer captures
-    tp.for_range(0, 4096, Schedule::kStatic,
-                 [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
-                   volatile std::uint64_t sink = 0;
-                   for (std::uint64_t i = lo; i < hi; ++i) sink = sink + i;
-                 });
+    tp.for_ranges(0, 4096,
+                  [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+                    volatile std::uint64_t sink = 0;
+                    for (std::uint64_t i = lo; i < hi; ++i) sink = sink + i;
+                  });
   }
   Tracer::uninstall();
 

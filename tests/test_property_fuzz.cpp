@@ -1,6 +1,7 @@
 // Randomized property suites: seed-parameterized sweeps that cross-check
 // the distributed pipeline against the sequential oracles on arbitrary
-// graphs (duplicates, self loops, isolated vertices, skew), plus fuzzed
+// graphs (duplicates, self loops, isolated vertices, skew) under a drawn
+// rank count, partition, pool width and ghost wire format, plus fuzzed
 // collectives and queues.
 
 #include <gtest/gtest.h>
@@ -40,14 +41,45 @@ gen::EdgeList messy_graph(std::uint64_t seed) {
   return g;
 }
 
-/// A random distributed configuration derived from the seed.
-hpcgraph::testing::DistConfig config_for(std::uint64_t seed) {
+/// A random configuration derived from the seed: the distributed layout,
+/// each rank's pool width, and the ghost wire format (read by LP, WCC and
+/// k-core only).  At most 8 ranks x 4 threads = 32 threads.
+struct FuzzConfig {
+  hpcgraph::testing::DistConfig dist;
+  unsigned threads = 1;
+  dgraph::GhostMode ghost = dgraph::GhostMode::kAdaptive;
+};
+
+FuzzConfig config_for(std::uint64_t seed) {
   Rng rng(seed * 31 + 9);
   const int ranks[] = {1, 2, 3, 4, 5, 8};
   const PartitionKind kinds[] = {PartitionKind::kVertexBlock,
                                  PartitionKind::kEdgeBlock,
                                  PartitionKind::kRandom};
-  return {ranks[rng.below(6)], kinds[rng.below(3)]};
+  const dgraph::GhostMode ghosts[] = {dgraph::GhostMode::kDense,
+                                      dgraph::GhostMode::kSparse,
+                                      dgraph::GhostMode::kAdaptive};
+  FuzzConfig c;
+  c.dist = {ranks[rng.below(6)], kinds[rng.below(3)]};
+  c.threads = rng.below(2) == 0 ? 1 : 4;
+  c.ghost = ghosts[rng.below(3)];
+  return c;
+}
+
+/// Runs body(g, comm, common) on the configuration's layout; `common`
+/// carries a pool of the drawn width, private to the rank, and the drawn
+/// ghost wire format.
+template <typename F>
+void with_fuzz_config(const gen::EdgeList& el, const FuzzConfig& cfg,
+                      F&& body) {
+  with_dist_graph(el, cfg.dist,
+                  [&](const DistGraph& g, parcomm::Communicator& comm) {
+                    ThreadPool pool(cfg.threads);
+                    analytics::CommonOptions common;
+                    common.pool = &pool;
+                    common.ghost_mode = cfg.ghost;
+                    body(g, comm, common);
+                  });
 }
 
 class FuzzSeed : public ::testing::TestWithParam<std::uint64_t> {};
@@ -55,9 +87,12 @@ class FuzzSeed : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(FuzzSeed, WccMatchesOracleOnMessyGraph) {
   const gen::EdgeList el = messy_graph(GetParam());
   const auto want = ref::wcc(ref::SeqGraph::from(el));
-  with_dist_graph(el, config_for(GetParam()),
-                  [&](const DistGraph& g, parcomm::Communicator& comm) {
-    const auto res = analytics::wcc(g, comm);
+  with_fuzz_config(el, config_for(GetParam()),
+                   [&](const DistGraph& g, parcomm::Communicator& comm,
+                       const analytics::CommonOptions& common) {
+    analytics::WccOptions opts;
+    opts.common = common;
+    const auto res = analytics::wcc(g, comm, opts);
     for (lvid_t v = 0; v < g.n_loc(); ++v)
       ASSERT_EQ(res.comp[v], want[g.global_id(v)]);
   });
@@ -68,9 +103,11 @@ TEST_P(FuzzSeed, BfsMatchesOracleOnMessyGraph) {
   Rng rng(GetParam());
   const gvid_t root = rng.below(el.n);
   const auto want = ref::bfs_levels(ref::SeqGraph::from(el), root, true);
-  with_dist_graph(el, config_for(GetParam() + 1),
-                  [&](const DistGraph& g, parcomm::Communicator& comm) {
+  with_fuzz_config(el, config_for(GetParam() + 1),
+                   [&](const DistGraph& g, parcomm::Communicator& comm,
+                       const analytics::CommonOptions& common) {
     analytics::BfsOptions opts;
+    opts.common = common;
     const auto res = analytics::bfs(g, comm, root, opts);
     for (lvid_t v = 0; v < g.n_loc(); ++v) {
       const std::int64_t got = res.level[v] >= 0 ? res.level[v] : -1;
@@ -82,9 +119,12 @@ TEST_P(FuzzSeed, BfsMatchesOracleOnMessyGraph) {
 TEST_P(FuzzSeed, SccMembershipMatchesTarjan) {
   const gen::EdgeList el = messy_graph(GetParam());
   const auto tarjan = ref::scc(ref::SeqGraph::from(el));
-  with_dist_graph(el, config_for(GetParam() + 2),
-                  [&](const DistGraph& g, parcomm::Communicator& comm) {
-    const auto res = analytics::largest_scc(g, comm);
+  with_fuzz_config(el, config_for(GetParam() + 2),
+                   [&](const DistGraph& g, parcomm::Communicator& comm,
+                       const analytics::CommonOptions& common) {
+    analytics::SccOptions opts;
+    opts.common = common;
+    const auto res = analytics::largest_scc(g, comm, opts);
     const gvid_t cls = tarjan[res.pivot];
     for (lvid_t v = 0; v < g.n_loc(); ++v)
       ASSERT_EQ(res.member[v] != 0, tarjan[g.global_id(v)] == cls);
@@ -94,9 +134,11 @@ TEST_P(FuzzSeed, SccMembershipMatchesTarjan) {
 TEST_P(FuzzSeed, KcoreBoundsMatchOracle) {
   const gen::EdgeList el = messy_graph(GetParam());
   const auto want = ref::kcore_approx(ref::SeqGraph::from(el), 16);
-  with_dist_graph(el, config_for(GetParam() + 3),
-                  [&](const DistGraph& g, parcomm::Communicator& comm) {
+  with_fuzz_config(el, config_for(GetParam() + 3),
+                   [&](const DistGraph& g, parcomm::Communicator& comm,
+                       const analytics::CommonOptions& common) {
     analytics::KCoreOptions opts;
+    opts.common = common;
     opts.max_i = 16;
     opts.track_components = false;
     const auto res = analytics::kcore_approx(g, comm, opts);
@@ -110,9 +152,11 @@ TEST_P(FuzzSeed, SsspMatchesDijkstra) {
   Rng rng(GetParam() + 7);
   const gvid_t root = rng.below(el.n);
   const auto want = ref::sssp_dijkstra(ref::SeqGraph::from(el), root, 32);
-  with_dist_graph(el, config_for(GetParam() + 4),
-                  [&](const DistGraph& g, parcomm::Communicator& comm) {
+  with_fuzz_config(el, config_for(GetParam() + 4),
+                   [&](const DistGraph& g, parcomm::Communicator& comm,
+                       const analytics::CommonOptions& common) {
     analytics::SsspOptions opts;
+    opts.common = common;
     opts.max_weight = 32;
     const auto res = analytics::sssp(g, comm, root, opts);
     for (lvid_t v = 0; v < g.n_loc(); ++v) {
@@ -126,9 +170,11 @@ TEST_P(FuzzSeed, SsspMatchesDijkstra) {
 TEST_P(FuzzSeed, PagerankMassConservedAndMatchesStream) {
   const gen::EdgeList el = messy_graph(GetParam());
   const auto stream = baselines::stream_pagerank(baselines::EdgeStream(el), 8);
-  with_dist_graph(el, config_for(GetParam() + 5),
-                  [&](const DistGraph& g, parcomm::Communicator& comm) {
+  with_fuzz_config(el, config_for(GetParam() + 5),
+                   [&](const DistGraph& g, parcomm::Communicator& comm,
+                       const analytics::CommonOptions& common) {
     analytics::PageRankOptions opts;
+    opts.common = common;
     opts.max_iterations = 8;
     const auto res = analytics::pagerank(g, comm, opts);
     double local = std::accumulate(res.scores.begin(), res.scores.end(), 0.0);
@@ -142,9 +188,11 @@ TEST_P(FuzzSeed, LabelPropMatchesOracleExactly) {
   const gen::EdgeList el = messy_graph(GetParam());
   const auto want =
       ref::label_propagation(ref::SeqGraph::from(el), 4, GetParam());
-  with_dist_graph(el, config_for(GetParam() + 6),
-                  [&](const DistGraph& g, parcomm::Communicator& comm) {
+  with_fuzz_config(el, config_for(GetParam() + 6),
+                   [&](const DistGraph& g, parcomm::Communicator& comm,
+                       const analytics::CommonOptions& common) {
     analytics::LabelPropOptions opts;
+    opts.common = common;
     opts.iterations = 4;
     opts.tie_seed = GetParam();
     const auto res = analytics::label_propagation(g, comm, opts);

@@ -1,13 +1,14 @@
-// Degree-skew-aware scheduling (DESIGN.md §10): ChunkGrid purity, coverage
-// and balance on randomized scale-free CSRs; hub splitting; the modeled
-// imbalance; pool loop determinism across thread counts; and the headline
-// acceptance pin — PageRank bit-identical across schedules x threads x ranks.
+// The one intra-rank schedule (DESIGN.md §10): ChunkGrid purity and
+// coverage, the span grid's geometry, pool loop coverage and chunk-order
+// reductions at every pool width, and the headline pin — PageRank
+// bit-identical across pool widths x ranks.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
-#include <numeric>
+#include <string>
 #include <vector>
 
 #include "analytics/pagerank.hpp"
@@ -19,9 +20,6 @@
 
 namespace hpcgraph {
 namespace {
-
-constexpr Schedule kAllSchedules[] = {Schedule::kStatic, Schedule::kDynamic,
-                                      Schedule::kEdgeBalanced};
 
 /// Synthetic scale-free-ish degree prefix: most vertices light, a few heavy
 /// hubs, degree drawn from a truncated power-ish law.  Deterministic in
@@ -44,163 +42,110 @@ std::vector<std::uint64_t> random_prefix(std::uint64_t n, std::uint64_t seed) {
   return prefix;
 }
 
-/// Every item in [0, n) appears in exactly one non-partial chunk, in
-/// ascending order, and weights agree with the prefix.
+/// Every item in [0, n) appears in exactly one chunk, in ascending order,
+/// and weights agree with the prefix.
 void expect_grid_covers(const ChunkGrid& grid,
                         std::span<const std::uint64_t> prefix) {
   const std::uint64_t n = prefix.size() - 1;
   std::uint64_t next_item = 0;
-  std::uint64_t covered_weight = 0;
   for (std::size_t c = 0; c < grid.size(); ++c) {
     const Chunk& ck = grid[c];
     ASSERT_LT(ck.begin, ck.end);
-    covered_weight += ck.weight();
-    if (ck.partial) {
-      ASSERT_EQ(ck.end, ck.begin + 1);  // partials slice a single hub
-      next_item = ck.end;               // hub consumed by its slice run
-      continue;
-    }
     ASSERT_EQ(ck.begin, next_item) << "gap/overlap before chunk " << c;
     ASSERT_EQ(ck.w_begin, prefix[ck.begin]);
     ASSERT_EQ(ck.w_end, prefix[ck.end]);
     next_item = ck.end;
   }
   ASSERT_EQ(next_item, n);
-  ASSERT_EQ(covered_weight, prefix[n] - prefix[0]);
+  ASSERT_EQ(grid.items_total(), n);
+  ASSERT_EQ(grid.weight_total(), prefix[n] - prefix[0]);
 }
 
-TEST(ChunkGrid, RandomizedEdgeGridsCoverAndBalance) {
-  for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
-    const auto prefix = random_prefix(5000, seed);
-    const ChunkGrid grid = ChunkGrid::edges(prefix);
+TEST(ChunkGrid, SpanGridIsOneEqualCountSpanPerThread) {
+  const auto prefix = random_prefix(5000, 7);
+  for (const unsigned nt : {1u, 2u, 3u, 4u, 8u}) {
+    const ChunkGrid grid = span_grid(5000, prefix, nt);
     expect_grid_covers(grid, prefix);
-    EXPECT_FALSE(grid.has_partial());
-    // Every chunk obeys the grain unless it is a single (unsplit) hub.
-    const std::uint64_t total = prefix.back();
-    const std::uint64_t grain =
-        std::max<std::uint64_t>(1, (total + ChunkGrid::kTargetChunks - 1) /
-                                       ChunkGrid::kTargetChunks);
-    for (std::size_t c = 0; c < grid.size(); ++c) {
-      if (grid[c].items() > 1) {
-        EXPECT_LE(grid[c].weight(), grain);
-      }
+    ASSERT_EQ(grid.size(), nt);
+    const std::uint64_t per = (5000 + nt - 1) / nt;
+    for (std::size_t c = 0; c < grid.size(); ++c)
+      EXPECT_EQ(grid[c].begin, c * per) << "nt=" << nt;
+    // Without a prefix the weights are the item counts.
+    const ChunkGrid plain = span_grid(5000, {}, nt);
+    ASSERT_EQ(plain.size(), grid.size());
+    for (std::size_t c = 0; c < plain.size(); ++c) {
+      EXPECT_EQ(plain[c].begin, grid[c].begin);
+      EXPECT_EQ(plain[c].weight(), plain[c].items());
     }
   }
 }
 
 TEST(ChunkGrid, PureFunctionOfInputs) {
   const auto prefix = random_prefix(3000, 99);
-  const ChunkGrid a = ChunkGrid::edges(prefix);
-  const ChunkGrid b = ChunkGrid::edges(prefix);
-  EXPECT_EQ(a, b);
-  // make_grid for the nthreads-independent schedules ignores the pool width.
-  for (const Schedule s : {Schedule::kDynamic, Schedule::kEdgeBalanced})
-    for (const unsigned nt : {2u, 3u, 8u})
-      EXPECT_EQ(make_grid(s, 3000, prefix, 1), make_grid(s, 3000, prefix, nt))
-          << schedule_label(s) << " nt=" << nt;
-}
-
-TEST(ChunkGrid, HubSplittingCapsChunkWeight) {
-  // One monster hub owning ~90% of all edges.
-  std::vector<std::uint64_t> prefix(1001, 0);
-  for (std::uint64_t v = 0; v < 1000; ++v)
-    prefix[v + 1] = prefix[v] + (v == 500 ? 90000 : 10);
-  const ChunkGrid whole = ChunkGrid::edges(prefix);
-  const ChunkGrid split = ChunkGrid::edges(prefix, 0, /*split_hubs=*/true);
-  const std::uint64_t grain =
-      std::max<std::uint64_t>(1, (prefix.back() + ChunkGrid::kTargetChunks -
-                                  1) /
-                                     ChunkGrid::kTargetChunks);
-  EXPECT_GT(whole.max_chunk_weight(), grain);  // the unsplit hub dominates
-  EXPECT_FALSE(whole.has_partial());
-  EXPECT_TRUE(split.has_partial());
-  EXPECT_LE(split.max_chunk_weight(), grain);
-  // The hub's partial slices tile its edge range exactly.
-  std::uint64_t hub_weight = 0;
-  for (std::size_t c = 0; c < split.size(); ++c)
-    if (split[c].partial) {
-      EXPECT_EQ(split[c].begin, 500u);
-      hub_weight += split[c].weight();
-    }
-  EXPECT_EQ(hub_weight, 90000u);
-  EXPECT_EQ(split.weight_total(), whole.weight_total());
+  EXPECT_EQ(span_grid(3000, prefix, 4), span_grid(3000, prefix, 4));
+  EXPECT_EQ(ChunkGrid::items_weighted(prefix),
+            ChunkGrid::items_weighted(prefix));
+  // The auto-grain grid is never sized from the pool width: the same chunk
+  // ids at every width, which is what keys the sparse ghost wire.
+  const ChunkGrid fixed = ChunkGrid::items(3000);
+  ASSERT_EQ(fixed.size(), 250u);  // grain ceil(3000 / kTargetChunks) = 12
+  EXPECT_EQ(fixed[0].items(), 12u);
+  expect_grid_covers(ChunkGrid::items_weighted(prefix), prefix);
 }
 
 TEST(ChunkGrid, EmptyAndTinyRanges) {
   EXPECT_TRUE(ChunkGrid::items(0).empty());
   std::vector<std::uint64_t> p0 = {0};
-  EXPECT_TRUE(ChunkGrid::edges(p0).empty());
+  EXPECT_TRUE(ChunkGrid::items_weighted(p0).empty());
+  EXPECT_TRUE(span_grid(0, {}, 4).empty());
   const ChunkGrid one = ChunkGrid::items(1);
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0].items(), 1u);
-  // n < nthreads: static grid emits only as many chunks as items.
-  const ChunkGrid tiny = make_grid(Schedule::kStatic, 3, {}, 8);
+  // n < nthreads: the span grid emits only as many chunks as items.
+  const ChunkGrid tiny = span_grid(3, {}, 8);
   EXPECT_LE(tiny.size(), 3u);
   EXPECT_EQ(tiny.items_total(), 3u);
 }
 
-TEST(ChunkGrid, ParseAndLabelRoundTrip) {
-  Schedule s = Schedule::kStatic;
-  EXPECT_TRUE(parse_schedule("dynamic", &s));
-  EXPECT_EQ(s, Schedule::kDynamic);
-  EXPECT_TRUE(parse_schedule("edge-balanced", &s));
-  EXPECT_EQ(s, Schedule::kEdgeBalanced);
-  EXPECT_TRUE(parse_schedule("edge", &s));
-  EXPECT_EQ(s, Schedule::kEdgeBalanced);
-  EXPECT_FALSE(parse_schedule("guided", &s));
-  EXPECT_EQ(s, Schedule::kEdgeBalanced);  // untouched on failure
-  for (const Schedule x : kAllSchedules) {
-    Schedule back = Schedule::kDynamic;
-    EXPECT_TRUE(parse_schedule(schedule_label(x), &back));
-    EXPECT_EQ(back, x);
+// ---- Pool execution at every width -----------------------------------------
+
+/// Parameter: the pool width.
+class ScheduleParam : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ScheduleParam, ForChunksVisitsEveryChunkOnce) {
+  const unsigned nt = GetParam();
+  const auto prefix = random_prefix(2000, 5);
+  ThreadPool pool(nt);
+  // The span grid runs chunk c on thread c; the fixed auto-grain grid
+  // (more chunks than threads) runs in contiguous per-thread blocks.
+  for (const ChunkGrid& grid :
+       {span_grid(2000, prefix, nt), ChunkGrid::items_weighted(prefix)}) {
+    std::vector<std::atomic<int>> hits(grid.size());
+    std::vector<unsigned> owner(grid.size(), 0);
+    for (auto& h : hits) h = 0;
+    std::vector<char> item(2000, 0);
+    const SweepStats before = pool.sweep_stats();
+    pool.for_chunks(grid,
+                    [&](unsigned tid, std::uint64_t c, const Chunk& ck) {
+                      hits[c].fetch_add(1);
+                      owner[c] = tid;
+                      for (std::uint64_t i = ck.begin; i < ck.end; ++i)
+                        item[i] = 1;
+                    });
+    for (std::size_t c = 0; c < grid.size(); ++c)
+      ASSERT_EQ(hits[c].load(), 1);
+    for (const char x : item) ASSERT_EQ(x, 1);
+    const std::size_t per = (grid.size() + nt - 1) / nt;
+    for (std::size_t c = 0; c < grid.size(); ++c)
+      ASSERT_EQ(owner[c], c / per);
+    const SweepStats s = pool.sweep_stats() - before;
+    EXPECT_EQ(s.loops, 1u);
+    EXPECT_EQ(s.work_total, grid.weight_total());
   }
 }
 
-TEST(GridImbalance, StaticSeesSkewBalancedGridsDoNot) {
-  // Hubs at low indices: the first static span eats them all.
-  std::vector<std::uint64_t> prefix(4097, 0);
-  for (std::uint64_t v = 0; v < 4096; ++v)
-    prefix[v + 1] = prefix[v] + (v < 64 ? 1024 : 4);
-  const unsigned nt = 4;
-  const double st = grid_imbalance(
-      make_grid(Schedule::kStatic, 4096, prefix, nt), Schedule::kStatic, nt);
-  const double eb =
-      grid_imbalance(make_grid(Schedule::kEdgeBalanced, 4096, prefix, nt),
-                     Schedule::kEdgeBalanced, nt);
-  const double dy = grid_imbalance(
-      make_grid(Schedule::kDynamic, 4096, prefix, nt), Schedule::kDynamic, nt);
-  EXPECT_GT(st, 2.0);
-  EXPECT_LE(eb, 1.15);
-  EXPECT_LE(dy, 1.15);
-}
-
-// ---- Pool execution determinism --------------------------------------------
-
-class ScheduleParam
-    : public ::testing::TestWithParam<std::tuple<Schedule, unsigned>> {};
-
-TEST_P(ScheduleParam, ForChunksVisitsEveryChunkOnce) {
-  const auto [sched, nt] = GetParam();
-  const auto prefix = random_prefix(2000, 5);
-  const ChunkGrid grid = make_grid(sched, 2000, prefix, nt);
-  ThreadPool pool(nt);
-  std::vector<std::atomic<int>> hits(grid.size());
-  for (auto& h : hits) h = 0;
-  std::vector<char> item(2000, 0);
-  pool.for_chunks(grid, sched, [&](unsigned, std::uint64_t c, const Chunk& ck) {
-    hits[c].fetch_add(1);
-    for (std::uint64_t i = ck.begin; i < ck.end; ++i) item[i] = 1;
-  });
-  for (std::size_t c = 0; c < grid.size(); ++c) ASSERT_EQ(hits[c].load(), 1);
-  for (const char x : item) ASSERT_EQ(x, 1);
-  const SweepStats s = pool.sweep_stats();
-  EXPECT_EQ(s.loops, 1u);
-  EXPECT_EQ(s.work_total, grid.weight_total());
-}
-
 TEST_P(ScheduleParam, ReduceChunksIsBitIdentical) {
-  const auto [sched, nt] = GetParam();
-  const auto prefix = random_prefix(3000, 11);
+  const unsigned nt = GetParam();
   // Awkward FP values whose sum is order-sensitive: any reassociation would
   // flip low bits, so bit-equality across pools proves chunk-order folding.
   Rng r(13);
@@ -212,40 +157,31 @@ TEST_P(ScheduleParam, ReduceChunksIsBitIdentical) {
     for (std::uint64_t i = ck.begin; i < ck.end; ++i) acc += vals[i];
     return acc;
   };
+  // The fixed grid is not sized from the pool width, so the fold is the
+  // same at every width.
+  const ChunkGrid grid = ChunkGrid::items(3000);
   ThreadPool ref(1);
-  const ChunkGrid rgrid = make_grid(sched, 3000, prefix, 1);
-  const double want = ref.reduce_chunks(
-      rgrid, sched, [&](const Chunk& ck) { return body(ck); });
+  const double want = ref.reduce_chunks(grid, body);
   ThreadPool pool(nt);
-  const ChunkGrid grid = make_grid(sched, 3000, prefix, nt);
-  const double got = pool.reduce_chunks(
-      grid, sched, [&](const Chunk& ck) { return body(ck); });
-  if (sched == Schedule::kStatic && nt != 1) {
-    // Static geometry depends on nthreads; only the weight total is pinned.
-    EXPECT_EQ(grid.weight_total(), rgrid.weight_total());
-  } else {
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
-              std::bit_cast<std::uint64_t>(want))
-        << schedule_label(sched) << " nt=" << nt;
-  }
+  const double got = pool.reduce_chunks(grid, body);
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+            std::bit_cast<std::uint64_t>(want))
+      << "nt=" << nt;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllSchedules, ScheduleParam,
-    ::testing::Combine(::testing::ValuesIn(kAllSchedules),
-                       ::testing::Values(1u, 2u, 4u, 8u)),
-    [](const auto& inf) {
-      return std::string(schedule_label(std::get<0>(inf.param))) + "_nt" +
-             std::to_string(std::get<1>(inf.param));
-    });
+INSTANTIATE_TEST_SUITE_P(PoolWidths, ScheduleParam,
+                         ::testing::Values(1u, 2u, 4u, 8u),
+                         [](const auto& inf) {
+                           return "nt" + std::to_string(inf.param);
+                         });
 
 // ---- The acceptance pin ----------------------------------------------------
 
 /// Bit-pattern checksum of the distributed PageRank scores: equal checksums
 /// mean every vertex score is bit-identical (sums of bit patterns collide
-/// only adversarially, and the runs differ solely in loop scheduling).
+/// only adversarially, and the runs differ solely in pool width).
 std::uint64_t pagerank_checksum(const gen::EdgeList& el, int nranks,
-                                unsigned nthreads, Schedule sched) {
+                                unsigned nthreads) {
   std::atomic<std::uint64_t> sum{0};
   parcomm::CommWorld world(nranks);
   world.run([&](parcomm::Communicator& comm) {
@@ -255,7 +191,6 @@ std::uint64_t pagerank_checksum(const gen::EdgeList& el, int nranks,
     analytics::PageRankOptions o;
     o.max_iterations = 8;
     o.common.pool = &pool;
-    o.common.schedule = sched;
     const auto res = analytics::pagerank(g, comm, o);
     std::uint64_t local = 0;
     for (const double s : res.scores)
@@ -270,21 +205,17 @@ TEST(ScheduleDeterminism, PageRankBitIdenticalAcrossEverything) {
   gen::RmatParams rp;
   rp.scale = 9;
   rp.avg_degree = 8;
-  rp.scramble_ids = false;  // keep the hubs clustered: worst case for static
+  rp.scramble_ids = false;  // keep the hubs clustered in the first span
   const gen::EdgeList el = gen::rmat(rp);
   for (const int nranks : {1, 2, 4}) {
     // The cross-rank reduction tree depends on the rank count (FP allreduce
-    // association), so each rank count pins its own baseline: the legacy
-    // static single-thread run.  Scheduling must never perturb it.
-    const std::uint64_t want =
-        pagerank_checksum(el, nranks, 1, Schedule::kStatic);
+    // association), so each rank count pins its own baseline: the
+    // single-thread run.  The pool width must never perturb it.
+    const std::uint64_t want = pagerank_checksum(el, nranks, 1);
     ASSERT_NE(want, 0u);
-    for (const Schedule sched : kAllSchedules) {
-      for (const unsigned nt : {1u, 2u, 4u, 8u}) {
-        EXPECT_EQ(pagerank_checksum(el, nranks, nt, sched), want)
-            << "ranks=" << nranks << " sched=" << schedule_label(sched)
-            << " nt=" << nt;
-      }
+    for (const unsigned nt : {2u, 4u, 8u}) {
+      EXPECT_EQ(pagerank_checksum(el, nranks, nt), want)
+          << "ranks=" << nranks << " nt=" << nt;
     }
   }
 }

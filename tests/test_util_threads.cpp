@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "util/parallel_for.hpp"
@@ -83,13 +84,11 @@ TEST_P(ThreadPoolParam, EmptyRangeNeverCallsBody) {
   EXPECT_EQ(calls.load(), 0);
   tp.for_each(7, 7, [&](unsigned, std::uint64_t) { calls.fetch_add(1); });
   EXPECT_EQ(calls.load(), 0);
-  for (const Schedule s :
-       {Schedule::kStatic, Schedule::kDynamic, Schedule::kEdgeBalanced}) {
-    tp.for_range(3, 3, s, [&](unsigned, std::uint64_t, std::uint64_t) {
-      calls.fetch_add(1);
-    });
-  }
+  tp.for_ranges(3, 3, [&](unsigned, std::uint64_t, std::uint64_t) {
+    calls.fetch_add(1);
+  });
   EXPECT_EQ(calls.load(), 0);
+  EXPECT_EQ(tp.sweep_stats().loops, 0u);
 }
 
 TEST_P(ThreadPoolParam, SingleElementRangeRunsExactlyOnce) {
@@ -115,6 +114,25 @@ TEST_P(ThreadPoolParam, RangeSmallerThanPoolSkipsEmptySpans) {
   });
   EXPECT_EQ(covered.load(), 3u);
   EXPECT_LE(calls.load(), 3);
+}
+
+// The HPCGRAPH_POOL_THREADS parse: whole numbers clamp to [1, 64]; any
+// other text is a named error, so a typo cannot silently change the width.
+TEST(PoolThreadsEnv, WholeNumbersClampAndOtherTextIsANamedError) {
+  EXPECT_EQ(parse_pool_threads("4"), 4u);
+  EXPECT_EQ(parse_pool_threads("0"), 1u);
+  EXPECT_EQ(parse_pool_threads("100"), 64u);
+  for (const char* bad : {"four", "4x", ""}) {
+    try {
+      (void)parse_pool_threads(bad);
+      ADD_FAILURE() << "accepted \"" << bad << "\"";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("HPCGRAPH_POOL_THREADS"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("\"") + bad + "\""), std::string::npos)
+          << what;
+    }
+  }
 }
 
 // ---------- MultiQueue ----------

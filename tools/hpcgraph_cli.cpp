@@ -22,7 +22,6 @@
 
 #include "analytics/analytics.hpp"
 #include "analytics/degree_stats.hpp"
-#include "engine/frontier.hpp"
 #include "dgraph/builder.hpp"
 #include "dgraph/compressed_csr.hpp"
 #include "dgraph/pulp_partition.hpp"
@@ -56,10 +55,6 @@ int usage(const char* msg = nullptr) {
       "timeline of every rank and pool thread\n"
       "                    [--metrics-json FILE] per-rank + aggregated "
       "comm and ghost-plan memory metrics\n"
-      "                    [--schedule static|dynamic|edge]  intra-rank sweep "
-      "schedule (schedule-aware analytics)\n"
-      "                    [--frontier queue|bitmap|hybrid]  frontier "
-      "representation (BFS-like analytics)\n"
       "                    [--compressed-csr]    report varint-CSR memory "
       "footprint vs plain CSR\n"
       "analytics: stats pagerank labelprop wcc scc scc-decompose bfs sssp\n"
@@ -138,14 +133,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("sources", 16));
   const std::string trace_events = cli.get("trace-events", "");
   const std::string metrics_json = cli.get("metrics-json", "");
-  const std::string sched_name = cli.get("schedule", "static");
-  Schedule sched = Schedule::kStatic;
-  if (!parse_schedule(sched_name, &sched))
-    return usage(("unknown --schedule " + sched_name).c_str());
-  const std::string frontier_name = cli.get("frontier", "hybrid");
-  engine::FrontierMode fmode = engine::FrontierMode::kHybrid;
-  if (!engine::parse_frontier_mode(frontier_name, &fmode))
-    return usage(("unknown --frontier " + frontier_name).c_str());
   const bool compressed_csr = cli.get_bool("compressed-csr", false);
 
   bool from_file = false;
@@ -242,20 +229,17 @@ int main(int argc, char** argv) {
     } else if (analytic == "pagerank") {
       analytics::PageRankOptions o;
       o.max_iterations = iters;
-      o.common.schedule = sched;
       const auto res = analytics::pagerank(g, comm, o);
       if (!output.empty())
         write_tsv<double>(g, comm, res.scores, output, "pagerank");
     } else if (analytic == "labelprop") {
       analytics::LabelPropOptions o;
       o.iterations = iters;
-      o.common.schedule = sched;
       const auto res = analytics::label_propagation(g, comm, o);
       if (!output.empty())
         write_tsv<std::uint64_t>(g, comm, res.labels, output, "community");
     } else if (analytic == "wcc") {
       analytics::WccOptions o;
-      o.common.schedule = sched;
       const auto res = analytics::wcc(g, comm, o);
       if (root_rank)
         std::cout << "largest WCC: " << res.largest_size << " (label "
@@ -265,8 +249,6 @@ int main(int argc, char** argv) {
     } else if (analytic == "scc") {
       analytics::SccOptions o;
       o.trim = true;
-      o.common.schedule = sched;
-      o.common.frontier = fmode;
       const auto res = analytics::largest_scc(g, comm, o);
       if (root_rank)
         std::cout << "largest SCC: " << res.size << " (pivot " << res.pivot
@@ -275,8 +257,6 @@ int main(int argc, char** argv) {
         write_tsv<std::uint8_t>(g, comm, res.member, output, "in_scc");
     } else if (analytic == "scc-decompose") {
       analytics::SccDecomposeOptions o;
-      o.common.schedule = sched;
-      o.common.frontier = fmode;
       const auto res = analytics::scc_decompose(g, comm, o);
       if (root_rank)
         std::cout << res.num_sccs << " SCCs, largest " << res.largest_size
@@ -285,8 +265,6 @@ int main(int argc, char** argv) {
         write_tsv<gvid_t>(g, comm, res.comp, output, "scc");
     } else if (analytic == "bfs") {
       analytics::BfsOptions o;
-      o.common.schedule = sched;
-      o.common.frontier = fmode;
       const auto res = analytics::bfs_tree(g, comm, root, o);
       if (root_rank)
         std::cout << "visited " << res.visited << " in " << res.num_levels
@@ -295,8 +273,6 @@ int main(int argc, char** argv) {
         write_tsv<std::int64_t>(g, comm, res.level, output, "level");
     } else if (analytic == "sssp") {
       analytics::SsspOptions o;
-      o.common.schedule = sched;
-      o.common.frontier = fmode;
       const auto res = analytics::sssp(g, comm, root, o);
       if (root_rank)
         std::cout << "reached " << res.reached << " in " << res.rounds
@@ -305,8 +281,6 @@ int main(int argc, char** argv) {
         write_tsv<std::uint64_t>(g, comm, res.dist, output, "distance");
     } else if (analytic == "harmonic") {
       analytics::HarmonicOptions o;
-      o.common.schedule = sched;
-      o.common.frontier = fmode;
       const auto top = analytics::harmonic_top_k(g, comm, top_k, o);
       if (root_rank) {
         TablePrinter t({"vertex", "harmonic centrality"});
@@ -317,7 +291,6 @@ int main(int argc, char** argv) {
       }
     } else if (analytic == "kcore") {
       analytics::KCoreOptions o;
-      o.common.schedule = sched;
       const auto res = analytics::kcore_approx(g, comm, o);
       if (root_rank)
         for (const auto& s : res.stages)
@@ -329,7 +302,6 @@ int main(int argc, char** argv) {
         write_tsv<std::uint64_t>(g, comm, res.bound, output, "coreness_ub");
     } else if (analytic == "kcore-exact") {
       analytics::CommonOptions o;
-      o.schedule = sched;
       const auto res = analytics::kcore_exact(g, comm, o);
       if (root_rank) std::cout << "degeneracy " << res.max_core << "\n";
       if (!output.empty())
@@ -340,8 +312,6 @@ int main(int argc, char** argv) {
     } else if (analytic == "betweenness") {
       analytics::BetweennessOptions o;
       o.num_sources = bc_sources;
-      o.common.schedule = sched;
-      o.common.frontier = fmode;
       const auto res = analytics::betweenness(g, comm, o);
       if (!output.empty())
         write_tsv<double>(g, comm, res.score, output, "betweenness");

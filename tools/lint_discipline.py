@@ -50,8 +50,8 @@ algorithm code (src/analytics, src/engine, src/dgraph):
       Hand-rolled thread-id arithmetic partitioning (`tid * chunk`,
       `thread_id * span`, ...) in algorithm code.  Loop decomposition must
       go through ThreadPool::for_chunks / for_ranges / reduce_chunks over a
-      ChunkGrid (util/parallel_for.hpp) so every sweep honors the selected
-      Schedule, feeds the imbalance telemetry, and keeps the deterministic
+      ChunkGrid (util/parallel_for.hpp) so every sweep follows the pool's
+      span schedule, feeds the sweep telemetry, and keeps the deterministic
       chunk-order reduction contract (DESIGN.md §10).
   raw-frontier-exchange
       A MultiQueue paired with an .alltoallv() in analytics or engine code
@@ -453,8 +453,8 @@ def check_raw_parallel_chunking(code: str, findings, path):
             path, line_of(code, m.start()), "raw-parallel-chunking",
             f"hand-rolled thread partitioning `{m.group(0)}`: decompose "
             "loops with ThreadPool::for_chunks / for_ranges over a "
-            "ChunkGrid (util/parallel_for.hpp) so the sweep honors the "
-            "selected Schedule and stays deterministic (DESIGN.md §10)"))
+            "ChunkGrid (util/parallel_for.hpp) so the sweep follows the "
+            "pool's span schedule and stays deterministic (DESIGN.md §10)"))
 
 
 def check_raw_frontier_exchange(code: str, findings, path):
