@@ -14,7 +14,11 @@
 #include "util/parallel_for.hpp"
 #include "util/timer.hpp"
 
-// Stamped by bench/CMakeLists.txt; fall back for non-CMake builds.
+// Stamped by bench/CMakeLists.txt, the sha through a header it regenerates
+// at every build; fall back for non-CMake builds.
+#if __has_include("hg_git_sha.hpp")
+#include "hg_git_sha.hpp"
+#endif
 #ifndef HPCGRAPH_BUILD_TYPE
 #define HPCGRAPH_BUILD_TYPE "unknown"
 #endif

@@ -97,7 +97,7 @@ struct BrandesForwardKernel {
         ctx.comm, remote,
         [&](const PathMsg& m) { return g.owner_of_global(m.gid); }, qsize);
     for (const PathMsg& m : recv) {
-      const lvid_t v = g.local_id_checked(m.gid);
+      const lvid_t v = g.owned_local_checked(m.gid);
       if (level[v] == kUnset) {
         if (contrib[v] == 0.0) touched.push_back(v);
         contrib[v] += m.paths;

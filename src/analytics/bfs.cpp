@@ -165,8 +165,7 @@ struct BfsLevelKernel {
       t.clear();
     }
     for (const gvid_t gid : recv) {
-      const lvid_t l = g.local_id_checked(gid);
-      HG_DCHECK(!g.is_ghost(l));
+      const lvid_t l = g.owned_local_checked(gid);
       if (alive(l) && status.claim(l)) {
         next.push(l);
         ctx.degree_local += dir_degree(g, opts.dir, l);
@@ -298,7 +297,7 @@ struct BfsDiroptKernel {
           [&](lvid_t u) { return g.owner_of(u); },
           [&](lvid_t u) { return g.global_id(u); }, opts.common.qsize);
       for (const gvid_t gid : recv) {
-        const lvid_t l = g.local_id_checked(gid);
+        const lvid_t l = g.owned_local_checked(gid);
         if (alive(l) && status.load(l) == kUnvisited) {
           status.store(l, level + 1);
           accept(l);

@@ -80,7 +80,7 @@ struct BfsTreeKernel {
         [&](const Discovery& d) { return g.owner_of_global(d.child); },
         opts.common.qsize);
     for (const Discovery& d : recv) {
-      const lvid_t l = g.local_id_checked(d.child);
+      const lvid_t l = g.owned_local_checked(d.child);
       if (alive(l) && res.level[l] == kUnvisited) {
         res.level[l] = level + 1;
         res.parent[l] = d.parent;  // first claimer wins (rank order)

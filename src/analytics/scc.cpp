@@ -66,7 +66,7 @@ std::uint64_t trim_trivial_sccs(const DistGraph& g, Communicator& comm,
         comm, remote,
         [&](const Dec& d) { return g.owner_of_global(d.gid); }, qsize);
     for (const Dec& d : recv) {
-      const lvid_t l = g.local_id_checked(d.gid);
+      const lvid_t l = g.owned_local_checked(d.gid);
       if (!alive[l]) continue;
       auto& counter = d.which == 0 ? in_deg[l] : out_deg[l];
       if (counter > 0) --counter;

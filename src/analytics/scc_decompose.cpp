@@ -149,7 +149,7 @@ struct CollectKernel {
         ctx.comm, remote,
         [&](const Visit& m) { return g.owner_of_global(m.gid); }, qsize);
     for (const Visit& m : recv) {
-      const lvid_t l = g.local_id_checked(m.gid);
+      const lvid_t l = g.owned_local_checked(m.gid);
       if (alive[l] && color[l] == m.color) collect(l, m.color);
     }
     cur.swap(next);

@@ -84,7 +84,7 @@ struct SsspKernel {
         [&](const Relax& r) { return g.owner_of_global(r.gid); },
         opts.common.qsize);
     for (const Relax& r : recv)
-      relax_local(g.local_id_checked(r.gid), r.dist);
+      relax_local(g.owned_local_checked(r.gid), r.dist);
 
     cur.swap(next);
   }

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/tracer.hpp"
 #include "util/prefix_sum.hpp"
 #include "util/timer.hpp"
 
 namespace hpcgraph::dgraph {
 
 using gen::Edge;
+using io::EdgeRecord;
 using parcomm::Communicator;
 
 namespace {
@@ -31,16 +33,96 @@ void release(std::vector<T>& v) {
   std::vector<T>().swap(v);
 }
 
+/// Edges travel as 32-bit ids, so no vertex-id space beyond 2^32 can be
+/// built.  n_global is the same on every rank, so every rank throws here,
+/// before any per-vertex allocation.
+void check_n_global(gvid_t n_global) {
+  constexpr gvid_t kMax = gvid_t{1} << 32;
+  HG_CHECK_MSG(n_global <= kMax, "Builder: n_global "
+                                     << n_global << " exceeds 2^32 = " << kMax
+                                     << ": edges are built as 32-bit ids");
+}
+
+/// Every endpoint must lie in [0, n_global): a larger id would index past
+/// the partition's bounds, its owner map or the edge-block degree
+/// histogram, or lose its high bits as a record.  Called once per chunk,
+/// before make_partition or owner().
+void check_endpoints(std::size_t m, gvid_t max_id, gvid_t n_global,
+                     int rank) {
+  HG_CHECK_MSG(m == 0 || max_id < n_global,
+               "Builder: vertex id " << max_id << " >= n_global " << n_global
+                                     << " in the edge chunk of rank "
+                                     << rank);
+}
+
+/// Largest endpoint id of a chunk (0 when it is empty).
+template <typename E>
+gvid_t max_endpoint(std::span<const E> edges) {
+  gvid_t max_id = 0;
+  for (const E& e : edges) max_id = std::max<gvid_t>({max_id, e.src, e.dst});
+  return max_id;
+}
+
+/// Wide edges as records; check_endpoints must have passed them against a
+/// checked n_global.
+std::vector<EdgeRecord> narrow(std::span<const Edge> edges) {
+  std::vector<EdgeRecord> out(edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i)
+    out[i] = {static_cast<std::uint32_t>(edges[i].src),
+              static_cast<std::uint32_t>(edges[i].dst)};
+  return out;
+}
+
+/// This rank's contiguous ~m/p slice of an in-memory edge list, its
+/// endpoints checked against graph.n, as records.
+std::vector<EdgeRecord> rank_slice(Communicator& comm,
+                                   const gen::EdgeList& graph) {
+  const auto [first, count] =
+      io::chunk_for_rank(graph.edges.size(), comm.rank(), comm.size());
+  const auto slice = std::span(graph.edges).subspan(first, count);
+  check_endpoints(slice.size(), max_endpoint(slice), graph.n, comm.rank());
+  return narrow(slice);
+}
+
+/// Collective partition construction (edge-block needs a globally reduced
+/// degree histogram of the chunks).
+Partition make_partition(Communicator& comm, PartitionKind kind,
+                         gvid_t n_global, std::span<const EdgeRecord> chunk,
+                         std::uint64_t seed) {
+  switch (kind) {
+    case PartitionKind::kVertexBlock:
+      return Partition::vertex_block(n_global, comm.size());
+    case PartitionKind::kRandom:
+      return Partition::random(n_global, comm.size(), seed);
+    case PartitionKind::kExplicit:
+      detail::check_failed(
+          "kind != kExplicit", __FILE__, __LINE__,
+          "explicit partitions carry an owner map; build one with "
+          "Partition::explicit_map and use the Partition overload");
+    case PartitionKind::kEdgeBlock: {
+      // Bucketed out-degree histogram, globally reduced; 64 buckets per rank
+      // gives the cut enough resolution without shipping an n-length array.
+      const std::size_t buckets =
+          std::min<std::size_t>(static_cast<std::size_t>(comm.size()) * 64,
+                                static_cast<std::size_t>(n_global));
+      std::vector<std::uint64_t> local = degree_buckets(chunk, n_global, buckets);
+      std::vector<std::uint64_t> global = allreduce_sum_vec(comm, local);
+      return Partition::edge_block(n_global, comm.size(), global);
+    }
+  }
+  HG_CHECK_MSG(false, "unreachable partition kind");
+}
+
 /// Stable counting sort of `edges` into `send` (one slot per edge) by
 /// part.owner(key(e)): input order is kept within each destination segment,
 /// and that order fixes the per-vertex order of the CSR.
 template <typename KeyFn>
-void pack_by_owner(const Partition& part, std::span<const Edge> edges,
+void pack_by_owner(const Partition& part, std::span<const EdgeRecord> edges,
                    std::span<const std::uint64_t> counts, KeyFn key,
-                   std::span<Edge> send) {
+                   std::span<EdgeRecord> send) {
   std::vector<std::uint64_t> at(counts.size());
   exclusive_prefix_sum(counts, std::span<std::uint64_t>(at));
-  for (const Edge& e : edges) send[at[part.owner(key(e))]++] = e;
+  for (const EdgeRecord& e : edges) send[at[part.owner(key(e))]++] = e;
 }
 
 /// Global-to-local id translation during LConv, one call per endpoint.
@@ -85,128 +167,72 @@ class LocalIds {
   std::vector<gvid_t> seen_;
 };
 
-/// One direction's received edges in local ids: `row[i]` is edge i's owned
-/// endpoint (the one it was routed by), `col[i]` its other endpoint, a
-/// provisional ghost id when remote.
-struct LocalEdges {
-  std::vector<lvid_t> row, col;
-};
-
-/// Translates and frees `recv`; `kOut`: rows are sources, else destinations.
+/// CSR over rows [0, n_loc) of one direction's received records (consumed),
+/// each row's entries in received order; `kOut`: rows are sources, else
+/// destinations.  The count pass overwrites each record's row endpoint with
+/// its local row; the scatter pass writes the other endpoint, translated
+/// once, into the row: a provisional ghost id when remote, which
+/// rename_ghosts replaces once every ghost is known.
 template <bool kOut>
-LocalEdges to_local(std::vector<Edge>& recv, LocalIds& local) {
-  LocalEdges t{std::vector<lvid_t>(recv.size()),
-               std::vector<lvid_t>(recv.size())};
-  for (std::size_t i = 0; i < recv.size(); ++i) {
-    const Edge& e = recv[i];
-    t.row[i] = local(kOut ? e.src : e.dst);
-    t.col[i] = local(kOut ? e.dst : e.src);
-    HG_DCHECK(t.row[i] < local.n_loc());
-  }
-  release(recv);
-  return t;
-}
-
-/// CSR over rows [0, n_loc) of `t` (consumed), each row's entries in
-/// received order, with provisional ghost ids renamed through `ghost_id`.
-/// No map probes.
-void fill_csr(LocalEdges t, lvid_t n_loc, std::span<const lvid_t> ghost_id,
+void fill_csr(std::vector<EdgeRecord>& recv, LocalIds& local,
               std::vector<ecnt_t>& index, std::vector<lvid_t>& adj) {
-  std::vector<ecnt_t> cursor(n_loc, 0);
-  for (const lvid_t r : t.row) ++cursor[r];
+  const auto row = [](EdgeRecord& e) -> std::uint32_t& {
+    return kOut ? e.src : e.dst;
+  };
+  std::vector<ecnt_t> cursor(local.n_loc(), 0);
+  for (EdgeRecord& e : recv) {
+    row(e) = local(row(e));
+    HG_DCHECK(row(e) < local.n_loc());
+    ++cursor[row(e)];
+  }
   index = csr_offsets(std::span<const ecnt_t>(cursor));
   std::copy(index.begin(), index.end() - 1, cursor.begin());
-  adj.resize(t.row.size());
-  for (std::size_t i = 0; i < t.row.size(); ++i) {
-    const lvid_t c = t.col[i];
-    adj[cursor[t.row[i]]++] = c < n_loc ? c : ghost_id[c - n_loc];
-  }
+  adj.resize(recv.size());
+  for (EdgeRecord& e : recv)
+    adj[cursor[row(e)]++] = local(kOut ? e.dst : e.src);
+  release(recv);
 }
 
-/// Every endpoint must lie in [0, n_global): a larger id would index past
-/// the partition's bounds, its owner map or the edge-block degree
-/// histogram.  Called once per chunk, before make_partition or owner().
-void check_endpoints(std::size_t m, gvid_t max_id, gvid_t n_global,
-                     int rank) {
-  HG_CHECK_MSG(m == 0 || max_id < n_global,
-               "Builder: vertex id " << max_id << " >= n_global " << n_global
-                                     << " in the edge chunk of rank "
-                                     << rank);
-}
-
-/// This rank's contiguous ~m/p slice of an in-memory edge list, its
-/// endpoints checked against graph.n as they are copied.
-std::vector<Edge> rank_slice(Communicator& comm, const gen::EdgeList& graph) {
-  const auto [first, count] =
-      io::chunk_for_rank(graph.edges.size(), comm.rank(), comm.size());
-  std::vector<Edge> chunk;
-  chunk.reserve(count);
-  gvid_t max_id = 0;
-  for (const Edge& e : std::span(graph.edges).subspan(first, count)) {
-    max_id = std::max({max_id, e.src, e.dst});
-    chunk.push_back(e);
-  }
-  check_endpoints(chunk.size(), max_id, graph.n, comm.rank());
-  return chunk;
+/// Renames a filled CSR's provisional ghost ids to their final ones.
+void rename_ghosts(std::vector<lvid_t>& adj, lvid_t n_loc,
+                   std::span<const lvid_t> ghost_id) {
+  for (lvid_t& c : adj)
+    if (c >= n_loc) c = ghost_id[c - n_loc];
 }
 
 }  // namespace
 
-Partition Builder::make_partition(Communicator& comm, PartitionKind kind,
-                                  gvid_t n_global,
-                                  std::span<const Edge> chunk,
-                                  std::uint64_t seed) {
-  switch (kind) {
-    case PartitionKind::kVertexBlock:
-      return Partition::vertex_block(n_global, comm.size());
-    case PartitionKind::kRandom:
-      return Partition::random(n_global, comm.size(), seed);
-    case PartitionKind::kExplicit:
-      detail::check_failed(
-          "kind != kExplicit", __FILE__, __LINE__,
-          "explicit partitions carry an owner map; build one with "
-          "Partition::explicit_map and use the Partition overload");
-    case PartitionKind::kEdgeBlock: {
-      // Bucketed out-degree histogram, globally reduced; 64 buckets per rank
-      // gives the cut enough resolution without shipping an n-length array.
-      const std::size_t buckets =
-          std::min<std::size_t>(static_cast<std::size_t>(comm.size()) * 64,
-                                static_cast<std::size_t>(n_global));
-      std::vector<std::uint64_t> local = degree_buckets(chunk, n_global, buckets);
-      std::vector<std::uint64_t> global = allreduce_sum_vec(comm, local);
-      return Partition::edge_block(n_global, comm.size(), global);
-    }
-  }
-  HG_CHECK_MSG(false, "unreachable partition kind");
-}
-
 DistGraph Builder::from_chunk(Communicator& comm, gvid_t n_global,
-                              std::vector<Edge> chunk, const Partition& part,
-                              BuildTiming* timing) {
+                              std::vector<EdgeRecord> chunk,
+                              const Partition& part, BuildTiming* timing) {
   Timer stage;
 
   // ---- Exchange stage: out-edges to owner(src), in-edges to owner(dst). --
   // One pass counts both directions; each is then packed into the same send
   // buffer, and the chunk is freed before the in-edge receive allocates.
+  obs::Span exchange_span(obs::span_name::kBuildExchange);
   const auto p = static_cast<std::size_t>(comm.size());
   std::vector<std::uint64_t> out_counts(p, 0), in_counts(p, 0);
-  for (const Edge& e : chunk) {
+  for (const EdgeRecord& e : chunk) {
     ++out_counts[part.owner(e.src)];
     ++in_counts[part.owner(e.dst)];
   }
-  std::vector<Edge> send(chunk.size());
+  std::vector<EdgeRecord> send(chunk.size());
   pack_by_owner(part, chunk, out_counts,
-                [](const Edge& e) { return e.src; }, send);
-  std::vector<Edge> out_recv = comm.alltoallv<Edge>(send, out_counts);
-  pack_by_owner(part, chunk, in_counts, [](const Edge& e) { return e.dst; },
-                send);
+                [](const EdgeRecord& e) { return e.src; }, send);
+  std::vector<EdgeRecord> out_recv =
+      comm.alltoallv<EdgeRecord>(send, out_counts);
+  pack_by_owner(part, chunk, in_counts,
+                [](const EdgeRecord& e) { return e.dst; }, send);
   release(chunk);
-  std::vector<Edge> in_recv = comm.alltoallv<Edge>(send, in_counts);
+  std::vector<EdgeRecord> in_recv = comm.alltoallv<EdgeRecord>(send, in_counts);
   release(send);
   comm.barrier();
+  exchange_span.close();
   const double t_exchange = stage.restart();
 
   // ---- LConv stage: CSR + ghost relabeling (Table II). ----
+  obs::Span lconv_span(obs::span_name::kBuildLconv);
   DistGraph g(part, comm.rank());
   g.n_global_ = n_global;
   g.m_global_ = comm.allreduce_sum<ecnt_t>(out_recv.size());
@@ -221,8 +247,8 @@ DistGraph Builder::from_chunk(Communicator& comm, gvid_t n_global,
   // Each received endpoint is translated once; the map is probed only for
   // endpoints a block range cannot place.
   LocalIds local(part, comm.rank(), g.n_loc_, g.map_);
-  LocalEdges out_local = to_local<true>(out_recv, local);
-  LocalEdges in_local = to_local<false>(in_recv, local);
+  fill_csr<true>(out_recv, local, g.out_index_, g.out_edges_);
+  fill_csr<false>(in_recv, local, g.in_index_, g.in_edges_);
 
   // Ghosts take their final ids in increasing global-id order
   // (determinism); provisional ids are renamed through `ghost_id`, and the
@@ -244,14 +270,13 @@ DistGraph Builder::from_chunk(Communicator& comm, gvid_t n_global,
   }
   release(ghosts);
 
-  fill_csr(std::move(out_local), g.n_loc_, ghost_id, g.out_index_,
-           g.out_edges_);
-  fill_csr(std::move(in_local), g.n_loc_, ghost_id, g.in_index_,
-           g.in_edges_);
+  rename_ghosts(g.out_edges_, g.n_loc_, ghost_id);
+  rename_ghosts(g.in_edges_, g.n_loc_, ghost_id);
 
   g.build_boundary_locals();
 
   comm.barrier();
+  lconv_span.close();
   const double t_lconv = stage.restart();
 
   if (timing) {
@@ -265,17 +290,35 @@ DistGraph Builder::from_file(Communicator& comm, const std::string& path,
                              io::EdgeFormat format, PartitionKind kind,
                              gvid_t n_global, BuildTiming* timing,
                              std::uint64_t part_seed) {
+  check_n_global(n_global);
   Timer stage;
+  obs::Span read_span(obs::span_name::kBuildRead);
   const std::uint64_t m = io::edge_count(path, format);
   const auto [first, count] = io::chunk_for_rank(m, comm.rank(), comm.size());
-  std::vector<Edge> chunk = io::read_edge_chunk(path, format, first, count);
+  // A kU64 chunk stays wide until its ids are checked, then is narrowed.
+  std::vector<EdgeRecord> chunk;
+  std::vector<Edge> wide;
+  if (format == io::EdgeFormat::kU32)
+    chunk = io::read_edge_records(path, first, count);
+  else
+    wide = io::read_edge_chunk(path, format, first, count);
   comm.barrier();
+  read_span.close();
   const double t_read = stage.restart();
 
-  gvid_t max_id = 0;
-  for (const Edge& e : chunk) max_id = std::max({max_id, e.src, e.dst});
-  if (n_global == 0) n_global = comm.allreduce_max(max_id) + 1;
-  check_endpoints(chunk.size(), max_id, n_global, comm.rank());
+  const gvid_t max_id =
+      format == io::EdgeFormat::kU32
+          ? max_endpoint(std::span<const EdgeRecord>(chunk))
+          : max_endpoint(std::span<const Edge>(wide));
+  if (n_global == 0) {
+    n_global = comm.allreduce_max(max_id) + 1;
+    check_n_global(n_global);
+  }
+  check_endpoints(count, max_id, n_global, comm.rank());
+  if (format != io::EdgeFormat::kU32) {
+    chunk = narrow(wide);
+    release(wide);
+  }
 
   const Partition part =
       make_partition(comm, kind, n_global, chunk, part_seed);
@@ -288,7 +331,8 @@ DistGraph Builder::from_edge_list(Communicator& comm,
                                   const gen::EdgeList& graph,
                                   PartitionKind kind, BuildTiming* timing,
                                   std::uint64_t part_seed) {
-  std::vector<Edge> chunk = rank_slice(comm, graph);
+  check_n_global(graph.n);
+  std::vector<EdgeRecord> chunk = rank_slice(comm, graph);
   const Partition part =
       make_partition(comm, kind, graph.n, chunk, part_seed);
   return from_chunk(comm, graph.n, std::move(chunk), part, timing);
@@ -298,6 +342,7 @@ DistGraph Builder::from_edge_list(Communicator& comm,
                                   const gen::EdgeList& graph,
                                   const Partition& part,
                                   BuildTiming* timing) {
+  check_n_global(graph.n);
   HG_CHECK(part.n_global() == graph.n);
   HG_CHECK(part.nranks() == comm.size());
   return from_chunk(comm, graph.n, rank_slice(comm, graph), part, timing);

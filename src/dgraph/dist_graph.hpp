@@ -101,6 +101,15 @@ class DistGraph {
     return l < n_loc_ ? static_cast<lvid_t>(l) : kNullLvid;
   }
 
+  /// owned_local of an id routed to this rank as its owner (checked: a
+  /// ghost or foreign id is an error).
+  lvid_t owned_local_checked(gvid_t g) const {
+    const lvid_t l = owned_local(g);
+    HG_CHECK_MSG(l != kNullLvid,
+                 "vertex " << g << " is not a local of rank " << rank_);
+    return l;
+  }
+
   /// Global id of a local id (local vertex or ghost).
   gvid_t global_id(lvid_t l) const {
     HG_DCHECK(l < n_total());

@@ -131,9 +131,17 @@ class Partition {
                               static_cast<std::uint64_t>(nranks_));
     }
     if (kind_ == PartitionKind::kExplicit) return (*owner_map_)[v];
-    const auto it =
-        std::upper_bound(bounds_.begin(), bounds_.end(), v);
-    return static_cast<int>(it - bounds_.begin()) - 1;
+    // The last rank r with bounds_[r] <= v (bounds_[nranks] = n > v is never
+    // it), which std::upper_bound would find with one data-dependent branch
+    // per step.  Here each step is a conditional add, and the step count
+    // depends only on p.
+    const gvid_t* base = bounds_.data();
+    for (std::size_t len = bounds_.size() - 1; len > 1;) {
+      const std::size_t half = len / 2;
+      base += base[half] <= v ? half : 0;
+      len -= half;
+    }
+    return static_cast<int>(base - bounds_.data());
   }
 
   bool is_block() const {

@@ -6,6 +6,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <type_traits>
 
 #include "util/error.hpp"
 
@@ -52,6 +53,21 @@ void pread_all(int fd, void* buf, std::size_t len, off_t offset) {
     len -= static_cast<std::size_t>(r);
   }
 }
+
+/// The one file read: edges [first, first + count) land in `out` as the file
+/// stores them, count * bytes_per_edge(format) bytes.
+void read_range(const std::string& path, EdgeFormat format,
+                std::uint64_t first, std::uint64_t count, void* out) {
+  Fd fd(path, O_RDONLY);
+  const std::size_t bpe = bytes_per_edge(format);
+  if (count > 0)
+    pread_all(fd.get(), out, count * bpe, static_cast<off_t>(first * bpe));
+}
+
+// A kU64 edge is two host-order u64, as write_edge_file writes it: the
+// layout of gen::Edge, so read_edge_chunk reads it in place.
+static_assert(sizeof(gen::Edge) == 16 &&
+              std::is_trivially_copyable_v<gen::Edge>);
 
 }  // namespace
 
@@ -104,24 +120,23 @@ std::uint64_t edge_count(const std::string& path, EdgeFormat format) {
 std::vector<gen::Edge> read_edge_chunk(const std::string& path,
                                        EdgeFormat format, std::uint64_t first,
                                        std::uint64_t count) {
-  Fd fd(path, O_RDONLY);
-  const std::size_t bpe = bytes_per_edge(format);
-  std::vector<gen::Edge> out(count);
-  if (count == 0) return out;
-
   if (format == EdgeFormat::kU32) {
-    std::vector<std::uint32_t> buf(count * 2);
-    pread_all(fd.get(), buf.data(), count * bpe,
-              static_cast<off_t>(first * bpe));
+    const std::vector<EdgeRecord> recs = read_edge_records(path, first, count);
+    std::vector<gen::Edge> out(count);
     for (std::uint64_t i = 0; i < count; ++i)
-      out[i] = {buf[2 * i], buf[2 * i + 1]};
-  } else {
-    std::vector<std::uint64_t> buf(count * 2);
-    pread_all(fd.get(), buf.data(), count * bpe,
-              static_cast<off_t>(first * bpe));
-    for (std::uint64_t i = 0; i < count; ++i)
-      out[i] = {buf[2 * i], buf[2 * i + 1]};
+      out[i] = {recs[i].src, recs[i].dst};
+    return out;
   }
+  std::vector<gen::Edge> out(count);
+  read_range(path, format, first, count, out.data());
+  return out;
+}
+
+std::vector<EdgeRecord> read_edge_records(const std::string& path,
+                                          std::uint64_t first,
+                                          std::uint64_t count) {
+  std::vector<EdgeRecord> out(count);
+  read_range(path, EdgeFormat::kU32, first, count, out.data());
   return out;
 }
 

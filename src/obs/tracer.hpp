@@ -50,6 +50,10 @@ inline constexpr const char* kPoolSweep = "pool.sweep";
 inline constexpr const char* kKcoreSetup = "kcore.setup";  ///< incidence CSR
 /// k-core's one masked MS-BFS over every stage's core, allocations included.
 inline constexpr const char* kKcoreComponents = "kcore.components";
+/// dgraph::Builder's three stages (BuildTiming's read / exchange / lconv).
+inline constexpr const char* kBuildRead = "dgraph.build.read";
+inline constexpr const char* kBuildExchange = "dgraph.build.exchange";
+inline constexpr const char* kBuildLconv = "dgraph.build.lconv";
 inline constexpr const char* kCopy = "parcomm.copy";  ///< payload copy: comm
 inline constexpr const char* kWait = "parcomm.wait";  ///< barrier wait: idle
 inline constexpr const char* kCliRun = "cli.run";

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <iomanip>
 #include <map>
@@ -298,6 +299,121 @@ TEST(Builder, OutOfRangeIdIsANamedError) {
         }
       }
     }
+  }
+  fs::remove_all(dir);
+}
+
+// Edges are built as 32-bit ids, so an n_global beyond 2^32 is a named
+// error, given or derived.  Every rank throws it on its own: each rank
+// catches its error inside the run, so a rank that went on into a
+// collective would hang the test.  At 2^62 any per-vertex array (the
+// owned-vertex list alone holds n/p ids) would end in std::length_error
+// instead, so a CheckError also shows the check precedes them.
+TEST(Builder, NGlobalAbove32BitsIsANamedError) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / ("hgbuild4_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const std::string path32 = (dir / "g32.bin").string();
+  const std::string path64 = (dir / "g64.bin").string();
+
+  constexpr gvid_t kHuge = gvid_t{1} << 62;
+  EdgeList el;
+  el.n = kHuge;
+  for (gvid_t v = 0; v < 24; ++v) el.edges.push_back({v, (v * 5 + 1) % 24});
+  io::write_edge_file(path32, el, io::EdgeFormat::kU32);
+  // The largest id sits in the last rank's chunk only; deriving n_global
+  // from it must still fail on every rank.
+  el.edges.back().dst = kHuge - 1;
+  io::write_edge_file(path64, el, io::EdgeFormat::kU64);
+
+  enum class Via { kFileGiven, kU64FileDerived, kEdgeList };
+  for (const int p : {1, 3, 4}) {
+    for (const PartitionKind kind :
+         {PartitionKind::kVertexBlock, PartitionKind::kEdgeBlock,
+          PartitionKind::kRandom}) {
+      for (const Via via :
+           {Via::kFileGiven, Via::kU64FileDerived, Via::kEdgeList}) {
+        SCOPED_TRACE((DistConfig{p, kind}.label()) + " via " +
+                     std::to_string(static_cast<int>(via)));
+        std::atomic<int> named{0};
+        parcomm::CommWorld world(p);
+        world.run([&](parcomm::Communicator& comm) {
+          try {
+            switch (via) {
+              case Via::kFileGiven:
+                (void)Builder::from_file(comm, path32, io::EdgeFormat::kU32,
+                                         kind, kHuge);
+                break;
+              case Via::kU64FileDerived:
+                (void)Builder::from_file(comm, path64, io::EdgeFormat::kU64,
+                                         kind, /*n_global=*/0);
+                break;
+              case Via::kEdgeList:
+                (void)Builder::from_edge_list(comm, el, kind);
+                break;
+            }
+            ADD_FAILURE() << "rank " << comm.rank() << " built the graph";
+          } catch (const CheckError& e) {
+            const std::string what = e.what();
+            const std::string want = "n_global " + std::to_string(kHuge);
+            EXPECT_NE(what.find(want), std::string::npos)
+                << "missing \"" << want << "\" in: " << what;
+            ++named;
+          }
+        });
+        EXPECT_EQ(named.load(), p);
+      }
+    }
+  }
+  fs::remove_all(dir);
+}
+
+// A kU64 file builds the same graph as its edge list once its ids are
+// checked and narrowed, and an id at or past n_global in it is the named
+// out-of-range error rather than a silently truncated id.
+TEST(Builder, U64FileMatchesFromEdgeList) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / ("hgbuild5_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const std::string path = (dir / "g64.bin").string();
+
+  gen::RmatParams rp;
+  rp.scale = 9;
+  rp.avg_degree = 8;
+  EdgeList el = gen::rmat(rp);
+  io::write_edge_file(path, el, io::EdgeFormat::kU64);
+  for (const int p : {1, 2, 4}) {
+    for (const PartitionKind kind :
+         {PartitionKind::kVertexBlock, PartitionKind::kEdgeBlock,
+          PartitionKind::kRandom}) {
+      SCOPED_TRACE((DistConfig{p, kind}.label()));
+      parcomm::CommWorld world(p);
+      world.run([&](parcomm::Communicator& comm) {
+        const DistGraph from_file =
+            Builder::from_file(comm, path, io::EdgeFormat::kU64, kind, el.n);
+        const DistGraph from_mem = Builder::from_edge_list(comm, el, kind);
+        expect_same_graph(from_file, from_mem);
+      });
+    }
+  }
+
+  const gvid_t wide = (gvid_t{1} << 32) + 5;
+  el.edges.back().src = wide;
+  io::write_edge_file(path, el, io::EdgeFormat::kU64);
+  parcomm::CommWorld world(2);
+  try {
+    world.run([&](parcomm::Communicator& comm) {
+      (void)Builder::from_file(comm, path, io::EdgeFormat::kU64,
+                               PartitionKind::kVertexBlock, el.n);
+    });
+    ADD_FAILURE() << "an id past n_global must not build";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("vertex id " + std::to_string(wide)),
+              std::string::npos)
+        << what;
   }
   fs::remove_all(dir);
 }

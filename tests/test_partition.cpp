@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "util/error.hpp"
@@ -151,6 +152,46 @@ TEST(Partition, MorePartsThanVerticesStillValid) {
     const int o = part.owner(v);
     EXPECT_GE(o, 0);
     EXPECT_LT(o, 8);
+  }
+}
+
+// owner() on block partitions is a branch-free search over the rank bounds;
+// it must agree with std::upper_bound over the same bounds on every id,
+// also where bounds repeat and leave ranks empty: edge-block cuts that all
+// land in one heavy bucket, and fewer vertices than ranks.
+TEST(Partition, OwnerMatchesUpperBound) {
+  const gvid_t n = 997;
+  constexpr std::size_t kBuckets = 32;
+  std::vector<std::uint64_t> uniform(kBuckets, 5), one_hot(kBuckets, 0),
+      ends(kBuckets, 0);
+  one_hot[kBuckets / 2] = 100;
+  ends.front() = ends.back() = 50;
+  for (const int p : {1, 2, 3, 5, 8, 64}) {
+    const std::vector<Partition> parts{
+        Partition::vertex_block(n, p), Partition::vertex_block(3, p),
+        Partition::edge_block(n, p, uniform),
+        Partition::edge_block(n, p, one_hot),
+        Partition::edge_block(n, p, ends)};
+    int empty_ranks = 0;
+    for (const Partition& part : parts) {
+      std::vector<gvid_t> bounds;
+      for (int r = 0; r < p; ++r) {
+        const auto [lo, hi] = part.block_range(r);
+        bounds.push_back(lo);
+        empty_ranks += lo == hi;
+      }
+      bounds.push_back(part.n_global());
+      for (gvid_t v = 0; v < part.n_global(); ++v) {
+        const auto want = static_cast<int>(
+            std::upper_bound(bounds.begin(), bounds.end(), v) -
+            bounds.begin() - 1);
+        ASSERT_EQ(part.owner(v), want)
+            << partition_label(part.kind()) << " p=" << p << " v=" << v;
+      }
+    }
+    if (p > 2) {
+      EXPECT_GT(empty_ranks, 0) << "p=" << p;
+    }
   }
 }
 

@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
   std::string metrics_payload;
   parcomm::CommWorld world(nranks);
   int status = 0;
-  world.run([&](parcomm::Communicator& comm) {
+  const auto rank_main = [&](parcomm::Communicator& comm) {
     obs::RankGuard obs_guard(comm.rank());
     obs::Span run_span(obs::span_name::kCliRun);
     // ---- Build. ----
@@ -332,7 +332,17 @@ int main(int argc, char** argv) {
       if (comm.rank() == 0) metrics_payload = payload;
     }
     if (!trace_events.empty()) obs::finalize_trace(tracer, comm);
-  });
+  };
+  // A named error on any rank (an unreadable --graph, a bad
+  // HPCGRAPH_POOL_THREADS, an out-of-range id, ...) is rethrown here by
+  // CommWorld::run: report it and exit 1; usage errors exit 2.
+  try {
+    world.run(rank_main);
+  } catch (const CheckError& e) {
+    if (!trace_events.empty()) obs::Tracer::uninstall();
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 
   if (!trace_events.empty()) {
     obs::Tracer::uninstall();
