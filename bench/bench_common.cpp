@@ -58,9 +58,7 @@ RegionReport run_region(
     m.bytes_remote = comm.stats().bytes_remote;
     m.collectives = comm.stats().collective_calls;
     m.ghost_rounds_dense = comm.stats().ghost_rounds_dense;
-    m.ghost_rounds_sparse = comm.stats().ghost_rounds_sparse;
     m.ghost_rounds_reduce = comm.stats().ghost_rounds_reduce;
-    m.ghost_bytes_saved = comm.stats().ghost_bytes_saved;
     if (comm.rank() == 0) region_wall = wall.elapsed();
   });
 

@@ -41,10 +41,8 @@ struct RankMetrics {
   double wall = 0;           ///< wall seconds (same for all ranks, roughly)
   std::uint64_t bytes_remote = 0;  ///< payload bytes sent to other ranks
   std::uint64_t collectives = 0;
-  std::uint64_t ghost_rounds_dense = 0;   ///< ghost exchanges on dense wire
-  std::uint64_t ghost_rounds_sparse = 0;  ///< ghost exchanges on sparse wire
+  std::uint64_t ghost_rounds_dense = 0;   ///< forward (owner->ghost) rounds
   std::uint64_t ghost_rounds_reduce = 0;  ///< reverse (ghost->owner) rounds
-  std::int64_t ghost_bytes_saved = 0;     ///< dense-equivalent minus actual
 };
 
 /// Aggregate view of a distributed region.

@@ -216,8 +216,6 @@ struct BfsDiroptKernel {
     return p;
   }
 
-  dgraph::GhostExchange* ghosts() { return &gx; }
-
   engine::DistFrontier* frontier() { return &cur; }
 
   std::uint64_t active_local() const { return cur.size(); }

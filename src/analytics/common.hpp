@@ -34,12 +34,6 @@ struct CommonOptions {
   /// rank-level parallelism is the paper's primary axis.
   ThreadPool* pool = nullptr;
   std::size_t qsize = kDefaultQSize;  ///< Algorithm-3 thread-queue capacity
-  /// Ghost-exchange wire format for the convergent analytics (Label
-  /// Propagation, WCC coloring, k-core peeling).  kAdaptive switches to the
-  /// sparse (slot, value) format once few boundary vertices still change
-  /// per round; PageRank ignores this (every rank value changes every
-  /// iteration, so dense is always cheapest).
-  dgraph::GhostMode ghost_mode = dgraph::GhostMode::kAdaptive;
 };
 
 /// Engine knobs shared by the ported analytics: the pool from the common

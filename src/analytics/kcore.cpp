@@ -20,11 +20,11 @@ namespace {
 /// peel of kcore.hpp).  A vertex joins the worklist at most once per stage:
 /// when seeded, or when its degree crosses from the limit to one below it.
 /// Ranks mirror a one-byte alive flag rather than send one message per remote
-/// decrement, so the adaptive sparse format takes over once deaths get rare;
-/// the incidence CSR holds one entry per edge occurrence.
+/// decrement: each round ships every boundary flag, and a receiver turns the
+/// ghosts that flipped to dead into decrements through the incidence CSR,
+/// which holds one entry per edge occurrence.
 struct Peeler {
   const DistGraph& g;
-  dgraph::GhostMode mode;
   std::vector<std::uint64_t> deg;         ///< remaining degree, locals only
   std::vector<std::uint8_t> alive;        ///< locals + ghost replicas
   std::vector<std::uint64_t> removed_at;  ///< limit a removed local fell below
@@ -35,9 +35,8 @@ struct Peeler {
   std::uint64_t limit = 0;                ///< the stage's degree limit
   std::uint64_t alive_local;
 
-  Peeler(const DistGraph& g_, const CommonOptions& opts)
+  explicit Peeler(const DistGraph& g_)
       : g(g_),
-        mode(opts.ghost_mode),
         deg(g_.n_loc()),
         alive(g_.n_total(), 1),
         removed_at(g_.n_loc(), 0),
@@ -78,15 +77,14 @@ struct Peeler {
   }
 
   /// Remove every queued vertex and all it drags below the limit on this
-  /// rank, marking each on the round's exchange; returns the count.
-  std::uint64_t drain(dgraph::GhostExchange& gx) {
+  /// rank; returns the count.
+  std::uint64_t drain() {
     std::uint64_t removed = 0;
     while (!work.empty()) {
       const lvid_t v = work.back();
       work.pop_back();
       alive[v] = 0;
       removed_at[v] = limit;
-      gx.mark_changed(v);
       ++removed;
       for (const lvid_t u : g.out_neighbors(v))
         if (!g.is_ghost(u)) drop(u);
@@ -119,10 +117,9 @@ struct PeelKernel {
   Peeler& p;
 
   dgraph::Adjacency adjacency() const { return dgraph::Adjacency::kBoth; }
-  dgraph::GhostMode ghost_mode() const { return p.mode; }
   std::span<std::uint8_t> values() { return {p.alive}; }
   std::vector<lvid_t>* changed_ghosts() { return &p.flipped; }
-  void compute(engine::StepContext& ctx) { ctx.touched_local = p.drain(*ctx.gx); }
+  void compute(engine::StepContext& ctx) { ctx.touched_local = p.drain(); }
   void apply(engine::StepContext& ctx) {
     p.apply_flipped();
     ctx.active_local = p.work.size();
@@ -210,7 +207,7 @@ KCoreResult kcore_approx(const DistGraph& g, Communicator& comm,
                    << kKCoreMaxStages << " (2^max_i thresholds and one root "
                    << "per mask bit), got " << opts.max_i);
   KCoreResult res;
-  Peeler peel(g, opts.common);
+  Peeler peel(g);
 
   // ---- Peel phase: every stage to its 2^i-core fixpoint, recording the
   // root of each stage that has survivors. ----
@@ -252,7 +249,7 @@ KCoreResult kcore_approx(const DistGraph& g, Communicator& comm,
 KCoreExactResult kcore_exact(const DistGraph& g, Communicator& comm,
                              const CommonOptions& opts) {
   KCoreExactResult res;
-  Peeler peel(g, opts);
+  Peeler peel(g);
 
   std::uint64_t k = 0;
   for (;;) {

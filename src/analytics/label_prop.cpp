@@ -10,7 +10,6 @@ namespace hpcgraph::analytics {
 
 using dgraph::Adjacency;
 using dgraph::DistGraph;
-using dgraph::GhostMode;
 using engine::StepContext;
 
 namespace {
@@ -27,8 +26,7 @@ std::vector<std::uint64_t> both_degree_prefix(const DistGraph& g) {
 }
 
 /// ValueKernel: one label-update sweep (paper Algorithm 1).  Exchanged value
-/// is the per-vertex label; changed vertices are marked on the engine's
-/// exchange plan to feed the sparse/adaptive wire format.
+/// is the per-vertex label.
 struct LabelPropKernel {
   const DistGraph& g;
   const LabelPropOptions& opts;
@@ -45,7 +43,6 @@ struct LabelPropKernel {
 
   // Labels flow both directions -> boundary set w.r.t. in+out adjacency.
   Adjacency adjacency() const { return Adjacency::kBoth; }
-  GhostMode ghost_mode() const { return opts.common.ghost_mode; }
   bool retain_queues() const { return opts.retain_queues; }
   std::span<std::uint64_t> values() { return labels; }
 
@@ -68,10 +65,7 @@ struct LabelPropKernel {
         for (const lvid_t u : g.out_neighbors(v)) lmap.add(read[u]);
         for (const lvid_t u : g.in_neighbors(v)) lmap.add(read[u]);
         const std::uint64_t picked = lmap.argmax(round_seed, read[v]);
-        if (picked != read[v]) {
-          ++changed_chunk;
-          ctx.gx->mark_changed(v);  // feeds the sparse/adaptive wire format
-        }
+        if (picked != read[v]) ++changed_chunk;
         labels[v] = picked;  // Gauss-Seidel when read aliases labels
       }
       if (changed_chunk) changed.add(changed_chunk);

@@ -8,7 +8,6 @@ namespace hpcgraph::analytics {
 
 using dgraph::Adjacency;
 using dgraph::DistGraph;
-using dgraph::GhostMode;
 using engine::StepContext;
 
 namespace {
@@ -39,9 +38,6 @@ struct PageRankKernel {
         contrib(g_.n_total(), 0.0) {}
 
   Adjacency adjacency() const { return Adjacency::kOut; }
-  // Every rank value changes every iteration, so dense is always cheapest;
-  // the sparse/adaptive machinery is for the convergent analytics.
-  GhostMode ghost_mode() const { return GhostMode::kDense; }
   bool retain_queues() const { return opts.retain_queues; }
   std::span<double> values() { return contrib; }
 

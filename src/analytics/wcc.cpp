@@ -47,15 +47,11 @@ struct WccColorKernel {
   }
 
   Adjacency adjacency() const { return Adjacency::kBoth; }
-  dgraph::GhostMode ghost_mode() const { return opts.common.ghost_mode; }
   std::span<gvid_t> values() { return color; }
 
-  void init(engine::StepContext& ctx) {
+  void init(engine::StepContext&) {
     for (lvid_t v = 0; v < g.n_loc(); ++v)
-      if (level[v] >= 0 && color[v] != giant_min) {
-        color[v] = giant_min;
-        ctx.gx->mark_changed(v);  // ghosts still hold the id-init value
-      }
+      if (level[v] >= 0) color[v] = giant_min;
   }
 
   void compute(engine::StepContext& ctx) {
@@ -71,7 +67,6 @@ struct WccColorKernel {
       for (const lvid_t u : g.in_neighbors(v)) m = std::min(m, color[u]);
       if (m < color[v]) {
         color[v] = m;
-        ctx.gx->mark_changed(v);
         ++changed;
       }
     }

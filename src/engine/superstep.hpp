@@ -7,7 +7,7 @@
 /// computational classes: *PageRank-like* dense value propagation over
 /// boundary exchanges, and *BFS-like* frontier expansion over per-owner
 /// queues.  Before this engine existed, each analytic hand-rolled the same
-/// iterate → mark-changed → ghost-exchange → allreduce-convergence skeleton;
+/// iterate → ghost-exchange → allreduce-convergence skeleton;
 /// now a kernel supplies only the per-round computation and the engine owns
 /// the loop: pool fallback, GhostExchange lifecycle, the `retain_queues`
 /// ablation fallback, the fused convergence allreduce, the iteration cutoff
@@ -25,18 +25,16 @@
 ///                                           GhostExchange uses the graph's
 ///                                           plan for it (built on the graph's
 ///                                           first request, shared after)
-///   * `void compute(StepContext&)`          local sweep; mark changed
-///                                           vertices on ctx.gx and report
+///   * `void compute(StepContext&)`          local sweep; report
 ///                                           ctx.active/touched/residual
 ///   * `bool converged(uint64 active_global, double residual_global)`
 ///                                           stop decision from the fused
 ///                                           allreduce (same inputs on every
 ///                                           rank -> same decision)
 /// Optional members (detected with `if constexpr (requires ...)`):
-///   * `dgraph::GhostMode ghost_mode()`      wire policy (default kDense)
 ///   * `bool retain_queues()`                false = rebuild-ablation: each
 ///                                           round exchanges through a fresh
-///                                           dense queue (exchange_fresh)
+///                                           queue (exchange_fresh)
 ///   * `std::vector<lvid_t>* changed_ghosts()`  receive ghost slots whose
 ///                                           value flipped (k-core)
 ///   * `void init(StepContext&)`             pre-loop seeding; if the kernel
@@ -75,9 +73,6 @@
 ///                                           decision before step()
 ///   * `std::uint64_t degree_local()`        pre-loop local frontier-degree
 ///                                           sum (round 0's crossover input)
-///   * `dgraph::GhostExchange* ghosts()`     the kernel's exchange, for
-///                                           kernels that publish dense
-///                                           frontiers (over the graph's plan)
 ///
 /// The engine sizes the frontier globally before round 0 (empty frontier =>
 /// zero supersteps) and after every step; it stops when the global frontier
@@ -116,8 +111,6 @@ struct StepContext {
   const dgraph::DistGraph& g;
   parcomm::Communicator& comm;
   ThreadPool& pool;                    ///< resolved pool (never null)
-  dgraph::GhostExchange* gx = nullptr; ///< exchange plan (null for frontier
-                                       ///< kernels that route their own)
   std::uint64_t superstep = 0;         ///< 0-based round within this run
 
   // Kernel -> engine outputs, reset before each round and folded into the
@@ -161,11 +154,9 @@ struct RoundCounters {
   std::uint64_t touched = 0;  ///< vertices processed
   double residual = 0.0;      ///< kernel-defined residual
   /// Frontier rounds: the decision the round ran under and the expanded
-  /// frontier's degree sum.  Value rounds leave `frontier` empty and report
-  /// whether their ghost exchange went sparse instead.
+  /// frontier's degree sum.  Value rounds leave `frontier` empty.
   std::optional<FrontierDecision> frontier = std::nullopt;
   std::uint64_t degree = 0;
-  bool sparse = false;
 };
 
 /// Stamps `rc` as counters on the calling rank's lane, plus the pool's sweep
@@ -184,8 +175,6 @@ inline void stamp_round(const RoundCounters& rc, const ThreadPool& pool,
                  flag(rc.frontier->dir == FrontierDir::kPull));
     obs::counter(cn::kFrontierBitmap,
                  flag(rc.frontier->rep == FrontierRep::kBitmap));
-  } else {
-    obs::counter(cn::kGhostSparse, flag(rc.sparse));
   }
   const SweepStats d = pool.sweep_stats() - sweep0;
   if (d.busy_max > 0)
@@ -228,9 +217,6 @@ class SuperstepEngine {
     // rule (collective only on the graph's first request for that rule).
     dgraph::GhostExchange gx(g_, comm_, kernel.adjacency(), cfg_.pool);
 
-    dgraph::GhostMode mode = dgraph::GhostMode::kDense;
-    if constexpr (requires { kernel.ghost_mode(); }) mode = kernel.ghost_mode();
-
     bool retain = true;
     if constexpr (requires { kernel.retain_queues(); })
       retain = kernel.retain_queues();
@@ -242,16 +228,15 @@ class SuperstepEngine {
     const auto do_exchange = [&] {
       std::span<T> vals = kernel.values();
       if (retain) {
-        gx.exchange<T>(vals, comm_, mode, changed_ghosts);
+        gx.exchange<T>(vals, comm_, changed_ghosts);
       } else {
-        // Rebuild ablation: no change history on a fresh queue, so the
-        // round goes through the always-dense exchange_fresh helper.
+        // Rebuild ablation: the round ships over a freshly built plan.
         dgraph::exchange_fresh<T>(g_, comm_, kernel.adjacency(), cfg_.pool,
                                   vals, changed_ghosts);
       }
     };
 
-    StepContext ctx{g_, comm_, tp, &gx};
+    StepContext ctx{g_, comm_, tp};
     if constexpr (requires { kernel.init(ctx); }) {
       kernel.init(ctx);
       if constexpr (requires { K::kSeedExchange; }) {
@@ -272,7 +257,6 @@ class SuperstepEngine {
         obs::Span sp(obs::span_name::kCompute);
         kernel.compute(ctx);
       }
-      const std::uint64_t sparse0 = comm_.stats().ghost_rounds_sparse;
       {
         obs::Span sp(obs::span_name::kExchange);
         do_exchange();
@@ -285,11 +269,9 @@ class SuperstepEngine {
       res.last_active = sig.active;
       res.last_residual = sig.residual;
       res.converged = kernel.converged(sig.active, sig.residual);
-      stamp_round({.active = sig.active,
-                   .touched = sig.touched,
-                   .residual = sig.residual,
-                   .sparse = comm_.stats().ghost_rounds_sparse != sparse0},
-                  tp, sweep0);
+      stamp_round(
+          {.active = sig.active, .touched = sig.touched, .residual = sig.residual},
+          tp, sweep0);
       if (res.converged) break;
     }
     return res;
@@ -305,15 +287,12 @@ class SuperstepEngine {
   EngineResult run_frontier(K& kernel) {
     ThreadPool& tp = pf_.get();
 
-    dgraph::GhostExchange* gx = nullptr;
-    if constexpr (requires { kernel.ghosts(); }) gx = kernel.ghosts();
-
     // Crossover policy: the kernel's pins and thresholds.
     FrontierPolicy policy;
     if constexpr (requires { kernel.frontier_policy(); })
       policy = kernel.frontier_policy();
 
-    FrontierStepContext ctx{{g_, comm_, tp, gx}};
+    FrontierStepContext ctx{{g_, comm_, tp}};
     if constexpr (requires { kernel.init(ctx); }) kernel.init(ctx);
 
     EngineResult res;

@@ -81,12 +81,7 @@ void Registry::absorb(const parcomm::CommStats& s) {
   set_counter(dotted("comm", f::kCollectiveCalls), s.collective_calls);
   set_counter(dotted("comm", f::kBarrierCalls), s.barrier_calls);
   set_counter(dotted("comm", f::kGhostRoundsDense), s.ghost_rounds_dense);
-  set_counter(dotted("comm", f::kGhostRoundsSparse), s.ghost_rounds_sparse);
   set_counter(dotted("comm", f::kGhostRoundsReduce), s.ghost_rounds_reduce);
-  // Signed (a forced-sparse round can cost more than dense): gauge, not
-  // counter.
-  set_gauge(dotted("comm", f::kGhostBytesSaved),
-            static_cast<double>(s.ghost_bytes_saved));
 }
 
 void Registry::absorb(const SweepStats& s) {

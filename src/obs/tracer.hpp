@@ -69,7 +69,6 @@ inline constexpr const char* kResidual = "engine.residual";
 inline constexpr const char* kFrontierDegree = "frontier.degree";
 inline constexpr const char* kFrontierPull = "frontier.pull";      ///< 0/1
 inline constexpr const char* kFrontierBitmap = "frontier.bitmap";  ///< 0/1
-inline constexpr const char* kGhostSparse = "ghost.sparse";        ///< 0/1
 inline constexpr const char* kWireBytes = "wire.bytes";
 inline constexpr const char* kPoolOccupancy = "pool.occupancy";
 }  // namespace counter_name

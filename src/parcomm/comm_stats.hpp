@@ -23,11 +23,9 @@
 ///   sum over ranks of bytes_received ==
 ///   sum over ranks of (bytes_remote + bytes_self).
 ///
-/// The ghost_* counters are fed by dgraph::GhostExchange and make the
-/// sparse/dense delta-exchange protocol observable per rank: how many
-/// exchange rounds used each wire format, and how many send-side remote
-/// bytes the sparse format saved relative to a dense round (negative if a
-/// forced-sparse round cost more than dense would have).
+/// The ghost_* counters are fed by dgraph::GhostExchange: how many forward
+/// (owner -> ghost) and reverse (ghost -> owner) retained-queue rounds this
+/// rank ran.
 
 #include <cstdint>
 
@@ -43,9 +41,7 @@ inline constexpr const char* kBytesReceived = "bytes_received";
 inline constexpr const char* kCollectiveCalls = "collective_calls";
 inline constexpr const char* kBarrierCalls = "barrier_calls";
 inline constexpr const char* kGhostRoundsDense = "ghost_rounds_dense";
-inline constexpr const char* kGhostRoundsSparse = "ghost_rounds_sparse";
 inline constexpr const char* kGhostRoundsReduce = "ghost_rounds_reduce";
-inline constexpr const char* kGhostBytesSaved = "ghost_bytes_saved";
 }  // namespace comm_field
 
 struct CommStats {
@@ -56,10 +52,8 @@ struct CommStats {
   std::uint64_t collective_calls = 0;   ///< alltoallv/allreduce/... count
   std::uint64_t barrier_calls = 0;      ///< explicit + internal barriers
 
-  std::uint64_t ghost_rounds_dense = 0;   ///< ghost exchanges on dense wire
-  std::uint64_t ghost_rounds_sparse = 0;  ///< ghost exchanges on sparse wire
+  std::uint64_t ghost_rounds_dense = 0;   ///< forward (owner->ghost) rounds
   std::uint64_t ghost_rounds_reduce = 0;  ///< reverse (ghost->owner) rounds
-  std::int64_t ghost_bytes_saved = 0;     ///< dense-equivalent minus actual
 
   void reset() { *this = CommStats{}; }
 
@@ -71,17 +65,14 @@ struct CommStats {
     collective_calls += o.collective_calls;
     barrier_calls += o.barrier_calls;
     ghost_rounds_dense += o.ghost_rounds_dense;
-    ghost_rounds_sparse += o.ghost_rounds_sparse;
     ghost_rounds_reduce += o.ghost_rounds_reduce;
-    ghost_bytes_saved += o.ghost_bytes_saved;
     return *this;
   }
 
   /// Counter-wise difference: what happened between an earlier snapshot `o`
-  /// and this one.  Counters are monotone within a run (ghost_bytes_saved is
-  /// signed and may go either way), so telemetry code takes a snapshot before
-  /// a region and calls `now.delta(before)` after instead of hand-subtracting
-  /// ten fields.  The conservation law (sum received == sum remote + self)
+  /// and this one.  Counters are monotone within a run, so telemetry code
+  /// takes a snapshot before a region and calls `now.delta(before)` after
+  /// instead of hand-subtracting eight fields.  The conservation law (sum received == sum remote + self)
   /// holds for deltas of a common region because subtraction is linear.
   CommStats operator-(const CommStats& o) const {
     CommStats d;
@@ -92,9 +83,7 @@ struct CommStats {
     d.collective_calls = collective_calls - o.collective_calls;
     d.barrier_calls = barrier_calls - o.barrier_calls;
     d.ghost_rounds_dense = ghost_rounds_dense - o.ghost_rounds_dense;
-    d.ghost_rounds_sparse = ghost_rounds_sparse - o.ghost_rounds_sparse;
     d.ghost_rounds_reduce = ghost_rounds_reduce - o.ghost_rounds_reduce;
-    d.ghost_bytes_saved = ghost_bytes_saved - o.ghost_bytes_saved;
     return d;
   }
 

@@ -19,9 +19,7 @@
 /// (reduce_chunks), so results are bit-identical across runs.  A span grid
 /// depends on the thread count, so a reduction over it is deterministic per
 /// pool width; per-vertex outputs do not depend on the split and are pinned
-/// across pool widths.  Grids built without the thread count (the fixed
-/// `ChunkGrid::items` slot grid of the sparse ghost wire) give bit-identical
-/// results at every pool width.  See DESIGN.md §10.
+/// across pool widths.  See DESIGN.md §10.
 ///
 /// With one thread the pool degenerates to inline execution in chunk order
 /// with zero synchronization; multi-thread paths are exercised by the test
@@ -64,22 +62,15 @@ struct Chunk {
 /// pool width — yields element-wise identical chunks.
 class ChunkGrid {
  public:
-  /// Auto-grain target of items(): enough chunks that a pool of any
-  /// plausible width gets a share of them, few enough that per-chunk
-  /// overhead stays negligible.  The auto grid is *not* sized from nthreads,
-  /// so anything keyed by its chunk ids is the same at every pool width.
-  static constexpr std::uint64_t kTargetChunks = 256;
-
   ChunkGrid() = default;
 
-  /// Uniform item chunks over [0, n): each chunk holds `grain` items (auto:
-  /// ~n/kTargetChunks).  Weight == item count.
-  static ChunkGrid items(std::uint64_t n, std::uint64_t grain = 0) {
+  /// Uniform item chunks over [0, n): each chunk holds `grain` items (the
+  /// last one may hold fewer).  Weight == item count.
+  static ChunkGrid items(std::uint64_t n, std::uint64_t grain) {
+    HG_CHECK(grain > 0);
     ChunkGrid g;
-    if (n == 0) return g;
-    const std::uint64_t step = grain ? grain : auto_grain(n);
-    for (std::uint64_t lo = 0; lo < n; lo += step) {
-      const std::uint64_t hi = std::min(n, lo + step);
+    for (std::uint64_t lo = 0; lo < n; lo += grain) {
+      const std::uint64_t hi = std::min(n, lo + grain);
       g.chunks_.push_back({lo, hi, lo, hi});
     }
     g.finish();
@@ -90,14 +81,12 @@ class ChunkGrid {
   /// from a CSR prefix array of size n+1.  Used when the sweep cost tracks
   /// edges yet the chunk geometry must stay count-based.
   static ChunkGrid items_weighted(std::span<const std::uint64_t> prefix,
-                                  std::uint64_t grain = 0) {
-    HG_CHECK(!prefix.empty());
+                                  std::uint64_t grain) {
+    HG_CHECK(!prefix.empty() && grain > 0);
     const std::uint64_t n = prefix.size() - 1;
     ChunkGrid g;
-    if (n == 0) return g;
-    const std::uint64_t step = grain ? grain : auto_grain(n);
-    for (std::uint64_t lo = 0; lo < n; lo += step) {
-      const std::uint64_t hi = std::min(n, lo + step);
+    for (std::uint64_t lo = 0; lo < n; lo += grain) {
+      const std::uint64_t hi = std::min(n, lo + grain);
       g.chunks_.push_back({lo, hi, prefix[lo], prefix[hi]});
     }
     g.finish();
@@ -112,11 +101,6 @@ class ChunkGrid {
   friend bool operator==(const ChunkGrid&, const ChunkGrid&) = default;
 
  private:
-  static std::uint64_t auto_grain(std::uint64_t total) {
-    return std::max<std::uint64_t>(
-        1, (total + kTargetChunks - 1) / kTargetChunks);
-  }
-
   void finish() {
     for (const Chunk& c : chunks_) {
       items_total_ += c.items();

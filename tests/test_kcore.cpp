@@ -273,27 +273,6 @@ INSTANTIATE_TEST_SUITE_P(
       return pinfo.param.label();
     });
 
-TEST(KcoreExact, GhostModesProduceIdenticalCoreness) {
-  gen::RmatParams rp;
-  rp.scale = 7;
-  rp.avg_degree = 6;
-  const gen::EdgeList el = gen::rmat(rp);
-  with_dist_graph(el, {3, dgraph::PartitionKind::kRandom},
-                  [&](const DistGraph& g, parcomm::Communicator& comm) {
-                    CommonOptions opts;
-                    opts.ghost_mode = dgraph::GhostMode::kDense;
-                    const auto dense = kcore_exact(g, comm, opts);
-                    opts.ghost_mode = dgraph::GhostMode::kSparse;
-                    const auto sparse = kcore_exact(g, comm, opts);
-                    opts.ghost_mode = dgraph::GhostMode::kAdaptive;
-                    const auto adaptive = kcore_exact(g, comm, opts);
-                    EXPECT_EQ(dense.core, sparse.core);
-                    EXPECT_EQ(dense.core, adaptive.core);
-                    EXPECT_EQ(dense.stages, sparse.stages);
-                    EXPECT_EQ(dense.stages, adaptive.stages);
-                  });
-}
-
 TEST(KcoreExact, CliqueCorenessExact) {
   // Directed K5 both ways: coreness (total-degree convention) = 8.
   gen::EdgeList el;

@@ -184,26 +184,6 @@ TEST(LabelProp, RebuildAblationGivesSameLabels) {
                   });
 }
 
-TEST(LabelProp, GhostModesProduceIdenticalLabels) {
-  gen::RmatParams rp;
-  rp.scale = 8;
-  rp.avg_degree = 8;
-  const gen::EdgeList el = gen::rmat(rp);
-  with_dist_graph(el, {3, dgraph::PartitionKind::kRandom},
-                  [&](const DistGraph& g, parcomm::Communicator& comm) {
-                    LabelPropOptions opts;
-                    opts.iterations = 10;
-                    opts.common.ghost_mode = dgraph::GhostMode::kDense;
-                    const auto dense = label_propagation(g, comm, opts);
-                    opts.common.ghost_mode = dgraph::GhostMode::kSparse;
-                    const auto sparse = label_propagation(g, comm, opts);
-                    opts.common.ghost_mode = dgraph::GhostMode::kAdaptive;
-                    const auto adaptive = label_propagation(g, comm, opts);
-                    EXPECT_EQ(dense.labels, sparse.labels);
-                    EXPECT_EQ(dense.labels, adaptive.labels);
-                  });
-}
-
 TEST(LabelProp, ZeroIterationsKeepsInitialLabels) {
   const gen::EdgeList el = tiny_graph();
   with_dist_graph(el, {2, dgraph::PartitionKind::kVertexBlock},

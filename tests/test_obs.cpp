@@ -217,7 +217,6 @@ TEST(Finalize, SerializeRoundTripsDropCounts) {
 TEST(Registry, PinnedDottedNames) {
   parcomm::CommStats cs;
   cs.bytes_sent = 7;
-  cs.ghost_bytes_saved = -3;
   SweepStats sw;
   sw.busy_max = 0.5;
   sw.loops = 2;
@@ -231,15 +230,13 @@ TEST(Registry, PinnedDottedNames) {
   for (const char* name :
        {"comm.bytes_sent", "comm.bytes_remote", "comm.bytes_self",
         "comm.bytes_received", "comm.collective_calls", "comm.barrier_calls",
-        "comm.ghost_rounds_dense", "comm.ghost_rounds_sparse",
-        "comm.ghost_rounds_reduce", "comm.ghost_bytes_saved",
+        "comm.ghost_rounds_dense", "comm.ghost_rounds_reduce",
         "sweep.busy_max_s",
         "sweep.busy_total_s", "sweep.work_max", "sweep.work_total",
         "sweep.loops"}) {
     EXPECT_NE(reg.find(name), nullptr) << name;
   }
   EXPECT_EQ(reg.find("comm.bytes_sent")->count, 7u);
-  EXPECT_EQ(reg.find("comm.ghost_bytes_saved")->gauge, -3.0);  // signed
   EXPECT_EQ(reg.find("sweep.loops")->count, 2u);
 }
 

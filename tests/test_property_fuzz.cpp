@@ -1,8 +1,8 @@
 // Randomized property suites: seed-parameterized sweeps that cross-check
 // the distributed pipeline against the sequential oracles on arbitrary
 // graphs (duplicates, self loops, isolated vertices, skew) under a drawn
-// rank count, partition, pool width and ghost wire format, plus fuzzed
-// collectives and queues.
+// rank count and a cycled partition and pool width, plus fuzzed collectives
+// and queues.
 
 #include <gtest/gtest.h>
 
@@ -41,16 +41,14 @@ gen::EdgeList messy_graph(std::uint64_t seed) {
   return g;
 }
 
-/// A configuration derived from the seed: the distributed layout, each
-/// rank's pool width, and the ghost wire format (read by LP, WCC and k-core
-/// only).  The partition kind and the wire format cycle with the seed, so
-/// every test, called with its own offset over consecutive seeds, meets
-/// every kind and every format; the rank count and pool width are drawn.
-/// At most 8 ranks x 4 threads = 32 threads.
+/// A configuration derived from the seed: the distributed layout and each
+/// rank's pool width.  The partition kind and the pool width cycle with the
+/// seed, so every test, called with its own offset over consecutive seeds,
+/// meets every kind and both widths; the rank count is drawn.  At most
+/// 8 ranks x 4 threads = 32 threads.
 struct FuzzConfig {
   hpcgraph::testing::DistConfig dist;
   unsigned threads = 1;
-  dgraph::GhostMode ghost = dgraph::GhostMode::kAdaptive;
 };
 
 FuzzConfig config_for(std::uint64_t seed) {
@@ -59,19 +57,14 @@ FuzzConfig config_for(std::uint64_t seed) {
   const PartitionKind kinds[] = {PartitionKind::kVertexBlock,
                                  PartitionKind::kEdgeBlock,
                                  PartitionKind::kRandom};
-  const dgraph::GhostMode ghosts[] = {dgraph::GhostMode::kDense,
-                                      dgraph::GhostMode::kSparse,
-                                      dgraph::GhostMode::kAdaptive};
   FuzzConfig c;
   c.dist = {ranks[rng.below(6)], kinds[seed % 3]};
-  c.threads = rng.below(2) == 0 ? 1 : 4;
-  c.ghost = ghosts[(seed / 3) % 3];
+  c.threads = (seed / 3) % 2 == 0 ? 1 : 4;
   return c;
 }
 
 /// Runs body(g, comm, common) on the configuration's layout; `common`
-/// carries a pool of the drawn width, private to the rank, and the drawn
-/// ghost wire format.
+/// carries a pool of the configuration's width, private to the rank.
 template <typename F>
 void with_fuzz_config(const gen::EdgeList& el, const FuzzConfig& cfg,
                       F&& body) {
@@ -80,7 +73,6 @@ void with_fuzz_config(const gen::EdgeList& el, const FuzzConfig& cfg,
                     ThreadPool pool(cfg.threads);
                     analytics::CommonOptions common;
                     common.pool = &pool;
-                    common.ghost_mode = cfg.ghost;
                     body(g, comm, common);
                   });
 }

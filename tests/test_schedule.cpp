@@ -83,22 +83,21 @@ TEST(ChunkGrid, SpanGridIsOneEqualCountSpanPerThread) {
 TEST(ChunkGrid, PureFunctionOfInputs) {
   const auto prefix = random_prefix(3000, 99);
   EXPECT_EQ(span_grid(3000, prefix, 4), span_grid(3000, prefix, 4));
-  EXPECT_EQ(ChunkGrid::items_weighted(prefix),
-            ChunkGrid::items_weighted(prefix));
-  // The auto-grain grid is never sized from the pool width: the same chunk
-  // ids at every width, which is what keys the sparse ghost wire.
-  const ChunkGrid fixed = ChunkGrid::items(3000);
-  ASSERT_EQ(fixed.size(), 250u);  // grain ceil(3000 / kTargetChunks) = 12
+  EXPECT_EQ(ChunkGrid::items_weighted(prefix, 12),
+            ChunkGrid::items_weighted(prefix, 12));
+  // A fixed grain gives the same grid at every pool width.
+  const ChunkGrid fixed = ChunkGrid::items(3000, 12);
+  ASSERT_EQ(fixed.size(), 250u);
   EXPECT_EQ(fixed[0].items(), 12u);
-  expect_grid_covers(ChunkGrid::items_weighted(prefix), prefix);
+  expect_grid_covers(ChunkGrid::items_weighted(prefix, 12), prefix);
 }
 
 TEST(ChunkGrid, EmptyAndTinyRanges) {
-  EXPECT_TRUE(ChunkGrid::items(0).empty());
+  EXPECT_TRUE(ChunkGrid::items(0, 12).empty());
   std::vector<std::uint64_t> p0 = {0};
-  EXPECT_TRUE(ChunkGrid::items_weighted(p0).empty());
+  EXPECT_TRUE(ChunkGrid::items_weighted(p0, 12).empty());
   EXPECT_TRUE(span_grid(0, {}, 4).empty());
-  const ChunkGrid one = ChunkGrid::items(1);
+  const ChunkGrid one = ChunkGrid::items(1, 12);
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0].items(), 1u);
   // n < nthreads: the span grid emits only as many chunks as items.
@@ -116,10 +115,10 @@ TEST_P(ScheduleParam, ForChunksVisitsEveryChunkOnce) {
   const unsigned nt = GetParam();
   const auto prefix = random_prefix(2000, 5);
   ThreadPool pool(nt);
-  // The span grid runs chunk c on thread c; the fixed auto-grain grid
-  // (more chunks than threads) runs in contiguous per-thread blocks.
+  // The span grid runs chunk c on thread c; a fixed-grain grid with more
+  // chunks than threads runs in contiguous per-thread blocks.
   for (const ChunkGrid& grid :
-       {span_grid(2000, prefix, nt), ChunkGrid::items_weighted(prefix)}) {
+       {span_grid(2000, prefix, nt), ChunkGrid::items_weighted(prefix, 8)}) {
     std::vector<std::atomic<int>> hits(grid.size());
     std::vector<unsigned> owner(grid.size(), 0);
     for (auto& h : hits) h = 0;
@@ -157,9 +156,9 @@ TEST_P(ScheduleParam, ReduceChunksIsBitIdentical) {
     for (std::uint64_t i = ck.begin; i < ck.end; ++i) acc += vals[i];
     return acc;
   };
-  // The fixed grid is not sized from the pool width, so the fold is the
-  // same at every width.
-  const ChunkGrid grid = ChunkGrid::items(3000);
+  // The fixed-grain grid is not sized from the pool width, so the fold is
+  // the same at every width.
+  const ChunkGrid grid = ChunkGrid::items(3000, 12);
   ThreadPool ref(1);
   const double want = ref.reduce_chunks(grid, body);
   ThreadPool pool(nt);

@@ -512,7 +512,10 @@ TEST_F(GhostPlanCache, CopySharesPlansReloadBuildsItsOwn) {
     EXPECT_EQ(loaded.ghost_plan_bytes(), 0u);
     const auto own = loaded.ghost_plan(comm, Adjacency::kBoth);
     EXPECT_NE(own, plan);
-    EXPECT_EQ(own->entries_global(), plan->entries_global());
+    EXPECT_TRUE(std::ranges::equal(own->send_local(), plan->send_local()));
+    EXPECT_TRUE(std::ranges::equal(own->send_counts(), plan->send_counts()));
+    EXPECT_TRUE(std::ranges::equal(own->recv_local(), plan->recv_local()));
+    EXPECT_TRUE(std::ranges::equal(own->recv_counts(), plan->recv_counts()));
     EXPECT_EQ(loaded.ghost_plan_bytes(), built.ghost_plan_bytes());
   });
   obs::Tracer::uninstall();

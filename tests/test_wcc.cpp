@@ -143,27 +143,6 @@ TEST(Wcc, MultistepColoringConvergesFasterThanSingleStageOnGiant) {
                   });
 }
 
-TEST(Wcc, GhostModesProduceIdenticalComponents) {
-  gen::RmatParams rp;
-  rp.scale = 9;
-  rp.avg_degree = 4;
-  const gen::EdgeList el = gen::rmat(rp);
-  with_dist_graph(el, {3, dgraph::PartitionKind::kRandom},
-                  [&](const DistGraph& g, parcomm::Communicator& comm) {
-                    WccOptions opts;
-                    opts.common.ghost_mode = dgraph::GhostMode::kDense;
-                    const auto dense = wcc(g, comm, opts);
-                    opts.common.ghost_mode = dgraph::GhostMode::kSparse;
-                    const auto sparse = wcc(g, comm, opts);
-                    opts.common.ghost_mode = dgraph::GhostMode::kAdaptive;
-                    const auto adaptive = wcc(g, comm, opts);
-                    EXPECT_EQ(dense.comp, sparse.comp);
-                    EXPECT_EQ(dense.comp, adaptive.comp);
-                    EXPECT_EQ(dense.largest_size, sparse.largest_size);
-                    EXPECT_EQ(dense.largest_size, adaptive.largest_size);
-                  });
-}
-
 TEST(Wcc, EdgelessGraphAllSingletons) {
   gen::EdgeList el;
   el.n = 12;
