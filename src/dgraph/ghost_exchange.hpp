@@ -18,7 +18,11 @@
 /// shared by every analytic, engine run and BFS call on it
 /// (`DistGraph::ghost_plan`), so the paper's "retain, don't rebuild" holds
 /// across analytics, not only across iterations.  A `GhostExchange` is the
-/// cheap per-run half over a shared plan: the reused payload buffer.
+/// cheap per-run half over a shared plan: a retained send buffer and a
+/// retained receive buffer, each shared by both directions and every value
+/// type, so the payload arrays are allocated in a run's first rounds and
+/// reused by every later one — the receive side of the paper's retained
+/// queues (`alltoallv` receives into a caller's buffer, as MPI's does).
 ///
 /// Per iteration: only the value payload is refreshed and exchanged — the
 /// paper's two optimizations verbatim ("we first cut the size of data being
@@ -150,21 +154,21 @@ class GhostExchange {
     ThreadPool& tp = pf_.get();
     if (changed_ghosts) changed_ghosts->clear();
 
-    payload_bytes_.resize(plan_->send_local_.size() * sizeof(T));
-    T* send = reinterpret_cast<T*>(payload_bytes_.data());
+    const std::span<T> send =
+        items<T>(payload_bytes_, plan_->send_local_.size());
     {
       obs::Span sp(obs::span_name::kGhostPack);
-      tp.for_ranges(0, plan_->send_local_.size(),
+      tp.for_ranges(0, send.size(),
                     [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
                       for (std::uint64_t i = lo; i < hi; ++i)
                         send[i] = vals[plan_->send_local_[i]];
                     });
     }
     obs::counter(obs::counter_name::kWireBytes,
-                 static_cast<double>(payload_bytes_.size()));
-    const std::vector<T> recv = comm.alltoallv<T>(
-        {send, plan_->send_local_.size()}, plan_->send_counts_, nullptr,
-        pool_);
+                 static_cast<double>(send.size_bytes()));
+    const std::span<T> recv =
+        items<T>(recv_bytes_, plan_->recv_local_.size());
+    comm.alltoallv<T>(send, plan_->send_counts_, recv, nullptr, pool_);
     {
       obs::Span sp(obs::span_name::kGhostScatter);
       // Race-free: each ghost slot has exactly one owner, so it appears at
@@ -209,24 +213,23 @@ class GhostExchange {
                  "value array must cover locals + ghosts");
     ThreadPool& tp = pf_.get();
 
-    payload_bytes_.resize(plan_->recv_local_.size() * sizeof(T));
-    T* send = reinterpret_cast<T*>(payload_bytes_.data());
+    const std::span<T> send =
+        items<T>(payload_bytes_, plan_->recv_local_.size());
     {
       obs::Span sp(obs::span_name::kGhostPack);
-      tp.for_ranges(0, plan_->recv_local_.size(),
+      tp.for_ranges(0, send.size(),
                     [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
                       for (std::uint64_t i = lo; i < hi; ++i)
                         send[i] = vals[plan_->recv_local_[i]];
                     });
     }
     obs::counter(obs::counter_name::kWireBytes,
-                 static_cast<double>(payload_bytes_.size()));
-    const std::vector<T> back = comm.alltoallv<T>(
-        {send, plan_->recv_local_.size()}, plan_->recv_counts_, nullptr,
-        pool_);
+                 static_cast<double>(send.size_bytes()));
     // Each source rank returns exactly the segment this rank sent it at
     // setup, so `back` aligns 1:1 with the retained send queue.
-    HG_DCHECK(back.size() == plan_->send_local_.size());
+    const std::span<T> back =
+        items<T>(recv_bytes_, plan_->send_local_.size());
+    comm.alltoallv<T>(send, plan_->recv_counts_, back, nullptr, pool_);
     {
       obs::Span sp(obs::span_name::kGhostReduce);
       // Serial fold: a boundary vertex retained for several destination
@@ -244,15 +247,29 @@ class GhostExchange {
   const GhostPlan& plan() const { return *plan_; }
 
  private:
+  /// The first n items of type T in `bytes`, which only ever grows: once
+  /// a run has shipped its largest payload through a buffer, no later round
+  /// allocates, zero-fills or frees it, whatever the type or direction.
+  template <typename T>
+  static std::span<T> items(std::vector<std::uint8_t>& bytes, std::size_t n) {
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+    if (bytes.size() < n * sizeof(T)) bytes.resize(n * sizeof(T));
+    return {reinterpret_cast<T*>(bytes.data()), n};
+  }
+
   std::shared_ptr<const GhostPlan> plan_;   // retained queues (shared)
-  std::vector<std::uint8_t> payload_bytes_; // reused per-iteration buffer
+  // The retained payloads, one per side and shared by both directions:
+  // this rank's packed values and what the round receives.
+  std::vector<std::uint8_t> payload_bytes_;
+  std::vector<std::uint8_t> recv_bytes_;
   ThreadPool* pool_ = nullptr;
   PoolFallback pf_{nullptr};                // persistent pool-or-inline
 };
 
 /// Collective.  One-shot ghost refresh through a *freshly built*, uncached
 /// plan — the `retain_queues == false` ablation path shared by the
-/// engine-ported analytics.  `changed_ghosts`, if non-null, receives the
+/// engine-ported analytics.  Its payload buffers are as fresh as its plan:
+/// the ablation retains nothing.  `changed_ghosts`, if non-null, receives the
 /// ghost slots whose value changed, as from GhostExchange::exchange, so
 /// flip-driven analytics (k-core) stay correct under the ablation.
 template <typename T>

@@ -213,13 +213,15 @@ class SuperstepEngine {
     using T = typename K::Value;
     ThreadPool& tp = pf_.get();
 
-    // Per-run exchange over the graph's plan for the kernel's adjacency
-    // rule (collective only on the graph's first request for that rule).
-    dgraph::GhostExchange gx(g_, comm_, kernel.adjacency(), cfg_.pool);
-
     bool retain = true;
     if constexpr (requires { kernel.retain_queues(); })
       retain = kernel.retain_queues();
+
+    // Per-run exchange over the graph's plan for the kernel's adjacency
+    // rule (collective only on the graph's first request for that rule).
+    // The rebuild ablation neither builds nor caches that plan.
+    std::optional<dgraph::GhostExchange> gx;
+    if (retain) gx.emplace(g_, comm_, kernel.adjacency(), cfg_.pool);
 
     std::vector<lvid_t>* changed_ghosts = nullptr;
     if constexpr (requires { kernel.changed_ghosts(); })
@@ -227,8 +229,8 @@ class SuperstepEngine {
 
     const auto do_exchange = [&] {
       std::span<T> vals = kernel.values();
-      if (retain) {
-        gx.exchange<T>(vals, comm_, changed_ghosts);
+      if (gx) {
+        gx->exchange<T>(vals, comm_, changed_ghosts);
       } else {
         // Rebuild ablation: the round ships over a freshly built plan.
         dgraph::exchange_fresh<T>(g_, comm_, kernel.adjacency(), cfg_.pool,

@@ -16,12 +16,18 @@
 /// The second barrier guarantees a sender's buffer is not reused before all
 /// receivers have copied, mirroring MPI collective completion semantics.
 ///
+/// Alltoallv has MPI's receive form: the caller passes the buffer the
+/// payload lands in, so an exchange that repeats every round (the ghost
+/// exchange of the PageRank-like analytics) keeps one buffer and allocates
+/// nothing per round.  The form that returns a fresh vector is a wrapper
+/// over the same implementation, for one-shot exchanges.
+///
 /// Usage pattern:
 ///
 ///     CommWorld world(16);
 ///     std::vector<double> result(world.size());
 ///     world.run([&](Communicator& comm) {
-///       ... comm.alltoallv(...) ...
+///       ... comm.alltoallv<T>(send, counts, recv) ...
 ///       result[comm.rank()] = local_answer;   // distinct slot per rank
 ///     });
 ///
@@ -118,89 +124,49 @@ class Communicator {
     timed_barrier();
   }
 
-  /// Personalized all-to-all exchange (MPI_Alltoallv).
+  /// Personalized all-to-all exchange (MPI_Alltoallv), received into a
+  /// buffer the caller owns, as MPI's is: a caller that keeps `recv` across
+  /// rounds allocates no payload per round.
   ///
   /// \param send        Concatenated per-destination segments.
   /// \param sendcounts  Items destined to each rank; segments are laid out
   ///                    in rank order (displs are derived internally).
+  /// \param recv        Receives the items, concatenated in source-rank
+  ///                    order.  It must hold exactly as many items as
+  ///                    arrive; any other size is a CheckError naming both
+  ///                    sizes, thrown once the collective has completed, so
+  ///                    no peer is left reading this rank's send buffer.
   /// \param recvcounts  Optional out-param: items received from each rank.
   /// \param pool        Optional thread pool: the per-source memcpy fan-in
   ///                    copies source segments in parallel (they target
   ///                    disjoint ranges of the receive buffer).
+  template <typename T>
+  void alltoallv(std::span<const T> send,
+                 std::span<const std::uint64_t> sendcounts, std::span<T> recv,
+                 std::vector<std::uint64_t>* recvcounts = nullptr,
+                 ThreadPool* pool = nullptr HPCGRAPH_COLLECTIVE_SITE) {
+    alltoallv_into<T>(
+        send, sendcounts, [recv](std::uint64_t) { return recv; }, recvcounts,
+        pool HPCGRAPH_SITE_FWD);
+  }
+
+  /// Personalized all-to-all exchange into a fresh vector: the receive form
+  /// above with a buffer sized to what arrives.  For one-shot exchanges
+  /// (graph construction, plan builds, frontier routing).
   /// \returns items received, concatenated in source-rank order.
   template <typename T>
   std::vector<T> alltoallv(std::span<const T> send,
                            std::span<const std::uint64_t> sendcounts,
                            std::vector<std::uint64_t>* recvcounts = nullptr,
                            ThreadPool* pool = nullptr HPCGRAPH_COLLECTIVE_SITE) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    HG_CHECK(static_cast<int>(sendcounts.size()) == size());
-    ++stats_.collective_calls;
-#if HPCGRAPH_VERIFY_ENABLED
-    verify_rendezvous(verify::Op::kAlltoallv, sizeof(T), -1,
-                      verify::counts_checksum(sendcounts), hg_call_site);
-#endif
-
-    std::vector<std::uint64_t> displs(size());
-    const std::uint64_t total =
-        exclusive_prefix_sum(sendcounts, std::span<std::uint64_t>(displs));
-    HG_CHECK_MSG(total == send.size(),
-                 "alltoallv: counts sum " << total << " != payload "
-                                          << send.size());
-
-    stats_.bytes_sent += total * sizeof(T);
-    stats_.bytes_remote += (total - sendcounts[rank_]) * sizeof(T);
-    stats_.bytes_self += sendcounts[rank_] * sizeof(T);
-
-    CommWorld::Board& b = world_.board_;
-    b.ptr[rank_] = send.data();
-    b.cnt[rank_] = sendcounts.data();
-    b.displ[rank_] = displs.data();
-    timed_barrier();
-
-    // Gather per-source counts, then copy payload segments in rank order.
-    std::vector<std::uint64_t> rcounts(size());
-    std::vector<std::uint64_t> roffs(size());
-    std::uint64_t rtotal = 0;
-    for (int s = 0; s < size(); ++s) {
-      roffs[s] = rtotal;
-      rtotal += (rcounts[s] = b.cnt[s][rank_]);
-    }
-#if HPCGRAPH_VERIFY_ENABLED
-    // Send/recv count symmetry: what this receiver consumes from rank s must
-    // be exactly what s declared at the rendezvous; a differing checksum
-    // means s reused its counts buffer mid-collective.
-    for (int s = 0; s < size(); ++s) {
-      const std::uint64_t h = verify::counts_checksum(
-          {b.cnt[s], static_cast<std::size_t>(size())});
-      if (h != b.fp[static_cast<std::size_t>(s)].aux)
-        throw verify::CollectiveMismatch(
-            verify::mutation_report(s, b.fp[static_cast<std::size_t>(s)]));
-    }
-#endif
-
-    std::vector<T> recv(rtotal);
-    {
-      obs::Span sp(obs::span_name::kCopy);
-      const auto copy_from = [&](int s) {
-        if (rcounts[s] == 0) return;
-        const auto* src = static_cast<const T*>(b.ptr[s]);
-        std::memcpy(recv.data() + roffs[s], src + b.displ[s][rank_],
-                    rcounts[s] * sizeof(T));
-      };
-      if (pool && pool->num_threads() > 1) {
-        pool->for_each(0, static_cast<std::uint64_t>(size()),
-                       [&](unsigned, std::uint64_t s) {
-                         copy_from(static_cast<int>(s));
-                       });
-      } else {
-        for (int s = 0; s < size(); ++s) copy_from(s);
-      }
-    }
-    stats_.bytes_received += rtotal * sizeof(T);
-    timed_barrier();  // senders may now reuse their buffers
-
-    if (recvcounts) *recvcounts = std::move(rcounts);
+    std::vector<T> recv;
+    alltoallv_into<T>(
+        send, sendcounts,
+        [&recv](std::uint64_t n) {
+          recv.resize(n);
+          return std::span<T>(recv);
+        },
+        recvcounts, pool HPCGRAPH_SITE_FWD);
     return recv;
   }
 
@@ -427,6 +393,91 @@ class Communicator {
   void timed_barrier() {
     obs::Span sp(obs::span_name::kWait);
     world_.barrier_->wait();
+  }
+
+  /// The one alltoallv behind both public forms.  `recv_for(n)` is called
+  /// once, after the first barrier, with the number of items arriving, and
+  /// returns the span they are copied into.  A span of any other size skips
+  /// the copy and throws after the second barrier: peers may still be
+  /// copying from this rank's send buffer until then.
+  template <typename T, typename RecvFor>
+  void alltoallv_into(std::span<const T> send,
+                      std::span<const std::uint64_t> sendcounts,
+                      RecvFor&& recv_for,
+                      std::vector<std::uint64_t>* recvcounts,
+                      ThreadPool* pool HPCGRAPH_COLLECTIVE_SITE) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    HG_CHECK(static_cast<int>(sendcounts.size()) == size());
+    ++stats_.collective_calls;
+#if HPCGRAPH_VERIFY_ENABLED
+    verify_rendezvous(verify::Op::kAlltoallv, sizeof(T), -1,
+                      verify::counts_checksum(sendcounts), hg_call_site);
+#endif
+
+    std::vector<std::uint64_t> displs(size());
+    const std::uint64_t total =
+        exclusive_prefix_sum(sendcounts, std::span<std::uint64_t>(displs));
+    HG_CHECK_MSG(total == send.size(),
+                 "alltoallv: counts sum " << total << " != payload "
+                                          << send.size());
+
+    stats_.bytes_sent += total * sizeof(T);
+    stats_.bytes_remote += (total - sendcounts[rank_]) * sizeof(T);
+    stats_.bytes_self += sendcounts[rank_] * sizeof(T);
+
+    CommWorld::Board& b = world_.board_;
+    b.ptr[rank_] = send.data();
+    b.cnt[rank_] = sendcounts.data();
+    b.displ[rank_] = displs.data();
+    timed_barrier();
+
+    // Gather per-source counts, then copy payload segments in rank order.
+    std::vector<std::uint64_t> rcounts(size());
+    std::vector<std::uint64_t> roffs(size());
+    std::uint64_t rtotal = 0;
+    for (int s = 0; s < size(); ++s) {
+      roffs[s] = rtotal;
+      rtotal += (rcounts[s] = b.cnt[s][rank_]);
+    }
+#if HPCGRAPH_VERIFY_ENABLED
+    // Send/recv count symmetry: what this receiver consumes from rank s must
+    // be exactly what s declared at the rendezvous; a differing checksum
+    // means s reused its counts buffer mid-collective.
+    for (int s = 0; s < size(); ++s) {
+      const std::uint64_t h = verify::counts_checksum(
+          {b.cnt[s], static_cast<std::size_t>(size())});
+      if (h != b.fp[static_cast<std::size_t>(s)].aux)
+        throw verify::CollectiveMismatch(
+            verify::mutation_report(s, b.fp[static_cast<std::size_t>(s)]));
+    }
+#endif
+
+    const std::span<T> recv = recv_for(rtotal);
+    const bool fits = recv.size() == rtotal;
+    if (fits) {
+      obs::Span sp(obs::span_name::kCopy);
+      const auto copy_from = [&](int s) {
+        if (rcounts[s] == 0) return;
+        const auto* src = static_cast<const T*>(b.ptr[s]);
+        std::memcpy(recv.data() + roffs[s], src + b.displ[s][rank_],
+                    rcounts[s] * sizeof(T));
+      };
+      if (pool && pool->num_threads() > 1) {
+        pool->for_each(0, static_cast<std::uint64_t>(size()),
+                       [&](unsigned, std::uint64_t s) {
+                         copy_from(static_cast<int>(s));
+                       });
+      } else {
+        for (int s = 0; s < size(); ++s) copy_from(s);
+      }
+      stats_.bytes_received += rtotal * sizeof(T);
+    }
+    timed_barrier();  // senders may now reuse their buffers
+    HG_CHECK_MSG(fits, "alltoallv: rank " << rank_ << "'s receive buffer holds "
+                                          << recv.size() << " items, but "
+                                          << rtotal << " arrive");
+
+    if (recvcounts) *recvcounts = std::move(rcounts);
   }
 
 #if HPCGRAPH_VERIFY_ENABLED

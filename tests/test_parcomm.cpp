@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <numeric>
+#include <string>
 #include <string_view>
 #include <thread>
 
@@ -144,6 +145,73 @@ TEST_P(WorldParam, AlltoallvEmptySegmentsAreFine) {
   });
 }
 
+// Items rank `src` sends rank `dst` in round `round`: 0 to 4, about one
+// segment in five empty, and none at all in round 2.  A pure function, so
+// every rank knows what it must receive.
+std::uint64_t ragged_count(int round, int src, int dst) {
+  if (round == 2) return 0;
+  std::uint64_t x = static_cast<std::uint64_t>(round * 1000003 + src * 1009 +
+                                               dst) *
+                        0x9e3779b97f4a7c15ULL +
+                    1;
+  x ^= x >> 31;
+  x *= 0x94d049bb133111ebULL;
+  x ^= x >> 29;
+  return x % 5;
+}
+
+// The receive form fills the caller's buffer exactly as the returning form
+// fills its vector, with the same counts and the same CommStats, over
+// ragged rounds (empty segments, an all-empty round), inline and with the
+// per-source copy fanned out on a pool.
+TEST_P(WorldParam, AlltoallvReceiveFormMatchesReturningForm) {
+  const int p = GetParam();
+  CommWorld world(p);
+  for (const unsigned nthreads : {1u, 4u}) {
+    world.run([&](Communicator& comm) {
+      ThreadPool pool(nthreads);
+      ThreadPool* fan_in = nthreads > 1 ? &pool : nullptr;
+      const int me = comm.rank();
+      std::vector<std::uint64_t> recv;  // one buffer, reused every round
+      for (int round = 0; round < 5; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round) + ", " +
+                     std::to_string(nthreads) + " threads");
+        std::vector<std::uint64_t> counts(p), send, want;
+        for (int dst = 0; dst < p; ++dst) {
+          counts[dst] = ragged_count(round, me, dst);
+          for (std::uint64_t i = 0; i < counts[dst]; ++i)
+            send.push_back((static_cast<std::uint64_t>(me) << 40) |
+                           (static_cast<std::uint64_t>(dst) << 20) | i);
+        }
+        for (int src = 0; src < p; ++src)
+          for (std::uint64_t i = 0; i < ragged_count(round, src, me); ++i)
+            want.push_back((static_cast<std::uint64_t>(src) << 40) |
+                           (static_cast<std::uint64_t>(me) << 20) | i);
+
+        std::vector<std::uint64_t> rc_returned, rc_received;
+        const CommStats s0 = comm.stats();
+        const std::vector<std::uint64_t> returned =
+            comm.alltoallv<std::uint64_t>(send, counts, &rc_returned, fan_in);
+        const CommStats s1 = comm.stats();
+        recv.assign(want.size(), ~std::uint64_t{0});
+        comm.alltoallv<std::uint64_t>(send, counts, recv, &rc_received,
+                                      fan_in);
+        const CommStats s2 = comm.stats();
+
+        EXPECT_EQ(returned, want);
+        EXPECT_EQ(recv, want);
+        EXPECT_EQ(rc_received, rc_returned);
+        const CommStats d1 = s1 - s0, d2 = s2 - s1;
+        EXPECT_EQ(d2.collective_calls, d1.collective_calls);
+        EXPECT_EQ(d2.bytes_sent, d1.bytes_sent);
+        EXPECT_EQ(d2.bytes_remote, d1.bytes_remote);
+        EXPECT_EQ(d2.bytes_self, d1.bytes_self);
+        EXPECT_EQ(d2.bytes_received, d1.bytes_received);
+      }
+    });
+  }
+}
+
 TEST_P(WorldParam, AlltoallFixedSize) {
   const int p = GetParam();
   CommWorld world(p);
@@ -217,6 +285,38 @@ TEST(CommWorld, ReusableAfterAbort) {
                std::logic_error);
   // A fresh run must work.
   world.run([](Communicator& comm) { comm.barrier(); });
+}
+
+// A receive buffer of the wrong size on one rank is a named error out of
+// run() that names both sizes.  The rank skips the copy (under asan a short
+// buffer would otherwise overflow) and throws only after the collective's
+// second barrier, so its peers finish copying from its send buffer; they
+// are then released from the barrier they wait in next.
+TEST(CommWorld, WronglySizedReceiveBufferIsANamedError) {
+  constexpr int kRanks = 3;
+  CommWorld world(kRanks);
+  for (const std::size_t wrong : {std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE(wrong);
+    try {
+      world.run([&](Communicator& comm) {
+        // Every rank sends one item to each rank: 3 arrive everywhere.
+        const std::vector<std::uint64_t> counts(kRanks, 1);
+        const std::vector<std::uint32_t> send(kRanks, 7u);
+        std::vector<std::uint32_t> recv(comm.rank() == 1 ? wrong : kRanks);
+        comm.alltoallv<std::uint32_t>(send, counts, recv);
+        EXPECT_NE(comm.rank(), 1) << "the wrongly sized rank returned";
+        EXPECT_EQ(recv, std::vector<std::uint32_t>(kRanks, 7u));
+        comm.barrier();
+      });
+      ADD_FAILURE() << "no error";
+    } catch (const CheckError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("rank 1's receive buffer holds " +
+                         std::to_string(wrong) + " items, but 3 arrive"),
+                std::string::npos)
+          << msg;
+    }
+  }
 }
 
 TEST(CommWorld, SequentialRunsOnSameWorld) {

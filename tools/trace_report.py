@@ -12,7 +12,11 @@ timeline means for the paper's questions:
   * per-rank communication and idle time — the parcomm.copy and
     parcomm.wait span totals, the paper's Figure 3 split — beside each
     rank's ghost.plan builds (count and total time), the setup cost of the
-    retained-queue exchange.
+    retained-queue exchange;
+  * self time — the span names with the most time outside their child
+    spans on the same lane, summed over ranks, so work that no layer
+    traces (an allocation, a page fault) shows up as its parent's self
+    time instead of a gap between spans.
 
 Modes:
   trace_report.py TRACE                      human-readable report
@@ -44,6 +48,7 @@ EXCHANGE = "engine.exchange"
 GHOST_PLAN = "ghost.plan"
 COPY = "parcomm.copy"
 WAIT = "parcomm.wait"
+SELF_TOP = 12  # rows of the report's self-time table
 
 
 def load(path):
@@ -172,6 +177,38 @@ def plans_by_rank(doc):
     return dict(out)
 
 
+def self_times(doc):
+    """name -> [self µs, inclusive µs, span count], summed over ranks.  A
+    span's self time is its duration minus the time its child spans on the
+    same (pid, tid) lane cover; spans on one lane nest, so the direct
+    children are the spans that open inside it before it closes."""
+    lanes = defaultdict(list)
+    for e in spans(doc):
+        lanes[(e["pid"], e["tid"])].append(e)
+    out = defaultdict(lambda: [0.0, 0.0, 0])
+
+    def close(entry):
+        name, dur, covered = entry[1], entry[2], entry[3]
+        acc = out[name]
+        acc[0] += max(0.0, dur - covered)
+        acc[1] += dur
+        acc[2] += 1
+
+    for lane in lanes.values():
+        lane.sort(key=lambda e: (e["ts"], -e["dur"]))
+        stack = []  # open ancestors: [end, name, dur, covered by children]
+        for e in lane:
+            while stack and stack[-1][0] <= e["ts"]:
+                close(stack.pop())
+            end = e["ts"] + e["dur"]
+            if stack:
+                stack[-1][3] += min(end, stack[-1][0]) - e["ts"]
+            stack.append([end, e["name"], e["dur"], 0.0])
+        while stack:
+            close(stack.pop())
+    return dict(out)
+
+
 # ---------------------------------------------------------------- reports --
 
 def report(doc):
@@ -202,6 +239,17 @@ def report(doc):
         nplans, plan = plans.get(pid, [0, 0.0])
         print(f"  {pid:>5} {comm / 1e3:>10.3f} {idle / 1e3:>10.3f} "
               f"{nplans:>6} {plan / 1e3:>10.3f}")
+
+    selfs = self_times(doc)
+    top = sorted(selfs.items(), key=lambda kv: (-kv[1][0], kv[0]))
+    print(f"\nself time (outside child spans on the same lane), summed over "
+          f"ranks, top {min(len(top), SELF_TOP)} of {len(top)} span names:")
+    print(f"  {'span':<28} {'self ms':>10} {'total ms':>10} {'self %':>7} "
+          f"{'spans':>7}")
+    for name, (own, total, n) in top[:SELF_TOP]:
+        pct = own / total * 100.0 if total > 0 else 0.0
+        print(f"  {name:<28} {own / 1e3:>10.3f} {total / 1e3:>10.3f} "
+              f"{pct:>7.1f} {n:>7}")
 
     per_rank = supersteps_by_rank(doc)
     if not per_rank:
@@ -297,6 +345,19 @@ def selftest():
     assert not problems, problems
     assert comm_idle_by_rank(doc) == {0: [100, 200], 1: [100, 200]}
     assert plans_by_rank(doc) == {0: [1, 5], 1: [1, 5]}
+    # Self time, summed over both ranks and rounds: a superstep keeps what
+    # compute, the exchange and (round 0) the plan build leave uncovered;
+    # the exchange keeps 50 of its 200 µs around its nested wait and copy;
+    # the pool lane's sweep has no parent on that lane.
+    assert self_times(doc) == {
+        SUPERSTEP: [(1000 - 500) * 2 + (1050 - 500) * 2 - 2 * 5, 4100, 4],
+        COMPUTE: [1200, 1200, 4],
+        "pool.sweep": [1160, 1160, 4],
+        WAIT: [400, 400, 4],
+        EXCHANGE: [200, 800, 4],
+        COPY: [200, 200, 4],
+        GHOST_PLAN: [10, 10, 2],
+    }, self_times(doc)
     # A rank missing a round fails the lockstep check, unless events were
     # dropped (the ring may have overwritten the span).
     skewed = _synthetic_trace()
@@ -335,6 +396,11 @@ def selftest():
     for pid in (0, 1):
         assert [str(pid), "0.100", "0.200", "1", "0.005"] in rows, \
             out.getvalue()
+    # ... and the self-time table, largest self time first (ties by name).
+    table = [r for r in rows if len(r) == 5 and r[0] in self_times(doc)]
+    assert [r[0] for r in table] == [SUPERSTEP, COMPUTE, "pool.sweep", WAIT,
+                                     EXCHANGE, COPY, GHOST_PLAN], table
+    assert [EXCHANGE, "0.200", "0.800", "25.0", "4"] in table, table
     print(out.getvalue(), end="")
     print("selftest: OK")
     return 0
