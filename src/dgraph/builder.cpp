@@ -1,9 +1,11 @@
 #include "dgraph/builder.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "obs/tracer.hpp"
+#include "util/bitmask64.hpp"
 #include "util/prefix_sum.hpp"
 #include "util/timer.hpp"
 
@@ -125,79 +127,132 @@ void pack_by_owner(const Partition& part, std::span<const EdgeRecord> edges,
   for (const EdgeRecord& e : edges) send[at[part.owner(key(e))]++] = e;
 }
 
-/// Global-to-local id translation during LConv, one call per endpoint.
-/// Owned vertices map to [0, n_loc): by arithmetic on block partitions, by
-/// one probe of the map (pre-filled with them) otherwise.  A remote vertex
-/// gets a provisional ghost id n_loc + k from the same single probe
-/// (LpHashMap::find_or_insert), k counting distinct ghosts in first-seen
-/// order.
-class LocalIds {
+/// A set of global ids as a bitmap over [0, n_global) that carries one
+/// 32-bit count of the members below each 64-bit word, so that once
+/// count_words() has filled the counts, a member's rank among the members
+/// (its position in increasing-id order) is one popcount.  Costs
+/// n_global/8 bytes of bits plus n_global/16 of counts.
+class RankBitmap {
  public:
-  LocalIds(const Partition& part, int rank, lvid_t n_loc, LpHashMap& map)
-      : map_(map), n_loc_(n_loc), block_(part.is_block()),
-        lo_(block_ ? part.block_range(rank).first : 0) {}
+  explicit RankBitmap(gvid_t n_global) : words_((n_global + 63) / 64, 0) {}
 
-  lvid_t operator()(gvid_t v) {
-    if (block_ && v - lo_ < n_loc_) return static_cast<lvid_t>(v - lo_);
-    const auto next = static_cast<std::uint32_t>(n_loc_ + seen_.size());
-    const std::uint32_t l = map_.find_or_insert(v, next);
-    if (l == next) seen_.push_back(v);
-    return static_cast<lvid_t>(l);
+  void set(gvid_t v) { words_[v >> 6] |= std::uint64_t{1} << (v & 63); }
+  bool test(gvid_t v) const { return (words_[v >> 6] >> (v & 63)) & 1; }
+
+  /// Fills the per-word counts; returns the number of members.
+  lvid_t count_words() {
+    below_.resize(words_.size());
+    std::uint32_t run = 0;
+    for (std::size_t i = 0; i < words_.size(); ++i) {
+      below_[i] = run;
+      run += static_cast<std::uint32_t>(std::popcount(words_[i]));
+    }
+    return run;
   }
 
-  lvid_t n_loc() const { return n_loc_; }
+  /// The number of members below v: v's rank when it is a member.
+  lvid_t rank(gvid_t v) const {
+    const std::uint64_t lower = (std::uint64_t{1} << (v & 63)) - 1;
+    return below_[v >> 6] +
+           static_cast<lvid_t>(std::popcount(words_[v >> 6] & lower));
+  }
 
-  /// The distinct ghosts as (global id, provisional id - n_loc) pairs in
-  /// increasing global-id order, the order of their final ids.  Sorts each
-  /// ghost once, not each occurrence.
-  std::vector<std::pair<gvid_t, lvid_t>> sorted_ghosts() {
-    std::vector<std::pair<gvid_t, lvid_t>> out(seen_.size());
-    for (std::size_t k = 0; k < out.size(); ++k)
-      out[k] = {seen_[k], static_cast<lvid_t>(k)};
-    release(seen_);
-    std::sort(out.begin(), out.end());
-    return out;
+  /// fn(v) for every member v, in increasing order.
+  template <typename F>
+  void for_each(F&& fn) const {
+    for (std::size_t i = 0; i < words_.size(); ++i)
+      bits::for_each_set_bit(words_[i], [&](std::size_t j) {
+        fn(static_cast<gvid_t>(i * 64 + j));
+      });
   }
 
  private:
-  LpHashMap& map_;
+  std::vector<std::uint64_t> words_;
+  std::vector<std::uint32_t> below_;
+};
+
+/// Global-to-local id translation during LConv.  Owned vertices map to
+/// [0, n_loc): v - lo on block partitions, their rank in a bitmap of the
+/// owned ids otherwise.  The count passes mark every remote endpoint in a
+/// ghost bitmap; once count_ghosts() has counted it, a ghost's id is n_loc
+/// plus its rank among the ghosts, so ghosts are numbered in increasing
+/// global-id order without a sort.
+class LocalIds {
+ public:
+  LocalIds(const Partition& part, int rank, gvid_t n_global,
+           std::span<const gvid_t> owned)
+      : n_loc_(static_cast<lvid_t>(owned.size())), block_(part.is_block()),
+        lo_(block_ ? part.block_range(rank).first : 0),
+        owned_(block_ ? 0 : n_global), ghosts_(n_global) {
+    if (block_) return;
+    for (const gvid_t v : owned) owned_.set(v);
+    owned_.count_words();
+  }
+
+  lvid_t n_loc() const { return n_loc_; }
+  bool owns(gvid_t v) const {
+    return block_ ? v - lo_ < n_loc_ : owned_.test(v);
+  }
+
+  /// Local row of an owned vertex.
+  lvid_t row(gvid_t v) const {
+    HG_DCHECK(owns(v));
+    return static_cast<lvid_t>(block_ ? v - lo_ : owned_.rank(v));
+  }
+
+  /// Count pass: marks `v`, the other endpoint of an edge, when remote.
+  void note(gvid_t v) {
+    if (!owns(v)) ghosts_.set(v);
+  }
+
+  /// Numbers the marked ghosts; returns how many there are.
+  lvid_t count_ghosts() { return ghosts_.count_words(); }
+
+  /// Scatter pass: the final local id of an endpoint, owned or ghost.
+  lvid_t operator()(gvid_t v) const {
+    return owns(v) ? row(v) : n_loc_ + ghosts_.rank(v);
+  }
+
+  const RankBitmap& ghosts() const { return ghosts_; }
+
+ private:
   lvid_t n_loc_;
   bool block_;
   gvid_t lo_;
-  std::vector<gvid_t> seen_;
+  RankBitmap owned_;  // random and explicit partitions only
+  RankBitmap ghosts_;
 };
 
-/// CSR over rows [0, n_loc) of one direction's received records (consumed),
-/// each row's entries in received order; `kOut`: rows are sources, else
-/// destinations.  The count pass overwrites each record's row endpoint with
-/// its local row; the scatter pass writes the other endpoint, translated
-/// once, into the row: a provisional ghost id when remote, which
-/// rename_ghosts replaces once every ghost is known.
+/// Count pass over one direction's received records; `kOut`: rows are
+/// sources, else destinations.  Overwrites each record's row endpoint with
+/// its local row, counts the row's entries into index[row + 1] of a zeroed
+/// n_loc + 1 array, and marks the other endpoint when it is a ghost.
 template <bool kOut>
-void fill_csr(std::vector<EdgeRecord>& recv, LocalIds& local,
-              std::vector<ecnt_t>& index, std::vector<lvid_t>& adj) {
-  const auto row = [](EdgeRecord& e) -> std::uint32_t& {
-    return kOut ? e.src : e.dst;
-  };
-  std::vector<ecnt_t> cursor(local.n_loc(), 0);
+void count_rows(std::span<EdgeRecord> recv, LocalIds& local,
+                std::vector<ecnt_t>& index) {
+  index.assign(static_cast<std::size_t>(local.n_loc()) + 1, 0);
   for (EdgeRecord& e : recv) {
-    row(e) = local(row(e));
-    HG_DCHECK(row(e) < local.n_loc());
-    ++cursor[row(e)];
+    std::uint32_t& row = kOut ? e.src : e.dst;
+    row = local.row(row);
+    ++index[row + 1];
+    local.note(kOut ? e.dst : e.src);
   }
-  index = csr_offsets(std::span<const ecnt_t>(cursor));
-  std::copy(index.begin(), index.end() - 1, cursor.begin());
-  adj.resize(recv.size());
-  for (EdgeRecord& e : recv)
-    adj[cursor[row(e)]++] = local(kOut ? e.dst : e.src);
-  release(recv);
 }
 
-/// Renames a filled CSR's provisional ghost ids to their final ones.
-void rename_ghosts(std::vector<lvid_t>& adj, lvid_t n_loc,
-                   std::span<const lvid_t> ghost_id) {
-  for (lvid_t& c : adj)
-    if (c >= n_loc) c = ghost_id[c - n_loc];
+/// Scatter pass: fills the CSR over rows [0, n_loc) from the counted
+/// records (consumed), each row's entries in received order and every other
+/// endpoint written as its final local id.  index[row + 1] serves as the
+/// row's cursor: it starts at the row's offset and ends at the next row's,
+/// which leaves `index` the CSR's offsets.
+template <bool kOut>
+void scatter_rows(std::vector<EdgeRecord>& recv, const LocalIds& local,
+                  std::vector<ecnt_t>& index, std::vector<lvid_t>& adj) {
+  const std::span<ecnt_t> cursor = std::span<ecnt_t>(index).subspan(1);
+  exclusive_prefix_sum(std::span<const ecnt_t>(cursor), cursor);
+  adj.resize(recv.size());
+  for (const EdgeRecord& e : recv)
+    adj[cursor[kOut ? e.src : e.dst]++] = local(kOut ? e.dst : e.src);
+  release(recv);
 }
 
 }  // namespace
@@ -210,9 +265,12 @@ DistGraph Builder::from_chunk(Communicator& comm, gvid_t n_global,
   // ---- Exchange stage: out-edges to owner(src), in-edges to owner(dst). --
   // One pass counts both directions; each is then packed into the same send
   // buffer, and the chunk is freed before the in-edge receive allocates.
+  // The count pass with the out-edge pack, and the in-edge pack, are each
+  // one dgraph.build.pack span.
   obs::Span exchange_span(obs::span_name::kBuildExchange);
   const auto p = static_cast<std::size_t>(comm.size());
   std::vector<std::uint64_t> out_counts(p, 0), in_counts(p, 0);
+  obs::Span out_pack_span(obs::span_name::kBuildPack);
   for (const EdgeRecord& e : chunk) {
     ++out_counts[part.owner(e.src)];
     ++in_counts[part.owner(e.dst)];
@@ -220,10 +278,13 @@ DistGraph Builder::from_chunk(Communicator& comm, gvid_t n_global,
   std::vector<EdgeRecord> send(chunk.size());
   pack_by_owner(part, chunk, out_counts,
                 [](const EdgeRecord& e) { return e.src; }, send);
+  out_pack_span.close();
   std::vector<EdgeRecord> out_recv =
       comm.alltoallv<EdgeRecord>(send, out_counts);
+  obs::Span in_pack_span(obs::span_name::kBuildPack);
   pack_by_owner(part, chunk, in_counts,
                 [](const EdgeRecord& e) { return e.dst; }, send);
+  in_pack_span.close();
   release(chunk);
   std::vector<EdgeRecord> in_recv = comm.alltoallv<EdgeRecord>(send, in_counts);
   release(send);
@@ -240,38 +301,27 @@ DistGraph Builder::from_chunk(Communicator& comm, gvid_t n_global,
   std::vector<gvid_t> owned = part.owned_vertices(comm.rank());
   g.n_loc_ = static_cast<lvid_t>(owned.size());
 
-  g.map_.reserve(owned.size() * 2);
-  for (lvid_t i = 0; i < g.n_loc_; ++i)
-    g.map_.insert(owned[i], i);
+  // Both count passes run first, so every ghost is known and numbered
+  // before either scatter writes an id; each endpoint is translated once.
+  {
+    LocalIds local(part, comm.rank(), n_global, owned);
+    count_rows<true>(out_recv, local, g.out_index_);
+    count_rows<false>(in_recv, local, g.in_index_);
+    g.n_gst_ = local.count_ghosts();
+    scatter_rows<true>(out_recv, local, g.out_index_, g.out_edges_);
+    scatter_rows<false>(in_recv, local, g.in_index_, g.in_edges_);
 
-  // Each received endpoint is translated once; the map is probed only for
-  // endpoints a block range cannot place.
-  LocalIds local(part, comm.rank(), g.n_loc_, g.map_);
-  fill_csr<true>(out_recv, local, g.out_index_, g.out_edges_);
-  fill_csr<false>(in_recv, local, g.in_index_, g.in_edges_);
+    g.unmap_ = std::move(owned);
+    g.unmap_.reserve(g.n_total());
+    g.ghost_task_.reserve(g.n_gst_);
+    local.ghosts().for_each([&](gvid_t v) {
+      g.unmap_.push_back(v);
+      g.ghost_task_.push_back(part.owner(v));
+    });
+  }  // the bitmaps are freed here
 
-  // Ghosts take their final ids in increasing global-id order
-  // (determinism); provisional ids are renamed through `ghost_id`, and the
-  // ghosts' map values are overwritten with the final ids.
-  std::vector<std::pair<gvid_t, lvid_t>> ghosts = local.sorted_ghosts();
-  g.n_gst_ = static_cast<lvid_t>(ghosts.size());
-
-  std::vector<lvid_t> ghost_id(g.n_gst_);
-  g.unmap_ = std::move(owned);
-  g.unmap_.resize(g.n_total());
-  g.ghost_task_.resize(g.n_gst_);
-  for (lvid_t j = 0; j < g.n_gst_; ++j) {
-    const auto [v, k] = ghosts[j];
-    const lvid_t l = g.n_loc_ + j;
-    ghost_id[k] = l;
-    g.unmap_[l] = v;
-    g.ghost_task_[j] = part.owner(v);
-    g.map_.insert(v, l);
-  }
-  release(ghosts);
-
-  rename_ghosts(g.out_edges_, g.n_loc_, ghost_id);
-  rename_ghosts(g.in_edges_, g.n_loc_, ghost_id);
+  g.map_.reserve(g.n_total());
+  for (lvid_t l = 0; l < g.n_total(); ++l) g.map_.insert(g.unmap_[l], l);
 
   g.build_boundary_locals();
 

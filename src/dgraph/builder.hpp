@@ -20,17 +20,21 @@
 ///     destination for in-edges.  One pass counts both directions; each
 ///     direction is packed by a stable counting sort into one reused send
 ///     buffer, so input order survives within each destination, and the
-///     chunk is freed before the in-edge receive buffer is allocated.
+///     chunk is freed before the in-edge receive buffer is allocated.  The
+///     count pass with the out-edge pack, and the in-edge pack, are each a
+///     dgraph.build.pack span.
 ///   * **LConv**: per-rank conversion to the CSR representation of Table II
-///     with ghost relabeling, straight from the received records.  A count
-///     pass translates each record's owned endpoint to its local row in
-///     place (arithmetic on block partitions, one map probe otherwise); a
-///     scatter pass writes each other endpoint into its row, translated
-///     once: an owned id the same way, a remote id by one
-///     LpHashMap::find_or_insert that hands out provisional ghost ids in
-///     first-seen order.  Only the distinct ghosts
-///     are then sorted into their final increasing-global-id numbering, and
-///     the provisional ids in both CSRs are renamed in place.
+///     with ghost relabeling, straight from the received records, through
+///     bitmaps over the global id space that carry one 32-bit count of the
+///     set bits below each 64-bit word, so a member's rank is one popcount.
+///     Both count passes run first: each translates every record's owned
+///     endpoint to its local row in place (v - lo on block partitions, its
+///     rank in an owned-id bitmap otherwise) and marks the other endpoint
+///     in a ghost bitmap when it is remote.  A ghost's id is n_loc plus its
+///     rank among the ghosts (increasing global-id order, no sort), so both
+///     scatter passes write final ids.  The hash map is filled once per
+///     local and per ghost at the end and never probed.  Each bitmap costs
+///     n_global * 3/16 bytes and is freed before the build returns.
 ///
 /// No preprocessing: vertex ids are used as given, duplicate edges and
 /// self-loops are preserved.

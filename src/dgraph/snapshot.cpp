@@ -215,8 +215,9 @@ DistGraph load_snapshot(parcomm::Communicator& comm,
                              << g.unmap_[i] << ", not below n_global "
                              << g.n_global_);
 
-  // The global->local hash map is cheaper to rebuild than to store.
-  g.map_.reserve(g.unmap_.size() * 2);
+  // The global->local hash map is cheaper to rebuild than to store.  It is
+  // sized for its n_loc + n_gst keys, as the Builder sizes it.
+  g.map_.reserve(g.unmap_.size());
   for (lvid_t l = 0; l < g.n_total(); ++l) g.map_.insert(g.unmap_[l], l);
   HG_CHECK_MSG(g.map_.size() == g.n_total(),
                "snapshot " << path << ": unmap holds "

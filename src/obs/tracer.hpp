@@ -54,6 +54,9 @@ inline constexpr const char* kKcoreComponents = "kcore.components";
 inline constexpr const char* kBuildRead = "dgraph.build.read";
 inline constexpr const char* kBuildExchange = "dgraph.build.exchange";
 inline constexpr const char* kBuildLconv = "dgraph.build.lconv";
+/// Inside the exchange: the count pass with the out-edge pack, then the
+/// in-edge pack (two spans per build).
+inline constexpr const char* kBuildPack = "dgraph.build.pack";
 inline constexpr const char* kCopy = "parcomm.copy";  ///< payload copy: comm
 inline constexpr const char* kWait = "parcomm.wait";  ///< barrier wait: idle
 inline constexpr const char* kCliRun = "cli.run";

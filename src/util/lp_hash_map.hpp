@@ -51,16 +51,6 @@ class LpHashMap {
     }
   }
 
-  /// The value of `key`, inserting key -> val first if it is absent; an
-  /// existing value is returned unchanged.  One probe sequence either way,
-  /// so a caller that hands out ids on first sight translates each key once.
-  std::uint32_t find_or_insert(gvid_t key, std::uint32_t val) {
-    const std::size_t i = probe(key);
-    if (keys_[i] == key) return vals_[i];
-    put(i, key, val);
-    return val;
-  }
-
   /// Look up a key; returns kNotFound when absent.
   std::uint32_t find(gvid_t key) const {
     std::size_t i = slot(key);

@@ -547,23 +547,39 @@ constexpr PartitionKind kGoldenKinds[] = {
     PartitionKind::kVertexBlock, PartitionKind::kEdgeBlock,
     PartitionKind::kRandom, PartitionKind::kExplicit};
 
-/// Rank-folded layout hash of `el` built with `kind` at `nranks`.  The
-/// explicit partition deals out stripes of 16 consecutive ids round-robin.
-std::uint64_t golden_hash(const EdgeList& el, PartitionKind kind, int nranks) {
-  std::vector<std::uint64_t> per_rank(static_cast<std::size_t>(nranks));
+/// The explicit partition of the layout tests: stripes of 16 consecutive
+/// ids dealt out round-robin.
+Partition striped_partition(gvid_t n, int nranks) {
+  auto owner = std::make_shared<std::vector<std::int32_t>>(n);
+  for (gvid_t v = 0; v < n; ++v)
+    (*owner)[v] = static_cast<std::int32_t>((v / 16) % nranks);
+  return Partition::explicit_map(n, nranks, std::move(owner));
+}
+
+/// `el` built with `kind` at `nranks` (an explicit kind as
+/// striped_partition); `body(graph, comm)` runs on every rank.
+template <typename F>
+void build_each_rank(const EdgeList& el, PartitionKind kind, int nranks,
+                     F&& body) {
   std::optional<Partition> part;
-  if (kind == PartitionKind::kExplicit) {
-    auto owner = std::make_shared<std::vector<std::int32_t>>(el.n);
-    for (gvid_t v = 0; v < el.n; ++v)
-      (*owner)[v] = static_cast<std::int32_t>((v / 16) % nranks);
-    part = Partition::explicit_map(el.n, nranks, std::move(owner));
-  }
+  if (kind == PartitionKind::kExplicit)
+    part = striped_partition(el.n, nranks);
   parcomm::CommWorld world(nranks);
   world.run([&](parcomm::Communicator& comm) {
     const DistGraph g = part ? Builder::from_edge_list(comm, el, *part)
                              : Builder::from_edge_list(comm, el, kind);
-    per_rank[static_cast<std::size_t>(comm.rank())] = layout_hash(g);
+    body(g, comm);
   });
+}
+
+/// Rank-folded layout hash of `el` built with `kind` at `nranks`.
+std::uint64_t golden_hash(const EdgeList& el, PartitionKind kind, int nranks) {
+  std::vector<std::uint64_t> per_rank(static_cast<std::size_t>(nranks));
+  build_each_rank(el, kind, nranks,
+                  [&](const DistGraph& g, parcomm::Communicator& comm) {
+                    per_rank[static_cast<std::size_t>(comm.rank())] =
+                        layout_hash(g);
+                  });
   OrderedHash folded;
   for (const std::uint64_t h : per_rank) folded.add(h);
   return folded.h;
@@ -634,6 +650,103 @@ TEST(BuilderGolden, Rmat) {
        0x04123ce6c5440b5dULL},
   };
   expect_golden(with_duplicates_and_self_loops(gen::rmat(rp)), kWant);
+}
+
+// ---------- Layout oracle on id spaces that end mid-word ----------
+//
+// The golden tables pin layouts at n = 2^10, a whole number of 64-bit
+// words.  This test derives every layout rule from the edge list instead,
+// on id spaces inside one word, of exactly one, just past one and ending
+// inside a later word, at rank counts that leave some ranks owning no
+// vertex.
+
+/// A seeded random edge list over n vertices that holds edges at ids 0 and
+/// n - 1, a self loop and a duplicate.
+EdgeList mid_word_graph(gvid_t n) {
+  EdgeList el;
+  el.n = n;
+  Rng rng(n * 7919 + 1);
+  el.edges.push_back({0, n - 1});
+  for (gvid_t i = 0; i < 3 * n + 8; ++i) {
+    el.edges.push_back({rng.below(n), rng.below(n)});
+    if (i == n) el.edges.push_back({n / 2, n / 2});
+  }
+  el.edges.push_back(el.edges[el.edges.size() / 3]);
+  el.edges.push_back({n - 1, 0});
+  return el;
+}
+
+/// Per-vertex neighbour lists of `el` in edge-list order.
+struct EdgeListAdjacency {
+  std::vector<std::vector<gvid_t>> out, in;
+
+  explicit EdgeListAdjacency(const EdgeList& el) : out(el.n), in(el.n) {
+    for (const Edge& e : el.edges) {
+      out[e.src].push_back(e.dst);
+      in[e.dst].push_back(e.src);
+    }
+  }
+};
+
+/// Checks one rank's graph against the layout rules: locals are the owned
+/// ids in increasing order, ghosts the remote endpoints of the rank's edges
+/// in increasing order with their owners, the map inverts the unmap, and
+/// each row lists its vertex's edges in edge-list order (the order the
+/// stable exchange keeps and PageRank's sums follow).
+void expect_layout(const EdgeList& el, const EdgeListAdjacency& adj,
+                   const DistGraph& g, int rank) {
+  const Partition& part = g.partition();
+  const auto mine = [&](gvid_t v) { return part.owner(v) == rank; };
+  std::vector<gvid_t> owned;
+  for (gvid_t v = 0; v < el.n; ++v)
+    if (mine(v)) owned.push_back(v);
+  std::set<gvid_t> remote;
+  for (const Edge& e : el.edges) {
+    if (mine(e.src) && !mine(e.dst)) remote.insert(e.dst);
+    if (mine(e.dst) && !mine(e.src)) remote.insert(e.src);
+  }
+
+  std::vector<gvid_t> locals;
+  for (lvid_t l = 0; l < g.n_loc(); ++l) locals.push_back(g.global_id(l));
+  EXPECT_EQ(locals, owned);
+  const std::span<const gvid_t> ghosts = g.ghost_globals();
+  EXPECT_EQ(std::vector<gvid_t>(ghosts.begin(), ghosts.end()),
+            std::vector<gvid_t>(remote.begin(), remote.end()));
+  for (lvid_t l = g.n_loc(); l < g.n_total(); ++l) {
+    EXPECT_NE(part.owner(g.global_id(l)), rank) << "ghost " << l;
+    EXPECT_EQ(g.owner_of(l), part.owner(g.global_id(l))) << "ghost " << l;
+  }
+  for (lvid_t l = 0; l < g.n_total(); ++l)
+    EXPECT_EQ(g.local_id(g.global_id(l)), l);
+
+  const auto globals = [&](std::span<const lvid_t> row) {
+    std::vector<gvid_t> out;
+    for (const lvid_t u : row) out.push_back(g.global_id(u));
+    return out;
+  };
+  for (lvid_t l = 0; l < g.n_loc(); ++l) {
+    const gvid_t v = g.global_id(l);
+    EXPECT_EQ(globals(g.out_neighbors(l)), adj.out[v]) << "out-row of " << v;
+    EXPECT_EQ(globals(g.in_neighbors(l)), adj.in[v]) << "in-row of " << v;
+  }
+}
+
+TEST(BuilderLayout, MatchesEdgeListOracleWhereIdSpacesEndMidWord) {
+  for (const gvid_t n : {1, 63, 64, 65, 200, 1000}) {
+    const EdgeList el = mid_word_graph(n);
+    const EdgeListAdjacency adj(el);
+    for (const PartitionKind kind : kGoldenKinds) {
+      for (const int p : {1, 2, 3, 5, 8}) {
+        const std::string label =
+            "n " + std::to_string(n) + ", " + DistConfig{p, kind}.label();
+        build_each_rank(el, kind, p,
+                        [&](const DistGraph& g, parcomm::Communicator& comm) {
+                          SCOPED_TRACE(label);
+                          expect_layout(el, adj, g, comm.rank());
+                        });
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -73,6 +73,8 @@ TEST_P(SnapshotTest, RoundTripIdenticalGraph) {
     save_snapshot(built, comm, prefix());
     const DistGraph loaded = load_snapshot(comm, prefix());
     expect_graphs_equal(built, loaded);
+    // The rebuilt map is sized as the Builder sizes it.
+    EXPECT_EQ(loaded.memory_bytes(), built.memory_bytes());
     // Partition function restored (owners agree on foreign vertices too).
     for (gvid_t v = 0; v < el.n; v += 7)
       ASSERT_EQ(loaded.owner_of_global(v), built.owner_of_global(v));
