@@ -5,6 +5,7 @@
 #include "dgraph/ghost_exchange.hpp"
 #include "engine/frontier.hpp"
 #include "engine/superstep.hpp"
+#include "obs/tracer.hpp"
 
 namespace hpcgraph::analytics {
 
@@ -122,28 +123,31 @@ struct BfsLevelKernel {
 
     // ---- Expansion: pop the frontier, stamp levels, claim neighbours;
     // one equal-count frontier span per thread. ----
-    ctx.pool.for_range(0, q.size(), [&](unsigned tid, std::uint64_t lo,
-                                        std::uint64_t hi) {
-      std::vector<lvid_t>& my_next = nexts[tid];
-      std::vector<lvid_t>& my_send = sends[tid];
-      for (std::uint64_t i = lo; i < hi; ++i) {
-        const lvid_t v = q[i];
-        // Claim the pop (duplicates can reach the queue via receives).
-        if (!status.pop_claim(v, level)) continue;
+    {
+      obs::Span sp(obs::span_name::kFrontierExpand);
+      ctx.pool.for_range(0, q.size(), [&](unsigned tid, std::uint64_t lo,
+                                          std::uint64_t hi) {
+        std::vector<lvid_t>& my_next = nexts[tid];
+        std::vector<lvid_t>& my_send = sends[tid];
+        for (std::uint64_t i = lo; i < hi; ++i) {
+          const lvid_t v = q[i];
+          // Claim the pop (duplicates can reach the queue via receives).
+          if (!status.pop_claim(v, level)) continue;
 
-        const auto explore = [&](lvid_t u) {
-          if (g.is_ghost(u)) {
-            if (status.claim(u)) my_send.push_back(u);
-          } else if (alive(u) && status.claim(u)) {
-            my_next.push_back(u);
-          }
-        };
-        if (opts.dir == Dir::kOut || opts.dir == Dir::kBoth)
-          for (const lvid_t u : g.out_neighbors(v)) explore(u);
-        if (opts.dir == Dir::kIn || opts.dir == Dir::kBoth)
-          for (const lvid_t u : g.in_neighbors(v)) explore(u);
-      }
-    });
+          const auto explore = [&](lvid_t u) {
+            if (g.is_ghost(u)) {
+              if (status.claim(u)) my_send.push_back(u);
+            } else if (alive(u) && status.claim(u)) {
+              my_next.push_back(u);
+            }
+          };
+          if (opts.dir == Dir::kOut || opts.dir == Dir::kBoth)
+            for (const lvid_t u : g.out_neighbors(v)) explore(u);
+          if (opts.dir == Dir::kIn || opts.dir == Dir::kBoth)
+            for (const lvid_t u : g.in_neighbors(v)) explore(u);
+        }
+      });
+    }
 
     // ---- Ship claimed ghosts to their owners (Algorithm 2 lines 26-31):
     // concurrent per-thread Sinks; receivers are claim-based, so segment
@@ -265,6 +269,7 @@ struct BfsDiroptKernel {
         }
         return false;
       };
+      obs::Span sp(obs::span_name::kFrontierScan);
       for (lvid_t v = 0; v < g.n_loc(); ++v) {
         if (scan_one(v)) {
           status.store(v, level + 1);
@@ -274,20 +279,23 @@ struct BfsDiroptKernel {
     } else {
       // ---- Top-down: as Algorithm 2, stamping at insertion. ----
       std::vector<lvid_t> send;
-      for (const lvid_t v : q) {
-        const auto explore = [&](lvid_t u) {
-          if (g.is_ghost(u)) {
-            if (status.claim(u))  // each ghost sent at most once per task
-              send.push_back(u);
-          } else if (alive(u) && status.load(u) == kUnvisited) {
-            status.store(u, level + 1);
-            accept(u);
-          }
-        };
-        if (opts.dir == Dir::kOut || opts.dir == Dir::kBoth)
-          for (const lvid_t u : g.out_neighbors(v)) explore(u);
-        if (opts.dir == Dir::kIn || opts.dir == Dir::kBoth)
-          for (const lvid_t u : g.in_neighbors(v)) explore(u);
+      {
+        obs::Span sp(obs::span_name::kFrontierExpand);
+        for (const lvid_t v : q) {
+          const auto explore = [&](lvid_t u) {
+            if (g.is_ghost(u)) {
+              if (status.claim(u))  // each ghost sent at most once per task
+                send.push_back(u);
+            } else if (alive(u) && status.load(u) == kUnvisited) {
+              status.store(u, level + 1);
+              accept(u);
+            }
+          };
+          if (opts.dir == Dir::kOut || opts.dir == Dir::kBoth)
+            for (const lvid_t u : g.out_neighbors(v)) explore(u);
+          if (opts.dir == Dir::kIn || opts.dir == Dir::kBoth)
+            for (const lvid_t u : g.in_neighbors(v)) explore(u);
+        }
       }
 
       const std::vector<gvid_t> recv = engine::route_to_owners<lvid_t>(

@@ -39,7 +39,11 @@ struct BfsOptions {
   /// through the graph's retained plan instead of per-discovery vertex
   /// messages.  Kept because it wins once that plan is shared across calls:
   /// 8 roots at 4 ranks take 0.44–0.77× the push-only time on R-MAT and
-  /// webgraph (EXPERIMENTS.md, "one ghost plan per graph").
+  /// webgraph (EXPERIMENTS.md, "one ghost plan per graph").  Inside the
+  /// library only WCC's giant-component sweep sets it, over the `kBoth`
+  /// plan its coloring step ships over too; SCC's sweeps stay push-only.
+  /// bench/e2e's `bfs_diropt` stage and the ablation bench set it from
+  /// outside.
   bool direction_optimizing = false;
   double alpha = 15.0;  ///< go bottom-up when frontier edges > m/alpha
   double beta = 20.0;   ///< return top-down when frontier < n/beta

@@ -27,32 +27,28 @@ struct DegVertex {
 };
 
 /// ValueKernel: HashMin coloring of the non-giant leftovers (step 2).  The
-/// init hook re-colors the BFS-swept giant members to the canonical label
-/// and the engine pushes that seed through one exchange (kSeedExchange)
-/// before round 0, because the ghost replicas still hold the id-init value.
+/// BFS-swept giant members start with the canonical label and are never
+/// recolored.  No leftover is adjacent to a swept vertex (the sweep would
+/// have reached it), so no leftover reads a giant ghost and the round-0
+/// sweep needs no seed exchange: the ghost replicas' id-init values are
+/// exactly the leftovers' starting colors.
 struct WccColorKernel {
   using Value = gvid_t;
-  static constexpr bool kSeedExchange = true;
 
   const DistGraph& g;
-  const WccOptions& opts;
   std::span<const std::int64_t> level;  // giant membership (BFS level >= 0)
-  gvid_t giant_min;
   std::vector<gvid_t> color;
 
-  WccColorKernel(const DistGraph& g_, const WccOptions& o,
-                 std::span<const std::int64_t> lvl, gvid_t gmin)
-      : g(g_), opts(o), level(lvl), giant_min(gmin), color(g_.n_total()) {
+  WccColorKernel(const DistGraph& g_, std::span<const std::int64_t> lvl,
+                 gvid_t giant_min)
+      : g(g_), level(lvl), color(g_.n_total()) {
     for (lvid_t l = 0; l < g.n_total(); ++l) color[l] = g.global_id(l);
+    for (lvid_t v = 0; v < g.n_loc(); ++v)
+      if (level[v] >= 0) color[v] = giant_min;
   }
 
   Adjacency adjacency() const { return Adjacency::kBoth; }
   std::span<gvid_t> values() { return color; }
-
-  void init(engine::StepContext&) {
-    for (lvid_t v = 0; v < g.n_loc(); ++v)
-      if (level[v] >= 0) color[v] = giant_min;
-  }
 
   void compute(engine::StepContext& ctx) {
     // Serial in-place min-sweep: the in-place updates are what make HashMin
@@ -78,6 +74,25 @@ struct WccColorKernel {
   }
 };
 
+/// Collective: the step-1 root, the vertex with the most edges to *other*
+/// vertices (out- plus in-degree minus twice its self loops), ties to the
+/// smaller id.  Unlike max_degree_vertex it cannot pick a page whose edges
+/// are all self loops, a sweep that reaches nothing.  A row's raw degree
+/// bounds its edges to other vertices, so only rows whose raw degree
+/// reaches the best so far have their self loops counted.
+gvid_t sweep_root(const DistGraph& g, Communicator& comm) {
+  DegVertex best;
+  for (lvid_t v = 0; v < g.n_loc(); ++v) {
+    const std::uint64_t raw = g.out_degree(v) + g.in_degree(v);
+    if (raw < best.deg) continue;
+    std::uint64_t loops = 0;  // each self loop sits in both lists
+    for (const lvid_t u : g.out_neighbors(v)) loops += u == v;
+    for (const lvid_t u : g.in_neighbors(v)) loops += u == v;
+    best = DegVertex::better(best, DegVertex{raw - loops, g.global_id(v)});
+  }
+  return comm.allreduce(best, DegVertex::better).gid;
+}
+
 }  // namespace
 
 gvid_t max_degree_vertex(const DistGraph& g, Communicator& comm) {
@@ -92,13 +107,15 @@ gvid_t max_degree_vertex(const DistGraph& g, Communicator& comm) {
 WccResult wcc(const DistGraph& g, Communicator& comm, const WccOptions& opts) {
   WccResult res;
 
-  // ---- Step 1 (BFS-like): sweep the giant component. ----
-  const gvid_t root = max_degree_vertex(g, comm);
+  // ---- Step 1 (BFS-like): sweep the giant component, direction-
+  // optimizing over the kBoth plan the coloring step shares. ----
   BfsOptions bopts;
   bopts.dir = Dir::kBoth;
+  bopts.direction_optimizing = true;
   bopts.common = opts.common;
-  const BfsResult b = bfs(g, comm, root, bopts);
+  const BfsResult b = bfs(g, comm, sweep_root(g, comm), bopts);
   res.bfs_levels = b.num_levels;
+  res.swept = b.visited;
 
   // Canonical label of the giant = min global id among its members.
   gvid_t giant_min_local = kNullGvid;
@@ -108,19 +125,21 @@ WccResult wcc(const DistGraph& g, Communicator& comm, const WccOptions& opts) {
   const gvid_t giant_min = comm.allreduce_min(giant_min_local);
 
   // ---- Step 2 (PageRank-like): HashMin coloring of the leftovers,
-  // driven by the superstep engine (seed exchange + sweep-to-fixpoint). ----
-  WccColorKernel kernel(g, opts, b.level, giant_min);
+  // driven by the superstep engine (sweep to a fixpoint). ----
+  WccColorKernel kernel(g, b.level, giant_min);
   engine::SuperstepEngine eng(g, comm, engine_config(opts.common));
   const engine::EngineResult er = eng.run_value(kernel);
   res.coloring_iters = static_cast<int>(er.supersteps);
 
   res.comp.assign(kernel.color.begin(), kernel.color.begin() + g.n_loc());
 
-  // ---- Largest component: aggregate per-label counts at the label's
-  // owner, then a global max-reduce. ----
+  // ---- Largest component: the giant's size is the sweep's count; the
+  // leftovers' per-label counts meet at the label's owner, then a global
+  // max-reduce. ----
   std::unordered_map<gvid_t, std::uint64_t> local_counts;
   local_counts.reserve(g.n_loc() / 4 + 8);
-  for (lvid_t v = 0; v < g.n_loc(); ++v) ++local_counts[res.comp[v]];
+  for (lvid_t v = 0; v < g.n_loc(); ++v)
+    if (b.level[v] < 0) ++local_counts[res.comp[v]];
 
   struct LabelCount {
     gvid_t label;
@@ -138,7 +157,7 @@ WccResult wcc(const DistGraph& g, Communicator& comm, const WccOptions& opts) {
   std::unordered_map<gvid_t, std::uint64_t> owned_totals;
   for (const LabelCount& lc : recv) owned_totals[lc.label] += lc.count;
 
-  DegVertex best;  // reuse: deg = component size, gid = label
+  DegVertex best{res.swept, giant_min};  // deg = component size, gid = label
   for (const auto& [label, total] : owned_totals)
     best = DegVertex::better(best, DegVertex{total, label});
   best = comm.allreduce(best, DegVertex::better);

@@ -37,12 +37,6 @@
 ///                                           queue (exchange_fresh)
 ///   * `std::vector<lvid_t>* changed_ghosts()`  receive ghost slots whose
 ///                                           value flipped (k-core)
-///   * `void init(StepContext&)`             pre-loop seeding; if the kernel
-///                                           also defines
-///                                           `static constexpr bool kSeedExchange = true`
-///                                           the engine runs one exchange
-///                                           after it (WCC pushes re-colored
-///                                           giant members before round 0)
 ///   * `void apply(StepContext&)`            post-exchange step (PageRank's
 ///                                           gather+delta, k-core's ghost
 ///                                           decrement application)
@@ -227,25 +221,7 @@ class SuperstepEngine {
     if constexpr (requires { kernel.changed_ghosts(); })
       changed_ghosts = kernel.changed_ghosts();
 
-    const auto do_exchange = [&] {
-      std::span<T> vals = kernel.values();
-      if (gx) {
-        gx->exchange<T>(vals, comm_, changed_ghosts);
-      } else {
-        // Rebuild ablation: the round ships over a freshly built plan.
-        dgraph::exchange_fresh<T>(g_, comm_, kernel.adjacency(), cfg_.pool,
-                                  vals, changed_ghosts);
-      }
-    };
-
     StepContext ctx{g_, comm_, tp};
-    if constexpr (requires { kernel.init(ctx); }) {
-      kernel.init(ctx);
-      if constexpr (requires { K::kSeedExchange; }) {
-        if constexpr (K::kSeedExchange) do_exchange();
-      }
-    }
-
     EngineResult res;
     for (std::uint64_t step = 0; step < cfg_.max_supersteps; ++step) {
       obs::Span round_span(obs::span_name::kSuperstep);
@@ -261,7 +237,14 @@ class SuperstepEngine {
       }
       {
         obs::Span sp(obs::span_name::kExchange);
-        do_exchange();
+        std::span<T> vals = kernel.values();
+        if (gx) {
+          gx->exchange<T>(vals, comm_, changed_ghosts);
+        } else {
+          // Rebuild ablation: the round ships over a freshly built plan.
+          dgraph::exchange_fresh<T>(g_, comm_, kernel.adjacency(), cfg_.pool,
+                                    vals, changed_ghosts);
+        }
       }
       if constexpr (requires { kernel.apply(ctx); }) kernel.apply(ctx);
 
@@ -295,7 +278,6 @@ class SuperstepEngine {
       policy = kernel.frontier_policy();
 
     FrontierStepContext ctx{{g_, comm_, tp}};
-    if constexpr (requires { kernel.init(ctx); }) kernel.init(ctx);
 
     EngineResult res;
     // Pre-loop sizing: fuse the initial frontier size with its degree sum

@@ -45,6 +45,10 @@ inline constexpr const char* kGhostPack = "ghost.pack";
 inline constexpr const char* kGhostScatter = "ghost.scatter";
 inline constexpr const char* kGhostReduce = "ghost.reduce";
 inline constexpr const char* kRoute = "frontier.route";
+/// Inside a BFS frontier step: the top-down expansion of the frontier, and
+/// the direction-optimizing traversal's bottom-up parent scan.
+inline constexpr const char* kFrontierExpand = "frontier.expand";
+inline constexpr const char* kFrontierScan = "frontier.scan";
 inline constexpr const char* kGhostPlan = "ghost.plan";
 inline constexpr const char* kPoolSweep = "pool.sweep";
 inline constexpr const char* kKcoreSetup = "kcore.setup";  ///< incidence CSR

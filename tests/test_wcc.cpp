@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "analytics/wcc.hpp"
@@ -112,6 +113,57 @@ TEST(Wcc, MaxDegreeVertexIsGlobalArgmax) {
                     const gvid_t got = max_degree_vertex(g, comm);
                     EXPECT_EQ(deg[got], deg[want]);  // an argmax (ties by id)
                   });
+}
+
+// The raw-degree maximum of both inputs is a vertex whose edges are all self
+// loops: a 50-loop vertex beside a 40-vertex path, and page 2616 of webgraph
+// 2^16 seed 3 (9535 self loops).  max_degree_vertex, harmonic centrality's
+// pivot, still picks it; the sweep must start inside the largest component.
+TEST(Wcc, SweepRootSkipsSelfLoops) {
+  const gen::EdgeList path = [] {
+    gen::EdgeList el;
+    el.n = 41;
+    el.edges.assign(50, gen::Edge{0, 0});
+    for (gvid_t v = 1; v < 40; ++v) el.edges.push_back({v, v + 1});
+    return el;
+  }();
+  gen::WebGraphParams wp;
+  wp.n = 1 << 16;
+  wp.seed = 3;
+  const gen::EdgeList web = gen::webgraph(wp).graph;
+
+  for (const gen::EdgeList* el : {&path, &web}) {
+    const auto deg = gen::total_degrees(*el);
+    const gvid_t hub = static_cast<gvid_t>(
+        std::max_element(deg.begin(), deg.end()) - deg.begin());
+    for (const gen::Edge& e : el->edges)
+      if (e.src == hub || e.dst == hub) ASSERT_EQ(e.src, e.dst);
+    const std::vector<gvid_t> want = ref::wcc(ref::SeqGraph::from(*el));
+    std::map<gvid_t, std::uint64_t> sizes;
+    for (const gvid_t c : want) ++sizes[c];
+    std::uint64_t largest = 0;
+    for (const auto& [c, n] : sizes) largest = std::max(largest, n);
+    ASSERT_GT(largest, 1u);
+
+    for (const int p : {1, 2, 3}) {
+      for (const auto kind : {dgraph::PartitionKind::kVertexBlock,
+                              dgraph::PartitionKind::kRandom}) {
+        const DistConfig cfg{p, kind};
+        SCOPED_TRACE(el->n == path.n ? "path " + cfg.label()
+                                     : "webgraph " + cfg.label());
+        with_dist_graph(*el, cfg, [&](const DistGraph& g,
+                                      parcomm::Communicator& comm) {
+          EXPECT_EQ(max_degree_vertex(g, comm), hub);
+          const WccResult res = wcc(g, comm);
+          EXPECT_EQ(res.swept, largest);
+          EXPECT_EQ(res.largest_size, largest);
+          for (lvid_t v = 0; v < g.n_loc(); ++v)
+            ASSERT_EQ(res.comp[v], want[g.global_id(v)])
+                << "vertex " << g.global_id(v);
+        });
+      }
+    }
+  }
 }
 
 TEST(Wcc, SingleStageBaselineAgreesWithMultistep) {

@@ -243,7 +243,9 @@ int main(int argc, char** argv) {
       const auto res = analytics::wcc(g, comm, o);
       if (root_rank)
         std::cout << "largest WCC: " << res.largest_size << " (label "
-                  << res.largest_label << ")\n";
+                  << res.largest_label << "), swept " << res.swept
+                  << ", bfs_levels " << res.bfs_levels << ", coloring_iters "
+                  << res.coloring_iters << "\n";
       if (!output.empty())
         write_tsv<gvid_t>(g, comm, res.comp, output, "component");
     } else if (analytic == "scc") {
